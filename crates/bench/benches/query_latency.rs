@@ -1,174 +1,43 @@
-//! Query-latency benchmark: the columnar read path vs the pre-columnar
-//! record walk, with a JSON trajectory report.
+//! Query-latency benchmark: the full point path under the paper's MD5
+//! Bloom hash family vs the fast family the system defaults to, with a
+//! JSON trajectory report.
 //!
-//! The storage-unit scan used to re-project every record per query
-//! (four `ln()` calls + divides in `attr_vector`), full-sort all n
-//! records to keep k, and prefix-scan names behind the Bloom probe.
-//! The columnar path scans a flat SoA coordinate table, keeps k in a
-//! bounded heap, and resolves names through a slot map. This bench
-//! keeps the *pre-columnar implementation alive as a reference*:
-//! identical routing (the shared semantic R-tree), per-unit evaluation
-//! by record walk, and the old sort-merge for top-k.
+//! The point path is Bloom-probe-bound, so the hash family is what its
+//! latency hangs on. Two rows per scale:
 //!
-//! Every query's answer is checked **bit-identical** between the two
-//! paths before timing (ids and squared distances; a latency number
-//! for a wrong answer is worthless), then both paths are timed over
-//! the same workload. The table is printed and written as JSON
-//! (`query_latency.json`) under `target/bench-reports` (override with
-//! `BENCH_REPORT_DIR`); CI copies it into `results/` so the perf
-//! trajectory accumulates per PR.
+//! * `point_family` — the same corpus indexed under each family, the
+//!   full point path timed on both. Answers are checked **identical**
+//!   between the families before timing (routing false positives never
+//!   change answers — exact name matching sits behind the filters — but
+//!   a latency number for a wrong answer is worthless);
+//! * `hierarchy_probe` — ns per Bloom-hierarchy filter probe, isolated
+//!   from unit-local name resolution.
+//!
+//! The columnar-vs-record-walk rows this bench used to carry are
+//! history in `results/query_latency.json`; the record-walk reference
+//! itself lives where references belong, in
+//! `crates/smartstore/tests/columnar.rs`.
+//!
+//! The table is printed and written as JSON (`query_latency.json`)
+//! under `target/bench-reports` (override with `BENCH_REPORT_DIR`); CI
+//! copies it into `results/` so the perf trajectory accumulates per PR.
 //!
 //! Run with `cargo bench -p smartstore-bench --bench query_latency`
 //! (`-- --quick` for the CI smoke: 4k files only; the default runs
 //! 4k and 50k).
 
-use smartstore::{HashFamily, QueryOptions, SmartStoreSystem};
+use smartstore::HashFamily;
 use smartstore_bench::fixture::{population, system, system_with_family, workload};
 use smartstore_bench::Report;
 use smartstore_bloom::BloomHierarchy;
-use smartstore_rtree::Rect;
-use smartstore_trace::{QueryDistribution, QueryWorkload, TraceKind};
+use smartstore_trace::{QueryDistribution, TraceKind};
 use std::time::Instant;
-
-/// Minimum speedup the columnar path must show on the unit-scan-bound
-/// query kinds (range, top-k) at every scale — the PR's acceptance
-/// gate. Single-core valid: nothing here depends on thread count.
-const MIN_SPEEDUP: f64 = 1.3;
 
 /// Minimum full-path point-query speedup the fast hash family must
 /// show over the MD5 family at the 50k-file scale. The point path is
 /// Bloom-probe-bound, so swapping ~2 MD5 compressions per probe for
 /// one multiply-xor pass must show up end to end.
 const FAMILY_GATE: f64 = 5.0;
-
-// ---------------------------------------------------------------------
-// Reference ("before"): the pre-columnar record walk, same routing.
-// ---------------------------------------------------------------------
-
-fn ref_unit_range(u: &smartstore::StorageUnit, lo: &[f64], hi: &[f64], out: &mut Vec<u64>) {
-    if let Some(m) = u.mbr() {
-        let q = Rect::new(lo.to_vec(), hi.to_vec());
-        if !m.intersects(&q) {
-            return;
-        }
-    }
-    for f in u.files() {
-        let v = f.attr_vector();
-        if v.iter()
-            .zip(lo.iter().zip(hi))
-            .all(|(&x, (&l, &h))| l <= x && x <= h)
-        {
-            out.push(f.file_id);
-        }
-    }
-}
-
-fn ref_unit_topk(u: &smartstore::StorageUnit, point: &[f64], k: usize) -> Vec<(u64, f64)> {
-    let mut scored: Vec<(u64, f64)> = u
-        .files()
-        .iter()
-        .map(|f| {
-            let d = f
-                .attr_vector()
-                .iter()
-                .zip(point)
-                .map(|(&a, &q)| (a - q) * (a - q))
-                .sum::<f64>();
-            (f.file_id, d)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
-}
-
-fn ref_range(sys: &SmartStoreSystem, lo: &[f64], hi: &[f64]) -> Vec<u64> {
-    let route = sys.tree().route_range(lo, hi);
-    let mut out = Vec::new();
-    for &u in &route.target_units {
-        ref_unit_range(&sys.units()[u], lo, hi, &mut out);
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// The pre-columnar MaxD walk: best-first unit order, per-unit
-/// full-sort top-k, re-sort the merged list after every unit.
-fn ref_topk(sys: &SmartStoreSystem, point: &[f64], k: usize) -> Vec<(u64, f64)> {
-    let (order, _) = sys.tree().route_topk(point);
-    let mut best: Vec<(u64, f64)> = Vec::new();
-    for &(u, lower_bound) in &order {
-        let max_d = if best.len() == k {
-            best.last().map(|&(_, d)| d).unwrap_or(f64::INFINITY)
-        } else {
-            f64::INFINITY
-        };
-        if lower_bound > max_d {
-            break;
-        }
-        best.extend(ref_unit_topk(&sys.units()[u], point, k));
-        best.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        best.truncate(k);
-    }
-    best
-}
-
-fn ref_point(sys: &SmartStoreSystem, name: &str) -> Vec<u64> {
-    let route = sys.tree().route_point(name);
-    let mut out = Vec::new();
-    for &u in &route.target_units {
-        let unit = &sys.units()[u];
-        if !unit.bloom().contains(name.as_bytes()) {
-            continue;
-        }
-        for f in unit.files() {
-            if f.name == name {
-                out.push(f.file_id);
-                break;
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-// ---------------------------------------------------------------------
-// Harness.
-// ---------------------------------------------------------------------
-
-fn identity_gate(sys: &SmartStoreSystem, w: &QueryWorkload, opts: &QueryOptions) {
-    let engine = sys.query();
-    for q in &w.ranges {
-        assert_eq!(
-            ref_range(sys, &q.lo, &q.hi),
-            engine.range(&q.lo, &q.hi, opts).file_ids,
-            "range answers diverged from the record-walk reference"
-        );
-    }
-    for q in &w.topks {
-        let want = ref_topk(sys, &q.point, q.k);
-        let (got, _) = engine.topk_scored(&q.point, &opts.with_k(q.k));
-        assert_eq!(got.len(), want.len(), "top-k cardinality diverged");
-        for (a, b) in got.iter().zip(&want) {
-            assert_eq!(a.0, b.0, "top-k ids diverged");
-            assert!(
-                a.1.to_bits() == b.1.to_bits(),
-                "top-k distance bits diverged: {} vs {}",
-                a.1,
-                b.1
-            );
-        }
-    }
-    for q in &w.points {
-        assert_eq!(
-            ref_point(sys, &q.name),
-            engine.point(&q.name).file_ids,
-            "point answers diverged from the prefix-scan reference"
-        );
-    }
-}
 
 /// Best-round ns/query of `f` over `rounds` passes of a
 /// `queries`-query workload. Min-over-rounds filters scheduler
@@ -189,72 +58,11 @@ fn bench_scale(n_files: usize, rounds: usize, report: &mut Report) {
     println!("== query latency: {n_files} files, {n_units} units, {rounds} rounds ==");
     let pop = population(TraceKind::Msn, n_files, 1);
     let mut sys = system(&pop, n_units, 1);
-    // Version chains are empty here; disable the overlay so both paths
-    // evaluate exactly the unit scans plus routing.
+    // Version chains are empty here; disable the overlay so the rows
+    // time routing plus unit lookups and nothing else.
     sys.set_versioning(false);
     let w = workload(&pop, QueryDistribution::Zipf, 48, 2);
-    let opts = QueryOptions::offline();
-
-    identity_gate(&sys, &w, &opts);
-
     let engine = sys.query();
-    let before_range = time_ns(rounds, w.ranges.len(), || {
-        for q in &w.ranges {
-            std::hint::black_box(ref_range(&sys, &q.lo, &q.hi));
-        }
-    });
-    let after_range = time_ns(rounds, w.ranges.len(), || {
-        for q in &w.ranges {
-            std::hint::black_box(engine.range(&q.lo, &q.hi, &opts));
-        }
-    });
-    let before_topk = time_ns(rounds, w.topks.len(), || {
-        for q in &w.topks {
-            std::hint::black_box(ref_topk(&sys, &q.point, q.k));
-        }
-    });
-    let after_topk = time_ns(rounds, w.topks.len(), || {
-        for q in &w.topks {
-            std::hint::black_box(engine.topk(&q.point, &opts.with_k(q.k)));
-        }
-    });
-    let before_point = time_ns(rounds, w.points.len(), || {
-        for q in &w.points {
-            std::hint::black_box(ref_point(&sys, &q.name));
-        }
-    });
-    let after_point = time_ns(rounds, w.points.len(), || {
-        for q in &w.points {
-            std::hint::black_box(engine.point(&q.name));
-        }
-    });
-
-    // Unit-local name resolution with routing and Bloom probes factored
-    // out: the full point path is dominated by MD5 Bloom hashing
-    // (identical in both paths), so the indexed-lookup win only shows
-    // on the raw lookup itself.
-    let point_targets: Vec<(usize, &str)> = w
-        .points
-        .iter()
-        .flat_map(|q| {
-            sys.tree()
-                .route_point(&q.name)
-                .target_units
-                .into_iter()
-                .map(move |u| (u, q.name.as_str()))
-        })
-        .collect();
-    let point_rounds = rounds * 50;
-    let before_point_unit = time_ns(point_rounds, point_targets.len(), || {
-        for &(u, name) in &point_targets {
-            std::hint::black_box(sys.units()[u].files().iter().find(|f| f.name == name));
-        }
-    });
-    let after_point_unit = time_ns(point_rounds, point_targets.len(), || {
-        for &(u, name) in &point_targets {
-            std::hint::black_box(sys.units()[u].lookup_name(name));
-        }
-    });
 
     // Hash-family rows: the same corpus indexed under the MD5 family
     // (the paper's derivation) vs the fast family the system now
@@ -314,10 +122,6 @@ fn bench_scale(n_files: usize, rounds: usize, report: &mut Report) {
     };
 
     for (kind, before, after, gate) in [
-        ("range", before_range, after_range, Some(MIN_SPEEDUP)),
-        ("topk", before_topk, after_topk, Some(MIN_SPEEDUP)),
-        ("point", before_point, after_point, None),
-        ("point_unit", before_point_unit, after_point_unit, None),
         (
             "point_family",
             before_family,
@@ -350,7 +154,7 @@ fn main() {
 
     let mut report = Report::new(
         "query_latency",
-        "Columnar read path vs pre-columnar record walk (mean ns/query, best of R rounds, identical routing)",
+        "Point path by Bloom hash family: MD5 (before) vs fast (after), ns/query, best of R rounds",
         &["files", "kind", "before_ns", "after_ns", "speedup"],
     );
 
@@ -359,33 +163,15 @@ fn main() {
         bench_scale(50_000, 4, &mut report);
     }
 
-    report.note(
-        "before = record walk (per-record attr_vector projection, full-sort top-k, \
-         prefix name scan); after = columnar path (flat SoA coords, bounded heap, \
-         name→slot map). Both route through the same semantic R-tree and every \
-         answer is verified bit-identical before timing.",
-    );
-    report.note(format!(
-        "range and top-k are gated at ≥{MIN_SPEEDUP}x; results are single-thread \
-         (no thread-count dependence), valid on a 1-core host"
-    ));
-    report.note(
-        "full-path point latency is dominated by the Bloom probes of routing and \
-         admission (identical in both paths); point_unit isolates the raw name \
-         resolution the columnar path changed (name→slot map vs prefix scan)",
-    );
     report.note(format!(
         "point_family re-indexes the same corpus under the paper's MD5 hash \
          family (before) vs the fast Kirsch–Mitzenmacher family (after) and runs \
          the full point path on each; answers are checked identical between \
          families before timing, and the speedup is gated at ≥{FAMILY_GATE}x at \
          50k files. hierarchy_probe is the routing micro-row: ns per Bloom-\
-         hierarchy filter probe, MD5 vs fast, no name resolution"
+         hierarchy filter probe, MD5 vs fast, no name resolution. Results are \
+         single-thread (no thread-count dependence), valid on a 1-core host"
     ));
-    report.note(
-        "point-query simulated cost follows the indexed-lookup rule (1 record on a \
-         hit); see LocalWork / routing::point_query_cost",
-    );
     print!("{}", report.render());
     let dir = smartstore_bench::report::default_report_dir();
     if let Err(e) = report.write_json(&dir) {

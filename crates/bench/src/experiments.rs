@@ -7,13 +7,16 @@
 //! EXPERIMENTS.md can record paper-vs-measured comparisons of *shape*.
 
 use crate::baselines::{DbmsBaseline, RTreeBaseline};
+use crate::cost::{complex_query_cost, point_query_cost, QueryCost};
 use crate::fixture::{population, system, workload};
+use crate::replay::replay_complex_queries;
 use crate::report::{ms, pct, Report};
 use crate::sched::{run_batch, Job};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartstore::autoconfig::AutoConfig;
 use smartstore::grouping::{optimal_threshold, partition_balanced_raw};
+use smartstore::routing::{RouteMode, RouteTrace};
 use smartstore::versioning::Change;
 use smartstore::QueryOptions;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
@@ -127,10 +130,10 @@ pub fn table4() -> Report {
             let pop = population(kind, n_files, 1000 + tif as u64);
             let db = DbmsBaseline::build(&pop.files);
             let rt = RTreeBaseline::build(&pop.files);
-            let mut sys = system(&pop, N_UNITS, 42);
+            let sys = system(&pop, N_UNITS, 42);
             let w = workload(&pop, QueryDistribution::Zipf, Q, 7 + tif as u64);
 
-            let (d, t, s) = batch_point(&db, &rt, &mut sys, &w, &cost, N_UNITS);
+            let (d, t, s) = batch_point(&db, &rt, &sys, &w, &cost, N_UNITS);
             r.row(&[
                 "point".into(),
                 kind.name().to_string(),
@@ -139,7 +142,7 @@ pub fn table4() -> Report {
                 ms(t),
                 ms(s),
             ]);
-            let (d, t, s) = batch_range(&db, &rt, &mut sys, &w, &cost, N_UNITS);
+            let (d, t, s) = batch_range(&db, &rt, &sys, &w, &cost, N_UNITS);
             r.row(&[
                 "range".into(),
                 kind.name().to_string(),
@@ -148,7 +151,7 @@ pub fn table4() -> Report {
                 ms(t),
                 ms(s),
             ]);
-            let (d, t, s) = batch_topk(&db, &rt, &mut sys, &w, &cost, N_UNITS);
+            let (d, t, s) = batch_topk(&db, &rt, &sys, &w, &cost, N_UNITS);
             r.row(&[
                 "top-k".into(),
                 kind.name().to_string(),
@@ -178,10 +181,7 @@ fn baseline_jobs(costs: &[crate::baselines::BaselineCost]) -> Vec<Job> {
         .collect()
 }
 
-fn smartstore_jobs(
-    outcomes: &[(usize, smartstore::routing::QueryCost)],
-    cost: &CostModel,
-) -> Vec<Job> {
+fn smartstore_jobs(outcomes: &[(usize, QueryCost)], cost: &CostModel) -> Vec<Job> {
     let wire = 2 * cost.wire_ns(256);
     outcomes
         .iter()
@@ -196,7 +196,7 @@ fn smartstore_jobs(
 fn batch_point(
     db: &DbmsBaseline,
     rt: &RTreeBaseline,
-    sys: &mut SmartStoreSystem,
+    sys: &SmartStoreSystem,
     w: &QueryWorkload,
     cost: &CostModel,
     n_units: usize,
@@ -209,7 +209,10 @@ fn batch_point(
         .iter()
         .map(|q| {
             let out = sys.query().point(&q.name);
-            (rng.gen_range(0..n_units), out.cost)
+            (
+                rng.gen_range(0..n_units),
+                point_query_cost(&out.trace, sys, cost),
+            )
         })
         .collect();
     (
@@ -222,7 +225,7 @@ fn batch_point(
 fn batch_range(
     db: &DbmsBaseline,
     rt: &RTreeBaseline,
-    sys: &mut SmartStoreSystem,
+    sys: &SmartStoreSystem,
     w: &QueryWorkload,
     cost: &CostModel,
     n_units: usize,
@@ -235,7 +238,10 @@ fn batch_range(
         .iter()
         .map(|q| {
             let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-            (rng.gen_range(0..n_units), out.cost)
+            (
+                rng.gen_range(0..n_units),
+                complex_query_cost(&out.trace, RouteMode::Offline, sys, cost),
+            )
         })
         .collect();
     (
@@ -248,7 +254,7 @@ fn batch_range(
 fn batch_topk(
     db: &DbmsBaseline,
     rt: &RTreeBaseline,
-    sys: &mut SmartStoreSystem,
+    sys: &SmartStoreSystem,
     w: &QueryWorkload,
     cost: &CostModel,
     n_units: usize,
@@ -263,7 +269,10 @@ fn batch_topk(
             let out = sys
                 .query()
                 .topk(&q.point, &QueryOptions::offline().with_k(q.k));
-            (rng.gen_range(0..n_units), out.cost)
+            (
+                rng.gen_range(0..n_units),
+                complex_query_cost(&out.trace, RouteMode::Offline, sys, cost),
+            )
         })
         .collect();
     (
@@ -300,6 +309,25 @@ pub fn fig7() -> Report {
     r
 }
 
+/// Evaluates the workload's range queries, then its top-k queries, and
+/// yields what each touched. The route mode is irrelevant here: it
+/// prices a trace, it does not shape one.
+fn complex_traces<'a>(
+    sys: &'a SmartStoreSystem,
+    w: &'a QueryWorkload,
+) -> impl Iterator<Item = RouteTrace> + 'a {
+    let opts = QueryOptions::offline();
+    let ranges = w
+        .ranges
+        .iter()
+        .map(move |q| sys.query().range(&q.lo, &q.hi, &opts));
+    let topks = w
+        .topks
+        .iter()
+        .map(move |q| sys.query().topk(&q.point, &opts.with_k(q.k)));
+    ranges.chain(topks).map(|out| out.trace)
+}
+
 /// Fig. 8: routing-distance hops for complex queries under three
 /// distributions.
 pub fn fig8() -> Report {
@@ -315,16 +343,8 @@ pub fn fig8() -> Report {
         let w = workload(&pop, dist, 150, 5);
         let mut hist = [0usize; 4];
         let mut total = 0usize;
-        for q in &w.ranges {
-            let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-            hist[out.cost.group_hops.min(3)] += 1;
-            total += 1;
-        }
-        for q in &w.topks {
-            let out = sys
-                .query()
-                .topk(&q.point, &QueryOptions::offline().with_k(q.k));
-            hist[out.cost.group_hops.min(3)] += 1;
+        for trace in complex_traces(&sys, &w) {
+            hist[trace.bearing_group_hops.min(3)] += 1;
             total += 1;
         }
         r.row(&[
@@ -365,14 +385,14 @@ pub fn fig9() -> Report {
         for f in pop.files.iter().step_by(9) {
             total += 1;
             let out = sys.query().point(&f.name);
-            if out.file_ids.contains(&f.file_id) && out.cost.units_probed <= 1 {
+            if out.file_ids.contains(&f.file_id) && out.trace.units_probed <= 1 {
                 hits += 1;
             }
         }
         for (name, id) in &fresh_names {
             total += 1;
             let out = sys.query().point(name);
-            if out.file_ids.contains(id) && out.cost.units_probed <= 1 {
+            if out.file_ids.contains(id) && out.trace.units_probed <= 1 {
                 hits += 1;
             }
         }
@@ -579,28 +599,17 @@ pub fn fig13() -> Report {
         let pop = population(TraceKind::Msn, n_units * 50, 11);
         let sys = system(&pop, n_units, 11);
         let w = workload(&pop, QueryDistribution::Zipf, 80, 11);
+        let cost = CostModel::default();
         let (mut on_lat, mut off_lat, mut on_m, mut off_m) = (0u64, 0u64, 0u64, 0u64);
         let mut n = 0u64;
-        for q in &w.ranges {
-            let on = sys.query().range(&q.lo, &q.hi, &QueryOptions::online());
-            let off = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-            on_lat += on.cost.latency_ns;
-            off_lat += off.cost.latency_ns;
-            on_m += on.cost.messages;
-            off_m += off.cost.messages;
-            n += 1;
-        }
-        for q in &w.topks {
-            let on = sys
-                .query()
-                .topk(&q.point, &QueryOptions::online().with_k(q.k));
-            let off = sys
-                .query()
-                .topk(&q.point, &QueryOptions::offline().with_k(q.k));
-            on_lat += on.cost.latency_ns;
-            off_lat += off.cost.latency_ns;
-            on_m += on.cost.messages;
-            off_m += off.cost.messages;
+        // One evaluation, two prices.
+        for trace in complex_traces(&sys, &w) {
+            let on = complex_query_cost(&trace, RouteMode::Online, &sys, &cost);
+            let off = complex_query_cost(&trace, RouteMode::Offline, &sys, &cost);
+            on_lat += on.latency_ns;
+            off_lat += off.latency_ns;
+            on_m += on.messages;
+            off_m += off.messages;
             n += 1;
         }
         r.row(&[
@@ -647,19 +656,17 @@ pub fn fig14() -> Report {
                 sys_nv.apply_change(Change::Modify(g));
             }
             let w = workload(&pop, QueryDistribution::Zipf, 40, 12);
-            let (mut with_v, mut without_v) = (0u64, 0u64);
-            for q in &w.ranges {
-                with_v += sys
-                    .query()
-                    .range(&q.lo, &q.hi, &QueryOptions::offline())
-                    .cost
-                    .latency_ns;
-                without_v += sys_nv
-                    .query()
-                    .range(&q.lo, &q.hi, &QueryOptions::offline())
-                    .cost
-                    .latency_ns;
-            }
+            let cost = CostModel::default();
+            let range_ns = |sys: &SmartStoreSystem| -> u64 {
+                w.ranges
+                    .iter()
+                    .map(|q| {
+                        let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
+                        complex_query_cost(&out.trace, RouteMode::Offline, sys, &cost).latency_ns
+                    })
+                    .sum()
+            };
+            let (with_v, without_v) = (range_ns(&sys), range_ns(&sys_nv));
             let extra = (with_v as f64 - without_v as f64) / without_v as f64;
             r.row(&[
                 kind.name().to_string(),
@@ -762,21 +769,12 @@ pub fn ablation_grouping() -> Report {
             ),
         };
         let w = workload(&pop, QueryDistribution::Zipf, 100, 16);
+        let cost = CostModel::default();
         let (mut zero, mut probed, mut lat, mut n) = (0usize, 0usize, 0u64, 0usize);
-        for q in &w.ranges {
-            let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-            zero += usize::from(out.cost.group_hops == 0);
-            probed += out.cost.units_probed;
-            lat += out.cost.latency_ns;
-            n += 1;
-        }
-        for q in &w.topks {
-            let out = sys
-                .query()
-                .topk(&q.point, &QueryOptions::offline().with_k(q.k));
-            zero += usize::from(out.cost.group_hops == 0);
-            probed += out.cost.units_probed;
-            lat += out.cost.latency_ns;
+        for trace in complex_traces(&sys, &w) {
+            zero += usize::from(trace.bearing_group_hops == 0);
+            probed += trace.units_probed;
+            lat += complex_query_cost(&trace, RouteMode::Offline, &sys, &cost).latency_ns;
             n += 1;
         }
         r.row(&[
@@ -891,7 +889,7 @@ pub fn ablation_bloom() -> Report {
         let mut probed = 0usize;
         for i in 0..100 {
             let out = sys.query().point(&format!("ghost_{i}"));
-            probed += out.cost.units_probed;
+            probed += out.trace.units_probed;
         }
         // Real probes: existing names.
         let mut hits = 0usize;
@@ -928,12 +926,16 @@ pub fn ablation_replica() -> Report {
     let (mut off_lat, mut off_m, mut on_lat, mut on_m) = (0u64, 0u64, 0u64, 0u64);
     let mut n = 0u64;
     for q in &w.ranges {
-        let off = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-        let on = sys.query().range(&q.lo, &q.hi, &QueryOptions::online());
-        off_lat += off.cost.latency_ns;
-        off_m += off.cost.messages;
-        on_lat += on.cost.latency_ns;
-        on_m += on.cost.messages;
+        let trace = sys
+            .query()
+            .range(&q.lo, &q.hi, &QueryOptions::offline())
+            .trace;
+        let off = complex_query_cost(&trace, RouteMode::Offline, &sys, &cost);
+        let on = complex_query_cost(&trace, RouteMode::Online, &sys, &cost);
+        off_lat += off.latency_ns;
+        off_m += off.messages;
+        on_lat += on.latency_ns;
+        on_m += on.messages;
         n += 1;
     }
     let mut r = Report::new(
@@ -964,21 +966,21 @@ pub fn ablation_replica() -> Report {
 
 /// Extension experiment (not in the paper): latency vs offered load,
 /// measured on the event-driven cluster simulator with per-unit
-/// queueing (`smartstore::replay`). Shows where the decentralized
-/// design saturates.
+/// queueing ([`crate::replay`]). Shows where the decentralized design
+/// saturates.
 pub fn ext_load_sweep() -> Report {
-    use smartstore::replay::replay_complex_queries;
     const N_UNITS: usize = 40;
     let pop = population(TraceKind::Msn, 4000, 23);
-    let mut sys = system(&pop, N_UNITS, 23);
+    let sys = system(&pop, N_UNITS, 23);
     let w = workload(&pop, QueryDistribution::Zipf, 150, 23);
+    let cost = CostModel::default();
     let mut r = Report::new(
         "ext-load",
         "Latency vs offered load (event-driven replay, extension)",
         &["inter-arrival us", "mean ms", "p99 ms", "makespan ms"],
     );
     for inter_us in [0u64, 50, 200, 1000, 5000] {
-        let stats = replay_complex_queries(&mut sys, &w, inter_us * 1000, 23);
+        let stats = replay_complex_queries(&sys, &w, inter_us * 1000, 23, &cost);
         r.row(&[
             inter_us.to_string(),
             ms(stats.mean_latency_ns),

@@ -1,6 +1,6 @@
 //! Event-driven query replay on the cluster simulator.
 //!
-//! The analytic [`crate::routing`] costs price a single query on an idle
+//! The analytic [`crate::cost`] functions price a single query on an idle
 //! system. Under load, queries contend for storage units — the paper's
 //! Table 4 numbers are batch latencies on a loaded cluster. This module
 //! replays a query batch through the [`smartstore_simnet::Simulator`]:
@@ -9,10 +9,10 @@
 //! queueing, fan-out overlap and hot-unit hotspots all show up in the
 //! measured completion times.
 
-use crate::system::SmartStoreSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smartstore_simnet::{SimTime, Simulator};
+use smartstore::SmartStoreSystem;
+use smartstore_simnet::{CostModel, SimTime, Simulator};
 use smartstore_trace::QueryWorkload;
 
 /// One replayable query's precomputed execution plan.
@@ -63,14 +63,14 @@ pub struct ReplayStats {
 /// stream with `inter_arrival_ns` between queries (0 = all at once).
 ///
 /// Returns per-query completion latencies measured on the event
-/// simulator. Deterministic given `seed`.
+/// simulator under `cost`. Deterministic given `seed`.
 pub fn replay_complex_queries(
-    sys: &mut SmartStoreSystem,
+    sys: &SmartStoreSystem,
     workload: &QueryWorkload,
     inter_arrival_ns: u64,
     seed: u64,
+    cost: &CostModel,
 ) -> ReplayStats {
-    let cost = sys.cost;
     let n_units = sys.units().len();
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -117,7 +117,7 @@ pub fn replay_complex_queries(
 
     // Phase 2: drive the event simulator.
     let n_queries = plans.len();
-    let mut sim: Simulator<Msg> = Simulator::new(n_units.max(1), cost);
+    let mut sim: Simulator<Msg> = Simulator::new(n_units.max(1), *cost);
     for (i, plan) in plans.into_iter().enumerate() {
         let depart = i as u64 * inter_arrival_ns;
         let home = plan.home;
@@ -201,7 +201,7 @@ pub fn replay_complex_queries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SmartStoreConfig;
+    use smartstore::SmartStoreConfig;
     use smartstore_trace::query_gen::QueryGenConfig;
     use smartstore_trace::{GeneratorConfig, MetadataPopulation, QueryDistribution};
 
@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn replay_completes_every_query() {
-        let (mut sys, w) = fixture();
-        let stats = replay_complex_queries(&mut sys, &w, 0, 1);
+        let (sys, w) = fixture();
+        let stats = replay_complex_queries(&sys, &w, 0, 1, &CostModel::default());
         assert_eq!(stats.latencies.len(), 60);
         assert!(stats.mean_latency_ns > 0.0);
         assert!(stats.makespan_ns > 0);
@@ -239,10 +239,10 @@ mod tests {
 
     #[test]
     fn contention_raises_latency() {
-        let (mut sys, w) = fixture();
+        let (sys, w) = fixture();
         // Closed burst (all at t=0) vs relaxed open arrivals.
-        let burst = replay_complex_queries(&mut sys, &w, 0, 1);
-        let relaxed = replay_complex_queries(&mut sys, &w, 5_000_000, 1);
+        let burst = replay_complex_queries(&sys, &w, 0, 1, &CostModel::default());
+        let relaxed = replay_complex_queries(&sys, &w, 5_000_000, 1, &CostModel::default());
         assert!(
             burst.mean_latency_ns > relaxed.mean_latency_ns,
             "burst {} must queue worse than relaxed {}",
@@ -253,17 +253,17 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let (mut sys, w) = fixture();
-        let a = replay_complex_queries(&mut sys, &w, 1_000, 9);
-        let b = replay_complex_queries(&mut sys, &w, 1_000, 9);
+        let (sys, w) = fixture();
+        let a = replay_complex_queries(&sys, &w, 1_000, 9, &CostModel::default());
+        let b = replay_complex_queries(&sys, &w, 1_000, 9, &CostModel::default());
         assert_eq!(a.latencies, b.latencies);
         assert_eq!(a.messages, b.messages);
     }
 
     #[test]
     fn p99_at_least_mean() {
-        let (mut sys, w) = fixture();
-        let stats = replay_complex_queries(&mut sys, &w, 0, 2);
+        let (sys, w) = fixture();
+        let stats = replay_complex_queries(&sys, &w, 0, 2, &CostModel::default());
         assert!(stats.p99_latency_ns as f64 >= stats.mean_latency_ns * 0.99);
     }
 }

@@ -16,11 +16,11 @@
 //!   a framing error are unrecoverable noise, so the stream must die,
 //!   but the server keeps serving everyone else).
 
-use smartstore_persist::codec::crc32;
+use smartstore_persist::codec::{check_record, RecordCheck, RECORD_HEADER_BYTES};
 use std::io::Read;
 
 /// Frame header: `[len: u32 le][crc32: u32 le]`.
-pub const FRAME_HEADER_BYTES: usize = 8;
+pub const FRAME_HEADER_BYTES: usize = RECORD_HEADER_BYTES;
 
 /// Upper bound on a single network frame's payload. Protocol messages
 /// are requests/responses (small); anything larger is corruption, and
@@ -116,31 +116,16 @@ impl<R: Read> FrameReader<R> {
     /// needed.
     pub fn try_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameDecodeError> {
         let live = &self.buf[self.start..];
-        if live.len() < FRAME_HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([live[0], live[1], live[2], live[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameDecodeError {
-                offset: self.consumed,
-                reason: format!("implausible frame length {len}"),
-            });
-        }
-        let total = FRAME_HEADER_BYTES + len;
-        if live.len() < total {
-            return Ok(None);
-        }
-        let crc = u32::from_le_bytes([live[4], live[5], live[6], live[7]]);
-        let payload = &live[FRAME_HEADER_BYTES..total];
-        let actual = crc32(payload);
-        if actual != crc {
-            return Err(FrameDecodeError {
-                offset: self.consumed,
-                reason: format!(
-                    "frame checksum mismatch (stored {crc:08x}, computed {actual:08x})"
-                ),
-            });
-        }
+        let total = match check_record(live, MAX_FRAME_BYTES) {
+            RecordCheck::NeedMore => return Ok(None),
+            RecordCheck::Complete(len) => FRAME_HEADER_BYTES + len,
+            RecordCheck::Torn(reason) => {
+                return Err(FrameDecodeError {
+                    offset: self.consumed,
+                    reason,
+                })
+            }
+        };
         let raw = live[..total].to_vec();
         self.start += total;
         self.consumed += total as u64;

@@ -6,9 +6,10 @@
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
+use proptest::prelude::*;
 use smartstore_net::frame::{FrameEvent, FrameReadError, FrameReader, FRAME_HEADER_BYTES};
 use smartstore_net::{NetAddr, NetServer, NetServerConfig, SocketTransport};
-use smartstore_persist::codec::put_record;
+use smartstore_persist::codec::{get_record, put_record, FrameError};
 use smartstore_service::codec::encode_request;
 use smartstore_service::{MetadataServer, Request, Response, ServerConfig};
 use smartstore_trace::{GeneratorConfig, MetadataPopulation};
@@ -138,6 +139,70 @@ fn corrupt(clean: &[u8], victim: usize) -> Vec<u8> {
     let mut wire = clean.to_vec();
     wire[victim] ^= 0x40;
     wire
+}
+
+/// The verified frames of a byte sequence and where its framing broke
+/// (`None` = clean end at a frame boundary).
+type Verdict = (Vec<Vec<u8>>, Option<u64>);
+
+fn slice_verdict(wire: &[u8]) -> Verdict {
+    let mut got = Vec::new();
+    let mut pos = 0;
+    loop {
+        match get_record(wire, pos) {
+            Ok((payload, next)) => {
+                got.push(payload.to_vec());
+                pos = next;
+            }
+            Err(FrameError::Eof) => return (got, None),
+            Err(FrameError::Torn { offset, .. }) => return (got, Some(offset as u64)),
+        }
+    }
+}
+
+fn stream_verdict(wire: &[u8], split_seed: u64) -> Verdict {
+    let mut reader = FrameReader::new(SplitReader::new(wire.to_vec(), split_seed, 11));
+    let mut got = Vec::new();
+    loop {
+        match reader.poll() {
+            Ok(FrameEvent::Frame(raw)) => got.push(raw[FRAME_HEADER_BYTES..].to_vec()),
+            Ok(FrameEvent::Eof) => return (got, None),
+            Ok(FrameEvent::Pause) => unreachable!("SplitReader never pauses"),
+            Err(FrameReadError::Decode(e)) => return (got, Some(e.offset)),
+            Err(FrameReadError::Io(e)) => panic!("unexpected I/O error: {e}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Both entries of the one `[len][crc32][payload]` parser — the
+    /// slice walk the WAL and the batch codec use, and the streaming
+    /// reader a socket feeds — must accept the same frames and give up
+    /// at the same byte, whatever was cut off or flipped.
+    #[test]
+    fn slice_and_stream_entries_reach_the_same_verdict(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..8),
+        cut in 0usize..10_000,
+        flip in 0usize..100_000,
+        damage in 0u8..3,
+        split_seed in 1u64..u64::MAX,
+    ) {
+        let mut wire = frames(&payloads);
+        if damage != 1 {
+            let bit = flip % (wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+        if damage != 0 {
+            wire.truncate(cut % (wire.len() + 1));
+        }
+        let by_slice = slice_verdict(&wire);
+        prop_assert_eq!(&stream_verdict(&wire, split_seed), &by_slice);
+        // A verified prefix is made of original frames only.
+        prop_assert!(by_slice.0.len() <= payloads.len());
+        prop_assert_eq!(&by_slice.0[..], &payloads[..by_slice.0.len()]);
+    }
 }
 
 #[test]

@@ -338,40 +338,70 @@ pub fn put_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Reads the record at `pos`, returning `(payload, next_pos)`.
+/// Bytes of the `[len: u32 le][crc32: u32 le]` header before a payload.
+pub const RECORD_HEADER_BYTES: usize = 8;
+
+/// What the bytes at the head of a buffer amount to, as one record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecordCheck {
+    /// Not a whole record yet: the header, or the payload its length
+    /// field announces, extends past the end of the buffer.
+    NeedMore,
+    /// A whole record with a matching checksum; its payload is
+    /// `head[RECORD_HEADER_BYTES..][..len]`.
+    Complete(usize),
+    /// Never a record, however many bytes follow: implausible length or
+    /// checksum mismatch.
+    Torn(String),
+}
+
+/// The one parser of `[len][crc32][payload]`: checks the record that
+/// starts at `head[0]`. `max_len` is the caller's cap on a payload — a
+/// length beyond it is torn *before* any byte of the payload is awaited
+/// or allocated for. Incremental: a streaming caller re-runs it on its
+/// growing buffer; [`get_record`] runs it once on a slice.
+pub fn check_record(head: &[u8], max_len: usize) -> RecordCheck {
+    let Some((header, rest)) = head.split_first_chunk::<RECORD_HEADER_BYTES>() else {
+        return RecordCheck::NeedMore;
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if len > max_len {
+        return RecordCheck::Torn(format!("implausible record length {len}"));
+    }
+    let Some(payload) = rest.get(..len) else {
+        return RecordCheck::NeedMore;
+    };
+    let actual = crc32(payload);
+    if actual != crc {
+        return RecordCheck::Torn(format!(
+            "checksum mismatch (stored {crc:08x}, computed {actual:08x})"
+        ));
+    }
+    RecordCheck::Complete(len)
+}
+
+/// Reads the record at `pos`, returning `(payload, next_pos)`. A slice
+/// is all the bytes there will ever be, so a record that needs more is
+/// torn.
 pub fn get_record(data: &[u8], pos: usize) -> std::result::Result<(&[u8], usize), FrameError> {
     if pos == data.len() {
         return Err(FrameError::Eof);
     }
-    if data.len() - pos < 8 {
-        return Err(FrameError::Torn {
-            offset: pos,
-            reason: "torn record header".into(),
-        });
-    }
-    let len = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
-    let crc = u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-    if len > MAX_RECORD_BYTES {
-        return Err(FrameError::Torn {
-            offset: pos,
-            reason: format!("implausible record length {len}"),
-        });
-    }
-    if data.len() - pos - 8 < len {
-        return Err(FrameError::Torn {
-            offset: pos,
-            reason: "truncated record payload".into(),
-        });
-    }
-    let payload = &data[pos + 8..pos + 8 + len];
-    let actual = crc32(payload);
-    if actual != crc {
-        return Err(FrameError::Torn {
-            offset: pos,
-            reason: format!("checksum mismatch (stored {crc:08x}, computed {actual:08x})"),
-        });
-    }
-    Ok((payload, pos + 8 + len))
+    let head = &data[pos..];
+    let reason = match check_record(head, MAX_RECORD_BYTES) {
+        RecordCheck::Complete(len) => {
+            let end = RECORD_HEADER_BYTES + len;
+            return Ok((&head[RECORD_HEADER_BYTES..end], pos + end));
+        }
+        RecordCheck::NeedMore if head.len() < RECORD_HEADER_BYTES => "torn record header".into(),
+        RecordCheck::NeedMore => "truncated record payload".into(),
+        RecordCheck::Torn(reason) => reason,
+    };
+    Err(FrameError::Torn {
+        offset: pos,
+        reason,
+    })
 }
 
 // ---------------------------------------------------------------------

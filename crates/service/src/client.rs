@@ -98,13 +98,6 @@ pub trait Transport {
     fn is_remote(&self) -> bool {
         false
     }
-
-    /// Simulated wire time for `bytes` on this transport (0 for real
-    /// transports, where the wall clock measures the wire itself).
-    fn wire_ns(&self, bytes: usize) -> u64 {
-        let _ = bytes;
-        0
-    }
 }
 
 /// The in-process transport: decode the batch, serve each request on
@@ -123,10 +116,6 @@ impl Transport for MetadataServer {
         let responses: Vec<Response> = reqs.iter().map(|r| self.handle(r)).collect();
         Ok(encode_response_batch(&responses))
     }
-
-    fn wire_ns(&self, bytes: usize) -> u64 {
-        self.cost_model().wire_ns(bytes)
-    }
 }
 
 /// Client-side accounting.
@@ -140,9 +129,6 @@ pub struct ClientStats {
     pub bytes_sent: u64,
     /// Response bytes received.
     pub bytes_received: u64,
-    /// Simulated wire time of all batches (request + response legs)
-    /// under the transport's cost model (0 on real transports).
-    pub wire_ns: u64,
     /// Total retries taken by [`Client::call_with_retry`], every class.
     pub retries: u64,
     /// Retries after retryable *transport* errors (reconnect + backoff).
@@ -256,7 +242,6 @@ impl Client {
         self.stats.batches += 1;
         self.stats.bytes_sent += wire.len() as u64;
         self.stats.bytes_received += reply_wire.len() as u64;
-        self.stats.wire_ns += transport.wire_ns(wire.len()) + transport.wire_ns(reply_wire.len());
         self.pending.clear();
         Ok(out)
     }

@@ -3,7 +3,7 @@
 //!
 //! Messages reuse the persistence layer's primitive encoder/decoder and
 //! its checksummed record framing (`[len][crc32][payload]`), so a
-//! request or response can cross a simulated network, be appended to a
+//! request or response can cross a network, be appended to a
 //! log, or be replayed — with the same torn/corrupt detection the WAL
 //! has. A *batch* is simply a sequence of framed records in one buffer;
 //! [`decode_request_batch`] stops at the first clean EOF and surfaces a
@@ -13,7 +13,7 @@ use crate::protocol::{
     AppliedReply, DegradedReply, QueryReply, Request, Response, StatsReply, TopKReply,
 };
 use smartstore::query::QueryOptions;
-use smartstore::routing::{QueryCost, RouteMode};
+use smartstore::routing::RouteMode;
 use smartstore::system::SystemStats;
 use smartstore_persist::codec::{
     get_change, get_record, put_change, put_record, Dec, DecResult, DecodeError, Enc, FrameError,
@@ -109,22 +109,6 @@ fn get_opts(d: &mut Dec) -> DecResult<QueryOptions> {
     Ok(QueryOptions {
         mode: get_mode(d)?,
         k: d.usize()?,
-    })
-}
-
-fn put_cost(e: &mut Enc, c: &QueryCost) {
-    e.u64(c.latency_ns);
-    e.u64(c.messages);
-    e.usize(c.units_probed);
-    e.usize(c.group_hops);
-}
-
-fn get_cost(d: &mut Dec) -> DecResult<QueryCost> {
-    Ok(QueryCost {
-        latency_ns: d.u64()?,
-        messages: d.u64()?,
-        units_probed: d.usize()?,
-        group_hops: d.usize()?,
     })
 }
 
@@ -267,7 +251,6 @@ pub fn put_response(e: &mut Enc, r: &Response) {
         Response::Query(q) => {
             e.u8(RESP_QUERY);
             put_ids(e, &q.file_ids);
-            put_cost(e, &q.cost);
         }
         Response::TopK(t) => {
             e.u8(RESP_TOPK);
@@ -276,7 +259,6 @@ pub fn put_response(e: &mut Enc, r: &Response) {
                 e.u64(id);
                 e.f64(dist);
             }
-            put_cost(e, &t.cost);
         }
         Response::Applied(a) => {
             e.u8(RESP_APPLIED);
@@ -331,7 +313,6 @@ fn get_response_at_depth(d: &mut Dec, depth: usize) -> DecResult<Response> {
         RESP_OVERLOADED => Ok(Response::Overloaded(d.str()?)),
         RESP_QUERY => Ok(Response::Query(QueryReply {
             file_ids: get_ids(d)?,
-            cost: get_cost(d)?,
         })),
         RESP_TOPK => {
             let n = d.u32()? as usize;
@@ -341,10 +322,7 @@ fn get_response_at_depth(d: &mut Dec, depth: usize) -> DecResult<Response> {
                 let dist = d.f64()?;
                 hits.push((id, dist));
             }
-            Ok(Response::TopK(TopKReply {
-                hits,
-                cost: get_cost(d)?,
-            }))
+            Ok(Response::TopK(TopKReply { hits }))
         }
         RESP_APPLIED => Ok(Response::Applied(AppliedReply {
             shard: get_opt_usize(d)?,

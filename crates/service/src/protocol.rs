@@ -6,7 +6,9 @@
 //! structure-statistics probe (Fig. 7). A [`Response`] is the typed
 //! answer. Both are plain data — `Clone`/`Debug`/`PartialEq` — and
 //! wire-encodable through [`crate::codec`], so they can cross a
-//! (simulated) network, be logged, or be replayed.
+//! network, be logged, or be replayed. A reply carries the answer only:
+//! what a query touched stays server-side in its
+//! [`smartstore::routing::RouteTrace`].
 //!
 //! Responses from several shards merge deterministically
 //! ([`merge_responses`]): id sets union-sort-dedup exactly like a
@@ -15,7 +17,6 @@
 //! reproduces the single system's `(distance, id)` order bit for bit.
 
 use smartstore::query::QueryOptions;
-use smartstore::routing::QueryCost;
 use smartstore::system::SystemStats;
 use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
@@ -77,9 +78,6 @@ impl Request {
 pub struct QueryReply {
     /// Matching file ids, ascending and deduplicated.
     pub file_ids: Vec<u64>,
-    /// Simulated cost (max-latency / summed messages across shards
-    /// once merged).
-    pub cost: QueryCost,
 }
 
 /// Answer to a top-k query: scored hits so a distributed merge can
@@ -89,8 +87,6 @@ pub struct TopKReply {
     /// `(file_id, squared distance)` pairs in ascending
     /// `(distance, id)` order.
     pub hits: Vec<(u64, f64)>,
-    /// Simulated cost.
-    pub cost: QueryCost,
 }
 
 impl TopKReply {
@@ -186,33 +182,10 @@ impl Response {
         }
     }
 
-    /// The simulated cost of a query-shaped response.
-    pub fn cost(&self) -> Option<QueryCost> {
-        match self {
-            Response::Query(q) => Some(q.cost),
-            Response::TopK(t) => Some(t.cost),
-            Response::Degraded(d) => d.partial.cost(),
-            _ => None,
-        }
-    }
-
     /// True for responses a client may retry.
     pub fn is_retryable(&self) -> bool {
         matches!(self, Response::Unavailable(_) | Response::Overloaded(_))
     }
-}
-
-/// Folds per-shard costs: shards evaluate in parallel, so latency is
-/// the slowest shard's; messages and probe counts add.
-fn merge_costs(costs: impl IntoIterator<Item = QueryCost>) -> QueryCost {
-    let mut out = QueryCost::default();
-    for c in costs {
-        out.latency_ns = out.latency_ns.max(c.latency_ns);
-        out.messages += c.messages;
-        out.units_probed += c.units_probed;
-        out.group_hops += c.group_hops;
-    }
-    out
 }
 
 /// Merges per-shard point/range replies: union of id sets, ascending
@@ -222,10 +195,7 @@ pub fn merge_query_replies(replies: &[QueryReply]) -> QueryReply {
     let mut file_ids: Vec<u64> = replies.iter().flat_map(|r| r.file_ids.clone()).collect();
     file_ids.sort_unstable();
     file_ids.dedup();
-    QueryReply {
-        file_ids,
-        cost: merge_costs(replies.iter().map(|r| r.cost)),
-    }
+    QueryReply { file_ids }
 }
 
 /// Merges per-shard scored top-k replies: global `(distance, id)`
@@ -239,10 +209,7 @@ pub fn merge_topk_replies(replies: &[TopKReply], k: usize) -> TopKReply {
     let mut hits: Vec<(u64, f64)> = replies.iter().flat_map(|r| r.hits.clone()).collect();
     hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     hits.truncate(k);
-    TopKReply {
-        hits,
-        cost: merge_costs(replies.iter().map(|r| r.cost)),
-    }
+    TopKReply { hits }
 }
 
 /// Merges the per-shard responses to one request into the client-facing
@@ -335,35 +302,25 @@ fn mismatched(req: &Request, got: &Response) -> Response {
 mod tests {
     use super::*;
 
-    fn q(ids: &[u64], latency: u64, messages: u64) -> QueryReply {
+    fn q(ids: &[u64]) -> QueryReply {
         QueryReply {
             file_ids: ids.to_vec(),
-            cost: QueryCost {
-                latency_ns: latency,
-                messages,
-                units_probed: 1,
-                group_hops: 0,
-            },
         }
     }
 
     #[test]
     fn query_merge_unions_and_sorts() {
-        let merged = merge_query_replies(&[q(&[5, 9], 100, 3), q(&[1, 5], 250, 4)]);
+        let merged = merge_query_replies(&[q(&[5, 9]), q(&[1, 5])]);
         assert_eq!(merged.file_ids, vec![1, 5, 9]);
-        assert_eq!(merged.cost.latency_ns, 250, "parallel shards: max");
-        assert_eq!(merged.cost.messages, 7, "messages add");
     }
 
     #[test]
     fn topk_merge_orders_by_distance_then_id() {
         let a = TopKReply {
             hits: vec![(10, 1.0), (11, 3.0)],
-            cost: QueryCost::default(),
         };
         let b = TopKReply {
             hits: vec![(7, 1.0), (12, 2.0)],
-            cost: QueryCost::default(),
         };
         let merged = merge_topk_replies(&[a, b], 3);
         assert_eq!(merged.hits, vec![(7, 1.0), (10, 1.0), (12, 2.0)]);
@@ -375,7 +332,7 @@ mod tests {
         let merged = merge_responses(
             &req,
             vec![
-                Response::Query(q(&[1], 1, 1)),
+                Response::Query(q(&[1])),
                 Response::Error("shard 1 down".into()),
             ],
         );
@@ -400,11 +357,9 @@ mod tests {
         };
         let good = TopKReply {
             hits: vec![(1, 0.5), (2, 1.5)],
-            cost: QueryCost::default(),
         };
         let poisoned = TopKReply {
             hits: vec![(9, f64::NAN)],
-            cost: QueryCost::default(),
         };
         let merged = merge_responses(&req, vec![Response::TopK(good), Response::TopK(poisoned)]);
         match merged {
@@ -414,7 +369,6 @@ mod tests {
         // Infinite distances are equally un-rankable.
         let inf = TopKReply {
             hits: vec![(3, f64::INFINITY)],
-            cost: QueryCost::default(),
         };
         let req2 = Request::TopK {
             point: vec![0.0; 12],
@@ -432,7 +386,6 @@ mod tests {
         // validation), the comparator must not panic.
         let r = TopKReply {
             hits: vec![(1, f64::NAN), (2, 0.25)],
-            cost: QueryCost::default(),
         };
         let merged = merge_topk_replies(&[r], 2);
         assert_eq!(merged.hits[0], (2, 0.25), "finite hits rank first");

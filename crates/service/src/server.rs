@@ -30,7 +30,6 @@ use smartstore::versioning::Change;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_linalg::cosine_similarity;
 use smartstore_persist::{PersistentStore, RealVfs, SystemPersist as _, Vfs};
-use smartstore_simnet::CostModel;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -187,7 +186,6 @@ pub struct MetadataServer {
     shards: Vec<ShardSlot>,
     /// file id → owning shard.
     owner: HashMap<u64, usize>,
-    cost: CostModel,
     /// Filesystem the shard stores live on (real disk by default).
     vfs: Arc<dyn Vfs>,
 }
@@ -245,12 +243,7 @@ impl MetadataServer {
         if let Some(base) = &cfg.store_dir {
             write_fleet_manifest(vfs.as_ref(), base, cfg.n_shards)?;
         }
-        Ok(Self {
-            shards,
-            owner,
-            cost: CostModel::default(),
-            vfs,
-        })
+        Ok(Self { shards, owner, vfs })
     }
 
     /// Cold-starts a durable deployment from `base`: the fleet manifest
@@ -313,12 +306,7 @@ impl MetadataServer {
                 .map(ServiceError::Persist)
                 .unwrap_or_else(|| ServiceError::Config("fleet has no shards".into())));
         }
-        Ok(Self {
-            shards,
-            owner,
-            cost: CostModel::default(),
-            vfs,
-        })
+        Ok(Self { shards, owner, vfs })
     }
 
     /// Splits files into per-shard buckets along the grouping predicate
@@ -431,11 +419,6 @@ impl MetadataServer {
         Ok(())
     }
 
-    /// The cost model used for wire accounting.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The group→server mapping: every first-level semantic group in
     /// the deployment, tagged with the shard that owns it. Shard-major,
     /// group-ascending — the routing table a directory service would
@@ -545,7 +528,6 @@ impl MetadataServer {
                 let out = engine.point(name);
                 Response::Query(QueryReply {
                     file_ids: out.file_ids,
-                    cost: out.cost,
                 })
             }
             Request::Range { lo, hi, opts } => {
@@ -569,7 +551,6 @@ impl MetadataServer {
                 let out = engine.range(lo, hi, opts);
                 Response::Query(QueryReply {
                     file_ids: out.file_ids,
-                    cost: out.cost,
                 })
             }
             Request::TopK { point, opts } => {
@@ -582,11 +563,8 @@ impl MetadataServer {
                         point[i]
                     ));
                 }
-                let (hits, out) = engine.topk_scored(point, opts);
-                Response::TopK(TopKReply {
-                    hits,
-                    cost: out.cost,
-                })
+                let (hits, _) = engine.topk_scored(point, opts);
+                Response::TopK(TopKReply { hits })
             }
             Request::Stats => Response::Stats(StatsReply {
                 per_shard: vec![s.sys.stats()],

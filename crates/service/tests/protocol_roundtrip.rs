@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use smartstore::query::QueryOptions;
-use smartstore::routing::{QueryCost, RouteMode};
+use smartstore::routing::RouteMode;
 use smartstore::system::SystemStats;
 use smartstore::versioning::Change;
 use smartstore_service::codec::{
@@ -51,15 +51,6 @@ fn opts(mode_bit: bool, k: usize) -> QueryOptions {
     }
 }
 
-fn cost(seed: u64) -> QueryCost {
-    QueryCost {
-        latency_ns: seed.wrapping_mul(3),
-        messages: seed % 1000,
-        units_probed: (seed % 64) as usize,
-        group_hops: (seed % 8) as usize,
-    }
-}
-
 /// One representative of every request variant, parameterized.
 fn requests(seed: u64, name: String, dims: Vec<f64>) -> Vec<Request> {
     vec![
@@ -91,11 +82,9 @@ fn responses(seed: u64, ids: Vec<u64>, dists: Vec<f64>) -> Vec<Response> {
     vec![
         Response::Query(QueryReply {
             file_ids: ids.clone(),
-            cost: cost(seed),
         }),
         Response::TopK(TopKReply {
             hits: ids.iter().copied().zip(dists.clone()).collect(),
-            cost: cost(seed ^ 1),
         }),
         Response::Applied(AppliedReply {
             shard: if seed.is_multiple_of(2) {
@@ -129,14 +118,12 @@ fn responses(seed: u64, ids: Vec<u64>, dists: Vec<f64>) -> Vec<Response> {
         Response::Degraded(DegradedReply {
             partial: Box::new(Response::Query(QueryReply {
                 file_ids: ids.clone(),
-                cost: cost(seed ^ 2),
             })),
             missing_shards: (0..(seed % 4) as usize).collect(),
         }),
         Response::Degraded(DegradedReply {
             partial: Box::new(Response::TopK(TopKReply {
                 hits: ids.iter().copied().zip(dists).collect(),
-                cost: cost(seed ^ 3),
             })),
             missing_shards: vec![(seed % 7) as usize],
         }),
@@ -248,6 +235,46 @@ fn nested_degraded_is_rejected_not_recursed() {
         format!("{err}").contains("nested degraded"),
         "unexpected error: {err}"
     );
+}
+
+#[test]
+fn old_shape_replies_with_cost_bytes_are_a_typed_error() {
+    // Replies used to end in a simulated cost (u64 latency, u64
+    // messages, u64 units probed, u64 group hops). A peer still sending
+    // that shape must get a typed error — never a panic, and never the
+    // ids with the tail silently dropped.
+    let ids = [7u64, 9, 11];
+    let old_cost = |e: &mut smartstore_persist::codec::Enc| {
+        for v in [250_000u64, 6, 2, 1] {
+            e.u64(v);
+        }
+    };
+    let mut query = smartstore_persist::codec::Enc::new();
+    query.u8(0); // RESP_QUERY
+    query.u32(ids.len() as u32);
+    for id in ids {
+        query.u64(id);
+    }
+    old_cost(&mut query);
+    let mut topk = smartstore_persist::codec::Enc::new();
+    topk.u8(1); // RESP_TOPK
+    topk.u32(ids.len() as u32);
+    for id in ids {
+        topk.u64(id);
+        topk.f64(id as f64 * 0.5);
+    }
+    old_cost(&mut topk);
+    for payload in [query.into_bytes(), topk.into_bytes()] {
+        let mut wire = Vec::new();
+        smartstore_persist::codec::put_record(&mut wire, &payload);
+        match decode_response(&wire) {
+            Err(smartstore_service::WireError::Decode { offset, .. }) => {
+                assert_eq!(offset, payload.len() - 32, "error at the first cost byte")
+            }
+            other => panic!("old-shape reply must not decode, got {other:?}"),
+        }
+        assert!(decode_response_batch(&wire).is_err());
+    }
 }
 
 #[test]

@@ -23,7 +23,8 @@
 //! * [`mapping`] — index-unit → storage-unit mapping and root
 //!   multi-mapping (§4.2–4.3);
 //! * [`routing`] — on-line multicast routing vs off-line pre-processing
-//!   with replicated first-level index vectors (§3.3–3.4, Fig. 13);
+//!   with replicated first-level index vectors (§3.3–3.4, Fig. 13), and
+//!   the [`routing::RouteTrace`] of raw counts every query returns;
 //! * [`query`] — the `&self` read path: [`query::QueryOptions`] and the
 //!   [`query::QueryEngine`] shared view (many concurrent readers, one
 //!   journaling writer); the `smartstore-service` crate lifts it into a
@@ -33,12 +34,14 @@
 //! * [`autoconfig`] — automatic configuration of per-attribute-subset
 //!   semantic R-trees (§2.4);
 //! * [`system`] — the assembled system: build from a trace population,
-//!   execute query workloads, account latency/messages/space (§5); also
+//!   execute query workloads, report structure statistics (§5); also
 //!   home of the [`system::Journal`] write-ahead hook and the
 //!   [`system::SystemParts`] export/import used by the durable
 //!   `smartstore-persist` crate (snapshots + WAL + crash recovery);
-//! * [`cache`] — semantic-aware caching with top-k prefetching (§1.1);
-//! * [`replay`] — event-driven batch replay on the cluster simulator.
+//! * [`cache`] — semantic-aware caching with top-k prefetching (§1.1).
+//!
+//! The paper's simulated latencies and message counts (§5) are not
+//! computed here: `smartstore-bench` prices a trace under a cost model.
 //!
 //! Durability tunables (WAL fsync batching, compaction threshold) live
 //! in [`config::PersistConfig`]; the persistence implementation itself
@@ -51,7 +54,6 @@ pub mod config;
 pub mod grouping;
 pub mod mapping;
 pub mod query;
-pub mod replay;
 pub mod routing;
 pub mod system;
 pub mod tree;

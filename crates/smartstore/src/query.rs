@@ -18,6 +18,12 @@
 //! soup with one wire-encodable options struct shared by the in-process
 //! API and the `smartstore-service` request protocol.
 //!
+//! Every entry point returns a [`QueryOutcome`]: the answer and a
+//! [`crate::routing::RouteTrace`] of raw counts. `opts.mode` changes
+//! neither — on-line and off-line routing reach the same units — so
+//! evaluation does not read it; it is the argument under which
+//! `smartstore-bench` prices a trace for the paper's Fig. 13.
+//!
 //! Evaluation itself runs on the storage units' *columnar* read path
 //! (flat SoA coordinate scans, bounded-heap top-k, indexed point
 //! lookups — see [`crate::unit`]); the engine, the semantic cache's
@@ -34,7 +40,8 @@ use crate::system::{QueryOutcome, SmartStoreSystem};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryOptions {
     /// Routing mode: on-line multicast or off-line replicated-index
-    /// direct routing (§3.3–3.4).
+    /// direct routing (§3.3–3.4). Advisory: it selects how a trace is
+    /// priced, not how a query is evaluated.
     pub mode: RouteMode,
     /// Result-set size for top-k queries (the paper evaluates k = 8);
     /// ignored by point and range queries.
@@ -122,14 +129,15 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Multi-dimensional range query over the projected attribute
-    /// space (§3.3.1).
-    pub fn range(&self, lo: &[f64], hi: &[f64], opts: &QueryOptions) -> QueryOutcome {
-        self.sys.eval_range(lo, hi, opts.mode)
+    /// space (§3.3.1). The options travel with the request but neither
+    /// field bears on a range answer.
+    pub fn range(&self, lo: &[f64], hi: &[f64], _opts: &QueryOptions) -> QueryOutcome {
+        self.sys.eval_range(lo, hi)
     }
 
     /// Top-`opts.k` nearest-neighbour query with MaxD pruning (§3.3.2).
     pub fn topk(&self, point: &[f64], opts: &QueryOptions) -> QueryOutcome {
-        self.sys.eval_topk(point, opts.k, opts.mode)
+        self.sys.eval_topk_scored(point, opts.k).1
     }
 
     /// Top-k returning `(file_id, squared distance)` pairs in ascending
@@ -141,7 +149,7 @@ impl<'a> QueryEngine<'a> {
         point: &[f64],
         opts: &QueryOptions,
     ) -> (Vec<(u64, f64)>, QueryOutcome) {
-        self.sys.eval_topk_scored(point, opts.k, opts.mode)
+        self.sys.eval_topk_scored(point, opts.k)
     }
 }
 
@@ -181,11 +189,11 @@ mod tests {
         let hi: Vec<f64> = v.iter().map(|x| x + 0.5).collect();
         assert_eq!(
             e.range(&lo, &hi, &QueryOptions::offline()),
-            sys.eval_range(&lo, &hi, RouteMode::Offline)
+            sys.eval_range(&lo, &hi)
         );
         assert_eq!(
             e.topk(&v, &QueryOptions::online().with_k(5)),
-            sys.eval_topk(&v, 5, RouteMode::Online)
+            sys.eval_topk_scored(&v, 5).1
         );
     }
 
@@ -199,7 +207,7 @@ mod tests {
         let (scored, out) = e.topk_scored(&v, &opts);
         let ids: Vec<u64> = scored.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids, plain.file_ids);
-        assert_eq!(out.cost, plain.cost);
+        assert_eq!(out.trace, plain.trace);
         for w in scored.windows(2) {
             assert!(w[0].1 <= w[1].1, "scored order must be ascending");
         }

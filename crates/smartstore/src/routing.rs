@@ -1,5 +1,6 @@
 //! Query routing: on-line multicast vs off-line pre-processing
-//! (§3.3–3.4, Fig. 13).
+//! (§3.3–3.4, Fig. 13), and the raw counts one routed query leaves
+//! behind.
 //!
 //! Both modes start at a random *home unit* ("a user sends a query
 //! randomly to a storage unit", §2.2):
@@ -14,15 +15,16 @@
 //!   and forwards the query straight to the most correlated index
 //!   unit(s). One targeted hop instead of a flood.
 //!
-//! The functions here turn a tree [`Route`] plus per-unit probe work
-//! into message counts and a critical-path latency under the
-//! [`CostModel`]; parallel branches (multicast fan-out) overlap, serial
-//! steps add.
+//! The two modes reach the same units and give the same answer; they
+//! differ only in the messages and latency the paper's §5 simulation
+//! charges for getting there. That simulation lives in
+//! `smartstore-bench` (`cost.rs`): it prices a [`RouteTrace`] — the
+//! fixed-size record of structural counts every evaluation returns —
+//! under a [`RouteMode`] and a cost model. Nothing in this crate
+//! computes a simulated nanosecond.
 
-use crate::mapping::IndexMapping;
-use crate::tree::{Route, SemanticRTree};
+use crate::tree::Route;
 use crate::unit::LocalWork;
-use smartstore_simnet::CostModel;
 
 /// Which query path is in force.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -47,337 +49,106 @@ impl std::fmt::Display for RouteMode {
     }
 }
 
-/// Cost of one routed query.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct QueryCost {
-    /// Critical-path latency in nanoseconds.
-    pub latency_ns: u64,
-    /// Total network messages.
-    pub messages: u64,
-    /// Storage units that evaluated the query.
+/// What one query touched, as raw structural counts: no nanoseconds,
+/// no cost model. Every evaluation returns one next to its answer
+/// ([`crate::system::QueryOutcome`]); the §5 simulation in
+/// `smartstore-bench` turns it into messages and latency.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteTrace {
+    /// Tree nodes examined while routing.
+    pub nodes_visited: usize,
+    /// Tree-level Bloom filters probed (point queries).
+    pub filters_probed: usize,
+    /// Storage units the tree routed the query to.
+    pub units_routed: usize,
+    /// Storage units that evaluated the query (for top-k, the prefix
+    /// of the best-first order MaxD pruning did not cut).
     pub units_probed: usize,
-    /// First-level group hops beyond the first (Fig. 8 metric).
+    /// Metadata records examined, summed over the probed units.
+    pub records_examined: usize,
+    /// The most records any one probed unit examined — units work in
+    /// parallel, so this is the count on the critical path.
+    pub max_unit_records: usize,
+    /// Bloom filters each probed unit consulted locally. Uniform per
+    /// query kind (1 for point, 0 for range and top-k), which
+    /// [`Self::add_unit`] asserts.
+    pub unit_filters: usize,
+    /// First-level groups the probed units span beyond the first.
     pub group_hops: usize,
+    /// First-level groups the *answer* came from beyond the first —
+    /// Fig. 8's routing distance; an MBR pre-check at a unit that
+    /// contributed nothing is not a group visit.
+    pub bearing_group_hops: usize,
+    /// Version chains rolled back for this query (0 when versioning is
+    /// off, or a point query was answered by the units).
+    pub version_chains: usize,
+    /// Change records scanned in those chains.
+    pub version_records: usize,
 }
 
-/// Size assumptions for query/response payloads (bytes).
-const QUERY_BYTES: usize = 128;
-const RESULT_BYTES: usize = 512;
-
-/// Computes the cost of a complex (range/top-k) query.
-///
-/// `route` is the tree's routing answer; `unit_work` is the local probe
-/// work actually performed per target unit; `n_groups` the number of
-/// first-level index units in the system.
-pub fn complex_query_cost(
-    mode: RouteMode,
-    tree: &SemanticRTree,
-    mapping: &IndexMapping,
-    route: &Route,
-    unit_work: &[(usize, LocalWork)],
-    n_groups: usize,
-    cost: &CostModel,
-) -> QueryCost {
-    // `mapping` is in the signature for future host-aware accounting
-    // (distinct hosts could batch messages).
-    let _ = mapping;
-    let hop = cost.wire_ns(QUERY_BYTES);
-    let reply = cost.wire_ns(RESULT_BYTES);
-    let index_probe = cost.per_index_node_ns * route.nodes_visited as u64
-        + cost.per_filter_ns * route.filters_probed as u64;
-    // Max over parallel unit probes (units work concurrently), plus
-    // dispatch at each.
-    let max_unit_work = unit_work
-        .iter()
-        .map(|(_, w)| {
-            cost.per_record_ns * w.records as u64
-                + cost.per_filter_ns * w.filters as u64
-                + cost.per_msg_cpu_ns
-        })
-        .max()
-        .unwrap_or(0);
-    let n_targets = unit_work.len() as u64;
-    let target_groups = route.group_hops as u64 + 1;
-
-    match mode {
-        RouteMode::Online => {
-            // client→home, home→father, father multicasts to its own
-            // sibling *units* and to all other first-level groups
-            // ("multicasts query messages to its father and sibling
-            // nodes", §3.3.1), matching groups→member units,
-            // units→home, home→client.
-            let avg_group = (tree.node(tree.root()).leaf_count / n_groups.max(1)).max(1) as u64;
-            let messages = 1 // client → home
-                + 1 // home → its father index unit
-                + avg_group // father → sibling units of the home leaf
-                + (n_groups.saturating_sub(1)) as u64 // multicast to sibling groups
-                + n_targets // group hosts → target units
-                + n_targets // target units → home (results)
-                + 1; // home → client
-                     // Critical path: the multicast branches run in parallel.
-            let latency = hop // client → home
-                + hop // home → father
-                + hop // father → farthest sibling group (parallel)
-                + index_probe // index-unit MBR/filter checks
-                + hop // group host → target unit (parallel)
-                + max_unit_work
-                + reply // unit → home
-                + reply; // home → client
-            QueryCost {
-                latency_ns: latency,
-                messages,
-                units_probed: unit_work.len(),
-                group_hops: route.group_hops,
-            }
-        }
-        RouteMode::Offline => {
-            // Home performs a local LSI match over the replicated
-            // first-level vectors (no network), then messages only the
-            // target groups.
-            let local_match = cost.per_index_node_ns * n_groups as u64;
-            let messages = 1 // client → home
-                + target_groups // home → target group hosts
-                + n_targets // hosts → member units
-                + n_targets // units → home
-                + 1; // home → client
-            let latency = hop // client → home
-                + local_match
-                + hop // home → target group host (parallel over groups)
-                + index_probe.min(cost.per_index_node_ns * 4) // local subtree checks only
-                + hop // host → unit
-                + max_unit_work
-                + reply
-                + reply;
-            QueryCost {
-                latency_ns: latency,
-                messages,
-                units_probed: unit_work.len(),
-                group_hops: route.group_hops,
-            }
+impl RouteTrace {
+    /// The routing half of a trace, from the tree's answer.
+    pub fn routed(route: &Route) -> Self {
+        Self {
+            nodes_visited: route.nodes_visited,
+            filters_probed: route.filters_probed,
+            units_routed: route.target_units.len(),
+            group_hops: route.group_hops,
+            ..Self::default()
         }
     }
-}
 
-/// Cost of a filename point query: Bloom-guided descent, then exact
-/// lookup at the positive units.
-///
-/// Record accounting follows the *indexed-lookup* rule (see
-/// [`LocalWork`]): each positive unit resolves the name through its
-/// name→slot map, so `records` is 1 at a unit that holds the file and
-/// 0 at a Bloom-false-positive unit — not the prefix-scan length the
-/// pre-columnar store paid. Simulated point latencies are accordingly
-/// lower than pre-columnar reports for the same trace.
-pub fn point_query_cost(
-    route: &Route,
-    unit_work: &[(usize, LocalWork)],
-    cost: &CostModel,
-) -> QueryCost {
-    let hop = cost.wire_ns(QUERY_BYTES);
-    let reply = cost.wire_ns(RESULT_BYTES);
-    let filter_probes = cost.per_filter_ns * route.filters_probed as u64;
-    let max_unit_work = unit_work
-        .iter()
-        .map(|(_, w)| cost.per_record_ns * w.records as u64 + cost.per_filter_ns * w.filters as u64)
-        .max()
-        .unwrap_or(0);
-    let messages = 1 + route.target_units.len() as u64 * 2 + 1;
-    let latency = hop + filter_probes + hop + max_unit_work + reply + reply;
-    QueryCost {
-        latency_ns: latency,
-        messages,
-        units_probed: unit_work.len(),
-        group_hops: route.group_hops,
+    /// Accounts one unit's local work.
+    ///
+    /// The simulated critical path is `max` over units of a linear
+    /// function of `(records, filters)`; it is recoverable from
+    /// `max_unit_records` alone only while `filters` is the same at
+    /// every unit of one query, so a unit that breaks that is a bug in
+    /// the unit, caught here.
+    pub fn add_unit(&mut self, work: LocalWork) {
+        if self.units_probed == 0 {
+            self.unit_filters = work.filters;
+        }
+        assert_eq!(
+            work.filters, self.unit_filters,
+            "per-unit filter probes must be uniform within one query"
+        );
+        self.units_probed += 1;
+        self.records_examined += work.records;
+        self.max_unit_records = self.max_unit_records.max(work.records);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SmartStoreConfig;
-    use crate::grouping::partition_balanced_flat;
-    use crate::mapping::map_index_units;
-    use crate::unit::StorageUnit;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use smartstore_trace::{GeneratorConfig, MetadataPopulation};
 
-    fn fixture(n_units: usize) -> (SemanticRTree, IndexMapping, Vec<StorageUnit>) {
-        let pop = MetadataPopulation::generate(GeneratorConfig {
-            n_files: n_units * 40,
-            n_clusters: n_units,
-            seed: 31,
-            ..GeneratorConfig::default()
-        });
-        let table = smartstore_trace::attr_table(&pop.files);
-        let assignment =
-            partition_balanced_flat(&table, smartstore_trace::ATTR_DIMS, n_units, 3, 31);
-        let mut buckets: Vec<Vec<smartstore_trace::FileMetadata>> = vec![Vec::new(); n_units];
-        for (f, &a) in pop.files.into_iter().zip(assignment.iter()) {
-            buckets[a].push(f);
+    #[test]
+    fn add_unit_sums_and_tracks_the_maximum() {
+        let mut t = RouteTrace::default();
+        for records in [3, 9, 4] {
+            t.add_unit(LocalWork {
+                records,
+                filters: 1,
+            });
         }
-        let units: Vec<StorageUnit> = buckets
-            .into_iter()
-            .enumerate()
-            .map(|(i, files)| StorageUnit::new(i, 1024, 7, files))
-            .collect();
-        let tree = SemanticRTree::build(&units, &SmartStoreConfig::default());
-        let mapping = map_index_units(&tree, &mut StdRng::seed_from_u64(1));
-        (tree, mapping, units)
-    }
-
-    fn sample_route(
-        tree: &SemanticRTree,
-        units: &[StorageUnit],
-    ) -> (Route, Vec<(usize, LocalWork)>) {
-        // A narrow box around a single file so the route targets a small
-        // subset of groups (offline beats online strictly only then; a
-        // query spanning every group costs the same either way).
-        let v = units[0].files()[0].attr_vector();
-        let lo: Vec<f64> = v.iter().map(|x| x - 1e-6).collect();
-        let hi: Vec<f64> = v.iter().map(|x| x + 1e-6).collect();
-        let m = smartstore_rtree::Rect::new(lo, hi);
-        let route = tree.route_range(m.lo(), m.hi());
-        let work: Vec<(usize, LocalWork)> = route
-            .target_units
-            .iter()
-            .map(|&u| {
-                let (_, w) = units[u].range_query(m.lo(), m.hi());
-                (u, w)
-            })
-            .collect();
-        (route, work)
+        assert_eq!(t.units_probed, 3);
+        assert_eq!(t.records_examined, 16);
+        assert_eq!(t.max_unit_records, 9);
+        assert_eq!(t.unit_filters, 1);
     }
 
     #[test]
-    fn offline_sends_fewer_messages_than_online() {
-        let (tree, mapping, units) = fixture(24);
-        let (route, work) = sample_route(&tree, &units);
-        let n_groups = tree.first_level_index_units().len();
-        let cost = CostModel::default();
-        let online = complex_query_cost(
-            RouteMode::Online,
-            &tree,
-            &mapping,
-            &route,
-            &work,
-            n_groups,
-            &cost,
-        );
-        let offline = complex_query_cost(
-            RouteMode::Offline,
-            &tree,
-            &mapping,
-            &route,
-            &work,
-            n_groups,
-            &cost,
-        );
-        assert!(
-            online.messages > offline.messages,
-            "online {} must exceed offline {}",
-            online.messages,
-            offline.messages
-        );
-    }
-
-    #[test]
-    fn offline_latency_not_worse() {
-        let (tree, mapping, units) = fixture(24);
-        let (route, work) = sample_route(&tree, &units);
-        let n_groups = tree.first_level_index_units().len();
-        let cost = CostModel::default();
-        let online = complex_query_cost(
-            RouteMode::Online,
-            &tree,
-            &mapping,
-            &route,
-            &work,
-            n_groups,
-            &cost,
-        );
-        let offline = complex_query_cost(
-            RouteMode::Offline,
-            &tree,
-            &mapping,
-            &route,
-            &work,
-            n_groups,
-            &cost,
-        );
-        assert!(offline.latency_ns <= online.latency_ns);
-    }
-
-    #[test]
-    fn online_messages_scale_with_group_count() {
-        let (tree_s, map_s, units_s) = fixture(12);
-        let (tree_l, map_l, units_l) = fixture(48);
-        let cost = CostModel::default();
-        let (rs, ws) = sample_route(&tree_s, &units_s);
-        let (rl, wl) = sample_route(&tree_l, &units_l);
-        let ms = complex_query_cost(
-            RouteMode::Online,
-            &tree_s,
-            &map_s,
-            &rs,
-            &ws,
-            tree_s.first_level_index_units().len(),
-            &cost,
-        );
-        let ml = complex_query_cost(
-            RouteMode::Online,
-            &tree_l,
-            &map_l,
-            &rl,
-            &wl,
-            tree_l.first_level_index_units().len(),
-            &cost,
-        );
-        assert!(
-            ml.messages > ms.messages,
-            "{} vs {}",
-            ml.messages,
-            ms.messages
-        );
-    }
-
-    #[test]
-    fn point_query_cost_counts_filters() {
-        let (tree, _mapping, units) = fixture(10);
-        let name = units[2].files()[0].name.clone();
-        let route = tree.route_point(&name);
-        let work: Vec<(usize, LocalWork)> = route
-            .target_units
-            .iter()
-            .map(|&u| {
-                let (_, w) = units[u].point_query(&name);
-                (u, w)
-            })
-            .collect();
-        let qc = point_query_cost(&route, &work, &CostModel::default());
-        assert!(qc.latency_ns > 0);
-        assert!(qc.messages >= 2);
-        assert!(qc.units_probed >= 1);
-    }
-
-    #[test]
-    fn empty_target_set_still_has_routing_cost() {
-        let (tree, mapping, units) = fixture(10);
-        let dim = units[0].centroid().len();
-        // Far-away query box: routed nowhere.
-        let lo = vec![1e9; dim];
-        let hi = vec![1e9 + 1.0; dim];
-        let route = tree.route_range(&lo, &hi);
-        assert!(route.target_units.is_empty());
-        let qc = complex_query_cost(
-            RouteMode::Offline,
-            &tree,
-            &mapping,
-            &route,
-            &[],
-            tree.first_level_index_units().len(),
-            &CostModel::default(),
-        );
-        assert!(qc.latency_ns > 0, "root check alone costs something");
-        assert_eq!(qc.units_probed, 0);
+    #[should_panic(expected = "uniform")]
+    fn add_unit_rejects_non_uniform_filters() {
+        let mut t = RouteTrace::default();
+        t.add_unit(LocalWork {
+            records: 1,
+            filters: 0,
+        });
+        t.add_unit(LocalWork {
+            records: 1,
+            filters: 1,
+        });
     }
 }

@@ -7,30 +7,30 @@
 //! and are evaluated by the target units; metadata changes flow through
 //! version chains; lazy updates re-synchronize stale index replicas.
 //!
-//! Every query returns a [`QueryOutcome`] carrying both the answer and
-//! its simulated cost, which the benchmark harness aggregates into the
-//! paper's tables and figures.
+//! Every query returns a [`QueryOutcome`]: the answer plus a
+//! [`RouteTrace`] of what it touched, as raw counts. The paper's
+//! simulated latencies and message counts (§5) are computed from those
+//! counts by `smartstore-bench`, never here.
 
 use crate::config::SmartStoreConfig;
 use crate::grouping::partition_tiled_flat;
 use crate::mapping::{map_index_units, IndexMapping};
-use crate::routing::{complex_query_cost, point_query_cost, QueryCost, RouteMode};
+use crate::routing::RouteTrace;
 use crate::tree::{NodeId, SemanticRTree};
-use crate::unit::{LocalWork, StorageUnit};
+use crate::unit::StorageUnit;
 use crate::versioning::{Change, VersionStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smartstore_simnet::CostModel;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
 
-/// The answer and cost of one query.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The answer of one query and what evaluating it touched.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Matching file ids (for point queries, at most one per hit unit).
     pub file_ids: Vec<u64>,
-    /// Simulated cost.
-    pub cost: QueryCost,
+    /// Raw structural counts of the evaluation.
+    pub trace: RouteTrace,
 }
 
 /// System-level structure statistics (Fig. 7 inputs).
@@ -207,8 +207,6 @@ pub struct DeltaParts {
 pub struct SmartStoreSystem {
     /// Configuration in force.
     pub cfg: SmartStoreConfig,
-    /// Cost model for latency accounting.
-    pub cost: CostModel,
     units: Vec<StorageUnit>,
     tree: SemanticRTree,
     mapping: IndexMapping,
@@ -291,7 +289,6 @@ impl SmartStoreSystem {
         dirty.mark_all(units.len());
         Self {
             cfg,
-            cost: CostModel::default(),
             units,
             tree,
             mapping,
@@ -365,7 +362,6 @@ impl SmartStoreSystem {
         let tree = SemanticRTree::from_parts(parts.tree, &parts.cfg);
         Self {
             cfg: parts.cfg,
-            cost: CostModel::default(),
             units: parts.units,
             tree,
             mapping: parts.mapping,
@@ -500,12 +496,12 @@ impl SmartStoreSystem {
     }
 
     /// Range-query evaluation (see [`crate::query::QueryEngine::range`]).
-    pub(crate) fn eval_range(&self, lo: &[f64], hi: &[f64], mode: RouteMode) -> QueryOutcome {
+    pub(crate) fn eval_range(&self, lo: &[f64], hi: &[f64]) -> QueryOutcome {
         assert_eq!(lo.len(), ATTR_DIMS, "range_query: lo dims");
         assert_eq!(hi.len(), ATTR_DIMS, "range_query: hi dims");
         let route = self.tree.route_range(lo, hi);
+        let mut trace = RouteTrace::routed(&route);
         let mut results = Vec::new();
-        let mut work: Vec<(usize, LocalWork)> = Vec::new();
         let mut bearing_units = Vec::new();
         for &u in &route.target_units {
             let (ids, w) = self.units[u].range_query(lo, hi);
@@ -513,37 +509,22 @@ impl SmartStoreSystem {
                 bearing_units.push(u);
             }
             results.extend(ids);
-            work.push((u, w));
+            trace.add_unit(w);
         }
-        let n_groups = self.tree.first_level_index_units().len();
-        let mut cost = complex_query_cost(
-            mode,
-            &self.tree,
-            &self.mapping,
-            &route,
-            &work,
-            n_groups,
-            &self.cost,
-        );
         // Fig. 8's routing distance counts the groups where results were
         // *obtained* — MBR pre-checks at index-unit hosts are not group
         // visits.
-        cost.group_hops = self.hops_of_units(&bearing_units);
+        trace.bearing_group_hops = self.tree.group_hops(bearing_units);
         if self.versioning_enabled {
-            let scanned = self.apply_versions_to_range(lo, hi, &mut results);
-            cost.latency_ns += self.version_scan_ns(scanned);
+            trace.version_chains = self.versions.len();
+            trace.version_records = self.apply_versions_to_range(lo, hi, &mut results);
         }
         results.sort_unstable();
         results.dedup();
         QueryOutcome {
             file_ids: results,
-            cost,
+            trace,
         }
-    }
-
-    /// Top-k evaluation (see [`crate::query::QueryEngine::topk`]).
-    pub(crate) fn eval_topk(&self, point: &[f64], k: usize, mode: RouteMode) -> QueryOutcome {
-        self.eval_topk_scored(point, k, mode).1
     }
 
     /// Top-k query with the paper's MaxD pruning (§3.3.2): units are
@@ -555,10 +536,14 @@ impl SmartStoreSystem {
         &self,
         point: &[f64],
         k: usize,
-        mode: RouteMode,
     ) -> (Vec<(u64, f64)>, QueryOutcome) {
         assert_eq!(point.len(), ATTR_DIMS, "topk_query: point dims");
         let (order, nodes_visited) = self.tree.route_topk(point);
+        let mut trace = RouteTrace {
+            nodes_visited,
+            units_routed: order.len(),
+            ..RouteTrace::default()
+        };
         // Cross-unit merge through the same bounded heap the units use:
         // O(log k) per candidate instead of re-sorting the merged list
         // after every unit, with the heap's k-th best doubling as the
@@ -566,55 +551,33 @@ impl SmartStoreSystem {
         // non-negative squared distances that arise here, and no panic
         // path on a NaN.
         let mut top = crate::unit::TopK::new(k);
-        let mut work: Vec<(usize, LocalWork)> = Vec::new();
-        let mut visited_units = Vec::new();
         for &(u, lower_bound) in &order {
             if lower_bound > top.max_d() {
                 break; // MaxD pruning: no better result can exist here.
             }
             let (unit_top, w) = self.units[u].topk_query(point, k);
-            work.push((u, w));
-            visited_units.push(u);
+            trace.add_unit(w);
             for (id, d) in unit_top {
                 top.push(id, d);
             }
         }
         let mut best = top.into_sorted();
-        // Routing structure for cost purposes: the units actually probed.
-        let route = crate::tree::Route {
-            target_units: visited_units.clone(),
-            nodes_visited,
-            filters_probed: 0,
-            group_hops: self.hops_of_units(&visited_units),
-        };
-        let n_groups = self.tree.first_level_index_units().len();
-        let mut cost = complex_query_cost(
-            mode,
-            &self.tree,
-            &self.mapping,
-            &route,
-            &work,
-            n_groups,
-            &self.cost,
-        );
+        let probed = &order[..trace.units_probed];
+        trace.group_hops = self.tree.group_hops(probed.iter().map(|&(u, _)| u));
         if self.versioning_enabled {
-            let scanned = self.apply_versions_to_topk(point, k, &mut best);
-            cost.latency_ns += self.version_scan_ns(scanned);
+            trace.version_chains = self.versions.len();
+            trace.version_records = self.apply_versions_to_topk(point, k, &mut best);
         }
         // Fig. 8 semantics: hops over the units that contributed to the
         // final answer, not every unit the MaxD walk grazed.
-        let contributing: Vec<usize> = visited_units
-            .iter()
-            .copied()
-            .filter(|&u| {
-                best.iter()
-                    .any(|&(id, _)| self.owner.get(&id).copied() == Some(u))
-            })
-            .collect();
-        cost.group_hops = self.hops_of_units(&contributing);
+        trace.bearing_group_hops = self.tree.group_hops(
+            best.iter()
+                .filter_map(|&(id, _)| self.owner.get(&id).copied())
+                .filter(|&u| probed.iter().any(|&(v, _)| v == u)),
+        );
         let outcome = QueryOutcome {
             file_ids: best.iter().map(|&(id, _)| id).collect(),
-            cost,
+            trace,
         };
         (best, outcome)
     }
@@ -622,24 +585,26 @@ impl SmartStoreSystem {
     /// Point-query evaluation (see [`crate::query::QueryEngine::point`]).
     pub(crate) fn eval_point(&self, name: &str) -> QueryOutcome {
         let route = self.tree.route_point(name);
+        let mut trace = RouteTrace::routed(&route);
+        // Every Bloom-positive unit is where a point answer is looked
+        // for, so all routed groups count as bearing.
+        trace.bearing_group_hops = route.group_hops;
         let mut results = Vec::new();
-        let mut work = Vec::new();
         for &u in &route.target_units {
             let (hit, w) = self.units[u].point_query(name);
             if let Some(f) = hit {
                 results.push(f.file_id);
             }
-            work.push((u, w));
+            trace.add_unit(w);
         }
-        let mut cost = point_query_cost(&route, &work, &self.cost);
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
             // refresh is found in the version chains.
-            let mut scanned = 0;
+            trace.version_chains = self.versions.len();
             // lint:allow(D002) -- results are sorted and deduped below
             for vs in self.versions.values() {
-                let (effective, s) = vs.effective_changes();
-                scanned += s;
+                let (effective, scanned) = vs.effective_changes();
+                trace.version_records += scanned;
                 for ch in effective {
                     match ch {
                         Change::Insert(f) | Change::Modify(f) if f.name == name => {
@@ -649,38 +614,21 @@ impl SmartStoreSystem {
                     }
                 }
             }
-            cost.latency_ns += self.version_scan_ns(scanned);
         }
         results.sort_unstable();
         results.dedup();
         QueryOutcome {
             file_ids: results,
-            cost,
+            trace,
         }
     }
 
-    /// Latency of rolling the version chains backwards: each change
-    /// record costs a record probe and each version crossed costs a
-    /// header probe — comprehensive versioning (ratio 1) therefore pays
-    /// the most (Fig. 14(b)).
-    fn version_scan_ns(&self, scanned: usize) -> u64 {
+    /// Versions held across all chains, sealed and open. Rolling the
+    /// chains back crosses every one of their headers, which is why the
+    /// simulated cost of a versioned query (Fig. 14(b)) reads this.
+    pub fn version_count(&self) -> usize {
         // lint:allow(D002) -- additive sum; order-insensitive
-        let version_headers: usize = self.versions.values().map(|v| v.version_count()).sum();
-        self.cost.per_record_ns * scanned as u64 + self.cost.per_record_ns * version_headers as u64
-    }
-
-    fn hops_of_units(&self, units: &[usize]) -> usize {
-        if units.len() <= 1 {
-            return 0;
-        }
-        let mut groups: Vec<NodeId> = units
-            .iter()
-            .filter_map(|&u| self.tree.leaf_of_unit(u))
-            .map(|l| self.tree.group_of_leaf(l))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups.len().saturating_sub(1)
+        self.versions.values().map(|v| v.version_count()).sum()
     }
 
     // ------------------------------------------------------------------

@@ -392,7 +392,7 @@ impl SemanticRTree {
                 stack.extend(node.children.iter().copied());
             }
         }
-        route.group_hops = self.hops_for_targets(&route.target_units);
+        route.group_hops = self.group_hops(route.target_units.iter().copied());
         route
     }
 
@@ -473,19 +473,22 @@ impl SemanticRTree {
                 stack.extend(node.children.iter().copied());
             }
         }
-        route.group_hops = self.hops_for_targets(&route.target_units);
+        route.group_hops = self.group_hops(route.target_units.iter().copied());
         route
     }
 
-    /// Number of *extra* first-level groups a target set spans (0 when
-    /// all targets share one group — the paper's 0-hop case).
-    fn hops_for_targets(&self, units: &[usize]) -> usize {
-        if units.len() <= 1 {
+    /// Number of *extra* first-level groups a set of units spans (0
+    /// when all of them share one group — the paper's 0-hop case).
+    /// Repeated unit ids are fine; up to one unit costs no lookup.
+    pub fn group_hops(&self, units: impl IntoIterator<Item = usize>) -> usize {
+        let mut units = units.into_iter();
+        let (Some(first), Some(second)) = (units.next(), units.next()) else {
             return 0;
-        }
-        let mut groups: Vec<NodeId> = units
-            .iter()
-            .filter_map(|&u| self.leaf_of_unit(u))
+        };
+        let mut groups: Vec<NodeId> = [first, second]
+            .into_iter()
+            .chain(units)
+            .filter_map(|u| self.leaf_of_unit(u))
             .map(|leaf| self.group_of_leaf(leaf))
             .collect();
         groups.sort_unstable();

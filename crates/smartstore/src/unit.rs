@@ -86,15 +86,14 @@ impl ColBounds {
     }
 }
 
-/// Work performed by a local query, for latency accounting.
+/// Work performed by a local query, as raw counts
+/// ([`crate::routing::RouteTrace`] aggregates them per query).
 ///
-/// Cost-accounting rule for `records`: scan-evaluated queries (range,
+/// Counting rule for `records`: scan-evaluated queries (range,
 /// top-k) examine every record of the unit; the *indexed* point lookup
 /// examines exactly one record on a hit and none on a miss — the
 /// name→slot map resolves the filename behind the Bloom probe, so a
 /// Bloom false positive costs a hash probe, not a prefix scan.
-/// [`crate::routing::point_query_cost`] prices records under the same
-/// rule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LocalWork {
     /// Metadata records examined.

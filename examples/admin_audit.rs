@@ -81,14 +81,14 @@ fn main() {
         .count();
     println!(
         "audit range query: {} results, {}/{} updated files found, \
-         latency {:.2} ms, {} of {} units probed, {} group hops",
+         {} records examined, {} of {} units probed, {} group hops",
         out.file_ids.len(),
         found,
         touched.len(),
-        out.cost.latency_ns as f64 / 1e6,
-        out.cost.units_probed,
+        out.trace.records_examined,
+        out.trace.units_probed,
         sys.stats().n_units,
-        out.cost.group_hops,
+        out.trace.bearing_group_hops,
     );
     assert!(
         found * 10 >= touched.len() * 9,

@@ -62,7 +62,7 @@ fn main() {
         let point = by_id[master].attr_vector();
         let out = sys.query().topk(&point, &QueryOptions::offline().with_k(8));
         recovered += copies.iter().filter(|c| out.file_ids.contains(c)).count();
-        total_units += out.cost.units_probed;
+        total_units += out.trace.units_probed;
     }
     let total_copies = copies_of.iter().map(|(_, c)| c.len()).sum::<usize>();
     println!(

@@ -1,5 +1,8 @@
 //! Quickstart: build a SmartStore deployment over a synthetic trace and
-//! run the three query types.
+//! run the three query types. Each query returns its answer and a
+//! `RouteTrace` of what it touched (raw counts); the paper's simulated
+//! latencies come from pricing such traces in `smartstore-bench`
+//! (`cargo run --release -p smartstore-bench --bin repro -- table4`).
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -36,10 +39,8 @@ fn main() {
     let name = &pop.files[1234].name;
     let out = sys.query().point(name);
     println!(
-        "point query  '{name}': found={:?}  latency={:.2} ms  messages={}",
-        out.file_ids,
-        out.cost.latency_ns as f64 / 1e6,
-        out.cost.messages,
+        "point query  '{name}': found={:?}  filters probed={}  units probed={}",
+        out.file_ids, out.trace.filters_probed, out.trace.units_probed,
     );
 
     // 4. Complex queries. The paper's example: "Which experiments did I
@@ -59,11 +60,11 @@ fn main() {
     let rq = &w.ranges[0];
     let out = sys.query().range(&rq.lo, &rq.hi, &QueryOptions::offline());
     println!(
-        "range query : {} results ({} ideal)  latency={:.2} ms  group hops={}",
+        "range query : {} results ({} ideal)  records examined={}  group hops={}",
         out.file_ids.len(),
         rq.ideal.len(),
-        out.cost.latency_ns as f64 / 1e6,
-        out.cost.group_hops,
+        out.trace.records_examined,
+        out.trace.bearing_group_hops,
     );
 
     // 5. A top-k query: "file size around X, last visited around T —
@@ -78,11 +79,7 @@ fn main() {
         .filter(|id| out.file_ids.contains(id))
         .count();
     println!(
-        "top-{} query: recall {}/{}  latency={:.2} ms  units probed={}",
-        tq.k,
-        hits,
-        tq.k,
-        out.cost.latency_ns as f64 / 1e6,
-        out.cost.units_probed,
+        "top-{} query: recall {}/{}  units probed={} of {} (MaxD pruning)",
+        tq.k, hits, tq.k, out.trace.units_probed, out.trace.units_routed,
     );
 }

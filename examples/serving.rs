@@ -88,29 +88,19 @@ fn main() {
     let responses = client.flush(&mut srv).expect("wire ok");
     for (r, resp) in responses.iter().enumerate() {
         match resp {
-            Response::Query(q) => println!(
-                "  resp {r:2}: {:3} ids   latency {:7.2} ms  msgs {}",
-                q.file_ids.len(),
-                q.cost.latency_ns as f64 / 1e6,
-                q.cost.messages
-            ),
+            Response::Query(q) => println!("  resp {r:2}: {:3} ids", q.file_ids.len()),
             Response::TopK(t) => println!(
-                "  resp {r:2}: top-{}     latency {:7.2} ms  msgs {}",
+                "  resp {r:2}: top-{}     nearest at squared distance {:.3e}",
                 t.hits.len(),
-                t.cost.latency_ns as f64 / 1e6,
-                t.cost.messages
+                t.hits.first().map_or(f64::NAN, |&(_, d)| d)
             ),
             other => println!("  resp {r:2}: {other:?}"),
         }
     }
     let cs = client.stats();
     println!(
-        "client: {} requests in {} batch(es), {} B out / {} B in, simulated wire {:.2} ms",
-        cs.requests,
-        cs.batches,
-        cs.bytes_sent,
-        cs.bytes_received,
-        cs.wire_ns as f64 / 1e6
+        "client: {} requests in {} batch(es), {} B out / {} B in",
+        cs.requests, cs.batches, cs.bytes_sent, cs.bytes_received
     );
 
     // 3. Journal a few mutations (WAL-first on the owning shard).

@@ -13,7 +13,6 @@ pub use smartstore_net as net;
 pub use smartstore_persist as persist;
 pub use smartstore_rtree as rtree;
 pub use smartstore_service as service;
-pub use smartstore_simnet as simnet;
 pub use smartstore_trace as trace;
 
 pub use smartstore_persist::SystemPersist;
