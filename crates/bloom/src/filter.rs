@@ -2,7 +2,7 @@
 //! functions from a selectable [`HashFamily`], plus union and
 //! false-probability math.
 
-use crate::hash::HashFamily;
+use crate::hash::{HashFamily, PreparedKey};
 
 /// Filter size used throughout the paper's evaluation (§5.1).
 pub const PAPER_BITS: usize = 1024;
@@ -92,9 +92,30 @@ impl BloomFilter {
 
     /// Membership check: `false` means *definitely absent*; `true` means
     /// present with probability `1 − false_positive_rate`.
+    #[inline]
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.family
-            .indexes(key, self.n_bits, self.n_hashes)
+        // One-shot probe: hash the least up front (a miss within four
+        // indexes then costs one MD5 compression, not `n_hashes / 4`).
+        self.contains_prepared(&self.family.prepare(key, 1))
+    }
+
+    /// Hashes `key` once for this filter's family and hash count; the
+    /// result probes any filter of the same family.
+    #[inline]
+    pub fn prepare<'k>(&self, key: &'k [u8]) -> PreparedKey<'k> {
+        self.family.prepare(key, self.n_hashes)
+    }
+
+    /// [`Self::contains`] for a key that was hashed ahead of the probe
+    /// — the one probe loop. A key prepared for the other hash family
+    /// is re-hashed in this filter's own, so the verdict never depends
+    /// on where the key was prepared.
+    #[inline]
+    pub fn contains_prepared(&self, key: &PreparedKey<'_>) -> bool {
+        if key.family() != self.family {
+            return self.contains(key.key());
+        }
+        key.indexes(self.n_bits, self.n_hashes)
             .all(|i| self.bits[i / 64] & (1u64 << (i % 64)) != 0)
     }
 

@@ -21,6 +21,14 @@
 //! Both families share [`BitIndexes`], an iterator that never touches
 //! the heap: the MD5 arm streams the salt through [`md5_words_salted`]
 //! instead of cloning the key, the fast arm is two u64s of state.
+//!
+//! The key hash is separable from the filter geometry, so it is done
+//! once: [`HashFamily::prepare`] returns a [`PreparedKey`] (Fast: `h1`
+//! and `h2`; MD5: the digest words) that derives the indexes for any
+//! `(n_bits, n_hashes)`. A point query's descent of the semantic
+//! R-tree probes every node and unit filter on its path with one
+//! prepared key; [`HashFamily::indexes`] is the one-shot form of the
+//! same derivation.
 
 use crate::md5::{md5_words, md5_words_salted};
 
@@ -40,19 +48,113 @@ pub enum HashFamily {
 }
 
 impl HashFamily {
-    /// The `n_hashes` bit indexes of `key` in a filter of `n_bits`
-    /// bits, as a zero-allocation iterator.
-    pub fn indexes<'k>(self, key: &'k [u8], n_bits: usize, n_hashes: usize) -> BitIndexes<'k> {
-        debug_assert!(n_bits > 0, "a Bloom filter needs at least one bit");
-        let state = match self {
-            HashFamily::Md5 => FamilyState::Md5 {
-                words: md5_words(key),
-                in_round: 0,
-                round: 0,
-            },
+    /// Hashes `key` once, for probing any number of filters of this
+    /// family: the descent of a Bloom hierarchy asks dozens of filters
+    /// about one key, and the key hash — not the `n_hashes` bit tests —
+    /// is what each of those probes would otherwise repeat.
+    ///
+    /// For [`HashFamily::Md5`] the digests of the rounds `n_hashes`
+    /// needs (one per four hashes, at most [`PREPARED_MD5_ROUNDS`]) are
+    /// computed up front; a filter that asks for more indexes than were
+    /// prepared digests the remaining rounds from the borrowed key as
+    /// its probe reaches them, so any `n_hashes` stays correct.
+    pub fn prepare(self, key: &[u8], n_hashes: usize) -> PreparedKey<'_> {
+        let hashed = match self {
+            HashFamily::Md5 => {
+                let rounds = n_hashes.div_ceil(4).min(PREPARED_MD5_ROUNDS);
+                let mut words = [0u32; 4 * PREPARED_MD5_ROUNDS];
+                for (r, lane) in words.chunks_exact_mut(4).take(rounds).enumerate() {
+                    lane.copy_from_slice(&md5_round(key, r as u32));
+                }
+                Hashed::Md5 { words, rounds }
+            }
             HashFamily::Fast => {
                 let h1 = fast_hash64(key);
-                let h2 = splitmix64(h1);
+                Hashed::Fast {
+                    h1,
+                    h2: splitmix64(h1),
+                }
+            }
+        };
+        PreparedKey { key, hashed }
+    }
+
+    /// The `n_hashes` bit indexes of `key` in a filter of `n_bits`
+    /// bits, as a zero-allocation iterator. One-shot form of
+    /// [`Self::prepare`] + [`PreparedKey::indexes`]: only the first MD5
+    /// round is digested up front, so a probe that misses within four
+    /// indexes pays one compression.
+    pub fn indexes(self, key: &[u8], n_bits: usize, n_hashes: usize) -> BitIndexes<'_> {
+        self.prepare(key, 1).indexes(n_bits, n_hashes)
+    }
+}
+
+/// MD5 rounds a [`PreparedKey`] holds at most: 16 index words, enough
+/// for `n_hashes ≤ 16` (the paper uses 7) without touching the key
+/// again.
+pub const PREPARED_MD5_ROUNDS: usize = 4;
+
+/// The digest words of round `round`: the plain digest for round 0,
+/// `md5(key ‖ round_u32_le)` after that (§5.1's scheme for more than
+/// four hash functions).
+fn md5_round(key: &[u8], round: u32) -> [u32; 4] {
+    if round == 0 {
+        md5_words(key)
+    } else {
+        md5_words_salted(key, round)
+    }
+}
+
+/// A key hashed once by [`HashFamily::prepare`], ready to probe any
+/// filter of that family whatever its geometry — `n_bits` and
+/// `n_hashes` enter only in [`Self::indexes`].
+#[derive(Clone, Copy, Debug)]
+pub struct PreparedKey<'k> {
+    key: &'k [u8],
+    hashed: Hashed,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Hashed {
+    Md5 {
+        /// Digest words of rounds `0..rounds`, four per round.
+        words: [u32; 4 * PREPARED_MD5_ROUNDS],
+        rounds: usize,
+    },
+    Fast {
+        h1: u64,
+        h2: u64,
+    },
+}
+
+impl<'k> PreparedKey<'k> {
+    /// The key this was prepared from.
+    pub fn key(&self) -> &'k [u8] {
+        self.key
+    }
+
+    /// The family whose filters this key can probe.
+    pub fn family(&self) -> HashFamily {
+        match self.hashed {
+            Hashed::Md5 { .. } => HashFamily::Md5,
+            Hashed::Fast { .. } => HashFamily::Fast,
+        }
+    }
+
+    /// The `n_hashes` bit indexes of the key in a filter of `n_bits`
+    /// bits — the single index derivation behind every insert and
+    /// probe.
+    #[inline]
+    pub fn indexes(&self, n_bits: usize, n_hashes: usize) -> BitIndexes<'k> {
+        debug_assert!(n_bits > 0, "a Bloom filter needs at least one bit");
+        let state = match self.hashed {
+            Hashed::Md5 { words, rounds } => IndexState::Md5 {
+                words,
+                rounds,
+                word: 0,
+                digest: [0; 4],
+            },
+            Hashed::Fast { h1, h2 } => {
                 let m = n_bits as u64;
                 // Force an odd, non-zero stride: odd strides are
                 // coprime with power-of-two `m` (the common geometry),
@@ -66,14 +168,14 @@ impl HashFamily {
                 } else {
                     (h1 % m, (h2 | 1) % m)
                 };
-                FamilyState::Fast {
+                IndexState::Fast {
                     next: first,
                     step: step.max(u64::from(m > 1)),
                 }
             }
         };
         BitIndexes {
-            key,
+            key: self.key,
             n_bits,
             remaining: n_hashes,
             state,
@@ -83,14 +185,15 @@ impl HashFamily {
 
 /// Per-family iterator state; the key and geometry live in
 /// [`BitIndexes`].
-enum FamilyState {
+enum IndexState {
     Md5 {
-        /// Words of the current round's digest.
-        words: [u32; 4],
-        /// How many of `words` have been consumed (0..=4).
-        in_round: usize,
-        /// Round counter — the salt for the *next* refill.
-        round: u32,
+        /// The prepared digest words: rounds `0..rounds`, four each.
+        words: [u32; 4 * PREPARED_MD5_ROUNDS],
+        rounds: usize,
+        /// Index of the next digest word across all rounds.
+        word: usize,
+        /// Digest of the current round, once past the prepared ones.
+        digest: [u32; 4],
     },
     Fast {
         /// `(h1 + i·h2) mod m` accumulator.
@@ -107,33 +210,38 @@ pub struct BitIndexes<'k> {
     key: &'k [u8],
     n_bits: usize,
     remaining: usize,
-    state: FamilyState,
+    state: IndexState,
 }
 
 impl Iterator for BitIndexes<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
         match &mut self.state {
-            FamilyState::Md5 {
+            IndexState::Md5 {
                 words,
-                in_round,
-                round,
+                rounds,
+                word,
+                digest,
             } => {
-                if *in_round == 4 {
-                    *round += 1;
-                    *words = md5_words_salted(self.key, *round);
-                    *in_round = 0;
-                }
-                let w = words[*in_round];
-                *in_round += 1;
+                let (round, lane) = (*word / 4, *word % 4);
+                *word += 1;
+                let w = if round < *rounds {
+                    words[*word - 1]
+                } else {
+                    if lane == 0 {
+                        *digest = md5_round(self.key, round as u32);
+                    }
+                    digest[lane]
+                };
                 Some(w as usize % self.n_bits)
             }
-            FamilyState::Fast { next, step } => {
+            IndexState::Fast { next, step } => {
                 let idx = *next as usize;
                 *next += *step;
                 if *next >= self.n_bits as u64 {

@@ -19,6 +19,14 @@
 //! [`HashFamily::Md5`] reproduces the paper bit for bit, while the
 //! default [`HashFamily::Fast`] drives Kirsch–Mitzenmacher double
 //! hashing from a single one-pass 64-bit hash (see [`hash`]).
+//!
+//! Either way the key is hashed once per hierarchy it is looked up
+//! in, not once per filter: [`HashFamily::prepare`] yields a small
+//! `Copy` [`PreparedKey`] and [`BloomFilter::contains_prepared`] probes
+//! with it, so the ≈ 30 filters a point query meets on its way down one
+//! shard's tree and at the routed units share one hash.
+//! [`BloomFilter::contains`] is the same probe over a key prepared on
+//! the spot.
 
 pub mod counting;
 pub mod filter;
@@ -28,5 +36,5 @@ pub mod md5;
 
 pub use counting::CountingBloomFilter;
 pub use filter::{BloomFilter, PAPER_BITS, PAPER_HASHES};
-pub use hash::HashFamily;
+pub use hash::{HashFamily, PreparedKey};
 pub use hierarchy::BloomHierarchy;

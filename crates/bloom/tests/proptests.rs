@@ -7,8 +7,39 @@
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use proptest::prelude::*;
+use smartstore_bloom::hash::{fast_hash64, splitmix64};
 use smartstore_bloom::md5::md5;
 use smartstore_bloom::{BloomFilter, CountingBloomFilter, HashFamily};
+
+/// The index derivations written out longhand — no iterator, no
+/// prepared key, no power-of-two shortcut — as the reference the
+/// prepared path must reproduce.
+fn reference_indexes(family: HashFamily, key: &[u8], n_bits: usize, n_hashes: usize) -> Vec<usize> {
+    match family {
+        HashFamily::Md5 => (0..n_hashes)
+            .map(|i| {
+                let digest = if i / 4 == 0 {
+                    md5(key)
+                } else {
+                    let mut salted = key.to_vec();
+                    salted.extend_from_slice(&((i / 4) as u32).to_le_bytes());
+                    md5(&salted)
+                };
+                let lane = &digest[(i % 4) * 4..(i % 4) * 4 + 4];
+                u32::from_le_bytes(lane.try_into().unwrap()) as usize % n_bits
+            })
+            .collect(),
+        HashFamily::Fast => {
+            let m = n_bits as u128;
+            let h1 = fast_hash64(key);
+            let first = h1 as u128 % m;
+            let step = ((splitmix64(h1) | 1) as u128 % m).max(u128::from(m > 1));
+            (0..n_hashes as u128)
+                .map(|i| ((first + i * step) % m) as usize)
+                .collect()
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -25,6 +56,49 @@ proptest! {
         }
         for k in &keys {
             prop_assert!(f.contains(k.as_bytes()), "false negative for {k}");
+        }
+    }
+
+    #[test]
+    fn prepared_probe_matches_unprepared(
+        members in prop::collection::vec("[a-z0-9_/.]{0,40}", 1..80),
+        probes in prop::collection::vec("[a-z0-9_/.]{0,40}", 1..40),
+        geometry in 0usize..4,
+        hashes in 1usize..17,
+        // How many hashes the key is prepared for: fewer than the
+        // filter uses exercises the digest-on-demand rounds.
+        prepared_for in 0usize..20,
+    ) {
+        let bits = [64usize, 1000, 1024, 4093][geometry];
+        for family in [HashFamily::Md5, HashFamily::Fast] {
+            let mut f = BloomFilter::with_family(bits, hashes, family);
+            for k in &members {
+                f.insert(k.as_bytes());
+            }
+            for k in members.iter().chain(&probes) {
+                let key = k.as_bytes();
+                let want = reference_indexes(family, key, bits, hashes);
+                let unprepared: Vec<usize> = family.indexes(key, bits, hashes).collect();
+                prop_assert_eq!(&unprepared, &want, "{:?} unprepared indexes of {:?}", family, k);
+                for prepared in [f.prepare(key), family.prepare(key, prepared_for)] {
+                    let got: Vec<usize> = prepared.indexes(bits, hashes).collect();
+                    prop_assert_eq!(&got, &want, "{:?} prepared indexes of {:?}", family, k);
+                    prop_assert_eq!(f.contains_prepared(&prepared), f.contains(key));
+                }
+                // A key prepared in the other family still gets this
+                // filter's verdict.
+                let other = match family {
+                    HashFamily::Md5 => HashFamily::Fast,
+                    HashFamily::Fast => HashFamily::Md5,
+                };
+                prop_assert_eq!(
+                    f.contains_prepared(&other.prepare(key, hashes)),
+                    f.contains(key)
+                );
+                // And the verdict is the longhand one.
+                let lit = want.iter().all(|&i| f.words()[i / 64] & (1u64 << (i % 64)) != 0);
+                prop_assert_eq!(f.contains(key), lit);
+            }
         }
     }
 

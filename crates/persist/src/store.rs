@@ -486,14 +486,20 @@ impl PersistentStore {
 
         let mut active = chain_end;
         let mut active_replay = replay_settled(v, &first)?;
+        let mut active_frames;
         let mut replayed_frames = 0usize;
         let mut wal_segments = 1usize;
         let mut dropped_tail_bytes = 0u64;
         loop {
-            for frame in &active_replay.frames {
-                system.apply_change(frame.change.clone());
+            // Frames are applied by value; only their count outlives
+            // the replay (the successor's header check, the writer's
+            // next sequence number).
+            let frames = std::mem::take(&mut active_replay.frames);
+            active_frames = frames.len() as u64;
+            replayed_frames += frames.len();
+            for frame in frames {
+                system.apply_change(frame.change);
             }
-            replayed_frames += active_replay.frames.len();
             let wpath = wal_path(dir, active);
             if active_replay.torn.is_some() {
                 // Salvage prefix-first: the verified frames just
@@ -519,9 +525,7 @@ impl PersistentStore {
                     quarantined_bytes += quarantine_successors(v, dir, active + 1);
                     break;
                 }
-                wal::WalProbe::Valid { prev_frames }
-                    if prev_frames != active_replay.frames.len() as u64 =>
-                {
+                wal::WalProbe::Valid { prev_frames } if prev_frames != active_frames => {
                     quarantined_bytes += quarantine_successors(v, dir, active + 1);
                     break;
                 }
@@ -547,7 +551,8 @@ impl PersistentStore {
             v,
             &wal_path(dir, active),
             opts.wal_sync_every,
-            &active_replay,
+            active_frames,
+            active_replay.good_bytes,
         )?;
         sweep_orphans(v, dir, base, &deltas, chain_end, active);
         Ok((

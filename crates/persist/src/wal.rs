@@ -358,12 +358,15 @@ impl WalWriter {
 
     /// Re-opens an existing log for appending after [`replay`] (and,
     /// when the replay was torn, [`truncate_to_good`] or
-    /// [`quarantine_tail`]).
+    /// [`quarantine_tail`]): `frames` and `good_bytes` are the verified
+    /// prefix that replay reported, passed as numbers so the caller is
+    /// free to have consumed the frames themselves.
     pub fn open_end(
         vfs: &dyn Vfs,
         path: &Path,
         sync_every: usize,
-        replayed: &WalReplay,
+        frames: u64,
+        good_bytes: u64,
     ) -> Result<Self> {
         assert!(sync_every > 0, "WalWriter: sync_every must be positive");
         let file = vfs.open_rw(path)?;
@@ -372,8 +375,8 @@ impl WalWriter {
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            next_seq: replayed.frames.len() as u64,
-            bytes: replayed.good_bytes,
+            next_seq: frames,
+            bytes: good_bytes,
             sync_every,
             unsynced: 0,
         })
@@ -545,7 +548,8 @@ mod tests {
         assert_eq!(side.len() as u64, dropped);
         assert_eq!(side[..], full[r.good_bytes as usize..full.len() - 5]);
         // Appending after recovery continues the sequence.
-        let mut w = WalWriter::open_end(&vfs, &path, 1, &r).unwrap();
+        let mut w =
+            WalWriter::open_end(&vfs, &path, 1, r.frames.len() as u64, r.good_bytes).unwrap();
         let seq = w.append(0, &Change::Delete(1234)).unwrap();
         assert_eq!(seq, 9);
         drop(w);

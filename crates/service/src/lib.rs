@@ -21,9 +21,12 @@
 //!   or be logged;
 //! * [`server`] — [`MetadataServer`], a facade over N per-group shards,
 //!   each a full `SmartStoreSystem` with (optionally) its own store
-//!   directory and write-ahead log; reads scatter through the `&self`
-//!   [`smartstore::query::QueryEngine`] and writes route to exactly one
-//!   shard;
+//!   directory and write-ahead log; reads visit every healthy shard
+//!   through the `&self` [`smartstore::query::QueryEngine`] — a point
+//!   lookup shard after shard on the calling thread (a shard's share of
+//!   it is one key hash and a few microseconds, less than waking a pool
+//!   worker costs), range/top-k/stats in parallel on the thread pool —
+//!   and writes route to exactly one shard;
 //! * [`client`] — [`Client`], which batches requests into checksummed
 //!   wire batches and returns merged responses in request order.
 //!

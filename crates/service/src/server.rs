@@ -9,8 +9,10 @@
 //! chains, and (optionally) its own store directory with snapshot +
 //! write-ahead log, so each server journals only its own groups.
 //!
-//! Reads scatter to every shard through the `&self`
-//! [`smartstore::query::QueryEngine`] and gather through the
+//! Reads visit every shard through the `&self`
+//! [`smartstore::query::QueryEngine`] — point lookups inline on the
+//! calling thread, range/top-k/stats fanned out on the thread pool (see
+//! [`MetadataServer::serve_read`]) — and gather through the
 //! deterministic merges in [`crate::protocol`]; the merged answer is
 //! bit-identical to a single unsharded system's (the parity suite in
 //! `tests/parity.rs` asserts this across shard counts, query kinds and
@@ -278,9 +280,7 @@ impl MetadataServer {
             }
             match SmartStoreSystem::open_from_dir_with(vfs.clone(), &dir) {
                 Ok((sys, store, _report)) => {
-                    for f in sys.current_files() {
-                        owner.insert(f.file_id, i);
-                    }
+                    register_owner(&mut owner, &sys, i);
                     shards.push(ShardSlot::Up(Box::new(Shard {
                         sys,
                         store: Some(store),
@@ -408,9 +408,7 @@ impl MetadataServer {
             )));
         };
         let (sys, store, _report) = SmartStoreSystem::open_from_dir_with(self.vfs.clone(), &dir)?;
-        for f in sys.current_files() {
-            self.owner.insert(f.file_id, i);
-        }
+        register_owner(&mut self.owner, &sys, i);
         self.shards[i] = ShardSlot::Up(Box::new(Shard {
             sys,
             store: Some(store),
@@ -703,12 +701,20 @@ impl MetadataServer {
     /// Read-only counterpart of [`Self::handle`] for concurrent
     /// readers; mutations come back as [`Response::Error`].
     ///
-    /// The shard fan-out runs on the shared thread pool: every shard
-    /// evaluates through its `&self` query engine in parallel, and the
-    /// pool's order-preserving `collect` hands the replies to the merge
-    /// in shard order — the merged answer is bit-identical to the
-    /// sequential dispatch at every thread count (the serving bench
-    /// gates on exactly that before timing).
+    /// Every healthy shard evaluates the request through its `&self`
+    /// query engine and the replies reach the merge in shard order.
+    /// *Where* they evaluate depends on the request kind alone:
+    ///
+    /// * a point lookup runs shard after shard on the calling thread —
+    ///   a shard's share is a few microseconds (one key hash, a Bloom
+    ///   descent, the routed units' probes), less than it costs to wake
+    ///   a pool worker for it;
+    /// * range, top-k and stats fan out on the shared thread pool,
+    ///   whose order-preserving `collect` keeps shard order.
+    ///
+    /// Either way the merged answer is bit-identical to the sequential
+    /// dispatch at every thread count (the serving bench gates on
+    /// exactly that before timing).
     ///
     /// With part of the fleet quarantined, the fan-out covers only the
     /// healthy shards and the merged answer is wrapped in
@@ -724,10 +730,13 @@ impl MetadataServer {
         if healthy.is_empty() {
             return Response::Unavailable("every shard is quarantined".into());
         }
-        let replies: Vec<Response> = healthy
-            .par_iter()
-            .map(|&s| self.query_shard(s, req))
-            .collect();
+        let replies: Vec<Response> = match req {
+            Request::Point { .. } => healthy.iter().map(|&s| self.query_shard(s, req)).collect(),
+            _ => healthy
+                .par_iter()
+                .map(|&s| self.query_shard(s, req))
+                .collect(),
+        };
         let merged = crate::protocol::merge_responses(req, replies);
         let missing_shards = self.quarantined_shards();
         if missing_shards.is_empty() {
@@ -755,6 +764,14 @@ impl MetadataServer {
             }
         }
         Ok(())
+    }
+}
+
+/// Records `shard` as the owner of every file `sys` holds, reading the
+/// units' dense id columns — the ids are all this needs of the records.
+fn register_owner(owner: &mut HashMap<u64, usize>, sys: &SmartStoreSystem, shard: usize) {
+    for unit in sys.units() {
+        owner.extend(unit.file_ids().iter().map(|&id| (id, shard)));
     }
 }
 

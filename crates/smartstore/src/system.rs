@@ -355,8 +355,8 @@ impl SmartStoreSystem {
     pub fn from_parts(parts: SystemParts) -> Self {
         let mut owner = HashMap::new();
         for u in &parts.units {
-            for f in u.files() {
-                owner.insert(f.file_id, u.id);
+            for &id in u.file_ids() {
+                owner.insert(id, u.id);
             }
         }
         let tree = SemanticRTree::from_parts(parts.tree, &parts.cfg);
@@ -584,19 +584,25 @@ impl SmartStoreSystem {
 
     /// Point-query evaluation (see [`crate::query::QueryEngine::point`]).
     pub(crate) fn eval_point(&self, name: &str) -> QueryOutcome {
-        let route = self.tree.route_point(name);
-        let mut trace = RouteTrace::routed(&route);
-        // Every Bloom-positive unit is where a point answer is looked
-        // for, so all routed groups count as bearing.
-        trace.bearing_group_hops = route.group_hops;
+        // The name is hashed here, once; the descent and every unit it
+        // reaches probe with the same prepared key.
+        let key = self.tree.prepare_point(name);
+        let mut trace = RouteTrace::default();
         let mut results = Vec::new();
-        for &u in &route.target_units {
-            let (hit, w) = self.units[u].point_query(name);
+        let descent = self.tree.descend_point(&key, |u| {
+            trace.units_routed += 1;
+            let (hit, w) = self.units[u].point_query_prepared(name, &key);
             if let Some(f) = hit {
                 results.push(f.file_id);
             }
             trace.add_unit(w);
-        }
+        });
+        trace.nodes_visited = descent.nodes_visited;
+        trace.filters_probed = descent.filters_probed;
+        trace.group_hops = descent.group_hops;
+        // Every Bloom-positive unit is where a point answer is looked
+        // for, so all routed groups count as bearing.
+        trace.bearing_group_hops = descent.group_hops;
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
             // refresh is found in the version chains.

@@ -18,7 +18,7 @@
 use crate::config::SmartStoreConfig;
 use crate::grouping::{build_hierarchy, GroupingHierarchy};
 use crate::unit::StorageUnit;
-use smartstore_bloom::BloomFilter;
+use smartstore_bloom::{BloomFilter, PreparedKey};
 use smartstore_linalg::cosine_similarity;
 use smartstore_rtree::Rect;
 
@@ -90,6 +90,18 @@ pub struct Route {
     pub group_hops: usize,
 }
 
+/// What one Bloom-guided point descent counted (the units it reached
+/// go to the caller's visitor, see [`SemanticRTree::descend_point`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PointDescent {
+    /// Tree nodes examined.
+    pub nodes_visited: usize,
+    /// Bloom filters probed — one per node examined.
+    pub filters_probed: usize,
+    /// First-level groups the reached units span beyond the first.
+    pub group_hops: usize,
+}
+
 /// The semantic R-tree over a set of storage units.
 #[derive(Clone, Debug)]
 pub struct SemanticRTree {
@@ -97,6 +109,114 @@ pub struct SemanticRTree {
     root: NodeId,
     cfg: SmartStoreConfig,
     free: Vec<NodeId>,
+    /// Storage-unit id → the live leaf hosting it. Derived from `nodes`
+    /// and `free` (rebuilt by [`Self::from_parts`], never persisted);
+    /// only [`Self::insert_unit`] and [`Self::remove_unit`] move a unit
+    /// in or out of a leaf — split and merge re-parent leaves without
+    /// re-housing units. Indexed by unit id: ids are small and dense,
+    /// they index `SmartStoreSystem::units`.
+    leaf_of: Vec<Option<NodeId>>,
+}
+
+/// A `Vec<NodeId>` that lives on the stack up to `N` entries and moves
+/// to the heap beyond: the descent stack and the group tally of a point
+/// query stay allocation-free at any realistic fan-out × height, and a
+/// deeper tree costs an allocation, never a panic.
+enum SpillVec<const N: usize> {
+    Inline { buf: [NodeId; N], len: usize },
+    Heap(Vec<NodeId>),
+}
+
+impl<const N: usize> SpillVec<N> {
+    fn new() -> Self {
+        SpillVec::Inline {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, id: NodeId) {
+        match self {
+            SpillVec::Inline { buf, len } if *len < N => {
+                buf[*len] = id;
+                *len += 1;
+            }
+            SpillVec::Inline { buf, .. } => {
+                let mut spilled = Vec::with_capacity(2 * N);
+                spilled.extend_from_slice(buf);
+                spilled.push(id);
+                *self = SpillVec::Heap(spilled);
+            }
+            SpillVec::Heap(v) => v.push(id),
+        }
+    }
+
+    fn pop(&mut self) -> Option<NodeId> {
+        match self {
+            SpillVec::Inline { len: 0, .. } => None,
+            SpillVec::Inline { buf, len } => {
+                *len -= 1;
+                Some(buf[*len])
+            }
+            SpillVec::Heap(v) => v.pop(),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [NodeId] {
+        match self {
+            SpillVec::Inline { buf, len } => &mut buf[..*len],
+            SpillVec::Heap(v) => v,
+        }
+    }
+}
+
+/// Tally of the first-level groups a query's units fall in.
+struct GroupSpan(SpillVec<16>);
+
+impl GroupSpan {
+    fn new() -> Self {
+        GroupSpan(SpillVec::new())
+    }
+
+    /// Notes one unit's group. Units of one group arrive back to back
+    /// from a tree descent, so skipping a repeat of the last group
+    /// keeps the tally near the number of *groups*.
+    fn note(&mut self, group: NodeId) {
+        if self.0.as_mut_slice().last() != Some(&group) {
+            self.0.push(group);
+        }
+    }
+
+    /// Groups noted beyond the first (0 for none or one — the paper's
+    /// 0-hop case).
+    fn extra_groups(mut self) -> usize {
+        let groups = self.0.as_mut_slice();
+        groups.sort_unstable();
+        let distinct = groups.len() - groups.windows(2).filter(|w| w[0] == w[1]).count();
+        distinct.saturating_sub(1)
+    }
+}
+
+/// Builds the unit → leaf table from an arena: the lowest-numbered live
+/// leaf of each unit.
+fn index_leaves(nodes: &[SemanticNode], free: &[NodeId]) -> Vec<Option<NodeId>> {
+    let mut live = vec![true; nodes.len()];
+    for &f in free {
+        if let Some(slot) = live.get_mut(f) {
+            *slot = false;
+        }
+    }
+    let mut leaf_of = Vec::new();
+    for (id, node) in nodes.iter().enumerate() {
+        let Some(unit) = node.unit.filter(|_| live[id]) else {
+            continue;
+        };
+        if leaf_of.len() <= unit {
+            leaf_of.resize(unit + 1, None);
+        }
+        leaf_of[unit].get_or_insert(id);
+    }
+    leaf_of
 }
 
 /// The raw structural state of a [`SemanticRTree`] — everything needed
@@ -172,18 +292,13 @@ impl SemanticRTree {
             })
             .collect();
 
-        // If there is a single unit, it is its own root.
-        if units.len() == 1 {
-            let root = prev_level_ids[0];
-            return Self {
-                nodes,
-                root,
-                cfg: cfg.clone(),
-                free: Vec::new(),
-            };
-        }
-
-        for (lvl_idx, level) in hierarchy.levels.iter().enumerate() {
+        // A single unit is its own root: no level is stacked on it.
+        let levels = if units.len() == 1 {
+            &[][..]
+        } else {
+            &hierarchy.levels[..]
+        };
+        for (lvl_idx, level) in levels.iter().enumerate() {
             let level_no = lvl_idx as u32 + 1;
             let mut this_level_ids = Vec::with_capacity(level.groups.len());
             for group in &level.groups {
@@ -210,13 +325,14 @@ impl SemanticRTree {
             prev_level_ids = this_level_ids;
         }
         debug_assert_eq!(prev_level_ids.len(), 1, "hierarchy must end in one root");
-        let root = prev_level_ids[0];
-        Self {
-            nodes,
-            root,
-            cfg: cfg.clone(),
-            free: Vec::new(),
-        }
+        Self::from_parts(
+            TreeParts {
+                nodes,
+                root: prev_level_ids[0],
+                free: Vec::new(),
+            },
+            cfg,
+        )
     }
 
     /// Exports the tree's structural state for serialization.
@@ -239,6 +355,7 @@ impl SemanticRTree {
             "from_parts: root out of range"
         );
         Self {
+            leaf_of: index_leaves(&parts.nodes, &parts.free),
             nodes: parts.nodes,
             root: parts.root,
             cfg: cfg.clone(),
@@ -258,8 +375,7 @@ impl SemanticRTree {
 
     /// The leaf node hosting storage unit `unit_id`, if present.
     pub fn leaf_of_unit(&self, unit_id: usize) -> Option<NodeId> {
-        self.live_node_ids()
-            .find(|&id| self.nodes[id].unit == Some(unit_id))
+        self.leaf_of.get(unit_id).copied().flatten()
     }
 
     /// Ids of the first-level index units (parents of leaves) — the
@@ -456,44 +572,68 @@ impl SemanticRTree {
     /// Routes a filename point query down Bloom-filter positive paths
     /// (§3.3.3).
     pub fn route_point(&self, name: &str) -> Route {
-        let mut route = Route::default();
-        let mut stack = vec![self.root];
+        let mut target_units = Vec::new();
+        let descent = self.descend_point(&self.prepare_point(name), |unit| {
+            target_units.push(unit);
+        });
+        Route {
+            target_units,
+            nodes_visited: descent.nodes_visited,
+            filters_probed: descent.filters_probed,
+            group_hops: descent.group_hops,
+        }
+    }
+
+    /// Hashes a filename once for [`Self::descend_point`], in the hash
+    /// family and hash count of this tree's filters.
+    pub(crate) fn prepare_point<'k>(&self, name: &'k str) -> PreparedKey<'k> {
+        self.nodes[self.root].bloom.prepare(name.as_bytes())
+    }
+
+    /// The point descent (§3.3.3): depth-first from the root, probing
+    /// each node's filter with the prepared `key` and following only
+    /// the positive ones; `visit` is called with the storage-unit id of
+    /// every positive leaf, in visit order.
+    pub(crate) fn descend_point(
+        &self,
+        key: &PreparedKey<'_>,
+        mut visit: impl FnMut(usize),
+    ) -> PointDescent {
+        let mut descent = PointDescent::default();
+        let mut groups = GroupSpan::new();
+        let mut stack = SpillVec::<64>::new();
+        stack.push(self.root);
         while let Some(n) = stack.pop() {
-            route.nodes_visited += 1;
-            route.filters_probed += 1;
+            descent.nodes_visited += 1;
+            descent.filters_probed += 1;
             let node = &self.nodes[n];
-            if !node.bloom.contains(name.as_bytes()) {
+            if !node.bloom.contains_prepared(key) {
                 continue;
             }
             if node.level == 0 {
                 if let Some(unit) = node.unit {
-                    route.target_units.push(unit);
+                    groups.note(self.group_of_leaf(n));
+                    visit(unit);
                 }
             } else {
-                stack.extend(node.children.iter().copied());
+                for &c in &node.children {
+                    stack.push(c);
+                }
             }
         }
-        route.group_hops = self.group_hops(route.target_units.iter().copied());
-        route
+        descent.group_hops = groups.extra_groups();
+        descent
     }
 
     /// Number of *extra* first-level groups a set of units spans (0
     /// when all of them share one group — the paper's 0-hop case).
-    /// Repeated unit ids are fine; up to one unit costs no lookup.
+    /// Repeated unit ids are fine.
     pub fn group_hops(&self, units: impl IntoIterator<Item = usize>) -> usize {
-        let mut units = units.into_iter();
-        let (Some(first), Some(second)) = (units.next(), units.next()) else {
-            return 0;
-        };
-        let mut groups: Vec<NodeId> = [first, second]
-            .into_iter()
-            .chain(units)
-            .filter_map(|u| self.leaf_of_unit(u))
-            .map(|leaf| self.group_of_leaf(leaf))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups.len().saturating_sub(1)
+        let mut groups = GroupSpan::new();
+        for leaf in units.into_iter().filter_map(|u| self.leaf_of_unit(u)) {
+            groups.note(self.group_of_leaf(leaf));
+        }
+        groups.extra_groups()
     }
 
     /// The first-level index unit whose semantic centroid is most
@@ -533,6 +673,10 @@ impl SemanticRTree {
             unit: Some(unit.id),
             leaf_count: 1,
         });
+        if self.leaf_of.len() <= unit.id {
+            self.leaf_of.resize(unit.id + 1, None);
+        }
+        self.leaf_of[unit.id] = Some(leaf);
 
         // Degenerate tree (root is a leaf): grow a level-1 root.
         if self.nodes[self.root].level == 0 {
@@ -604,6 +748,7 @@ impl SemanticRTree {
         let Some(leaf) = self.leaf_of_unit(unit_id) else {
             return false;
         };
+        self.leaf_of[unit_id] = None;
         let Some(parent) = self.nodes[leaf].parent else {
             // Removing the only unit: leave an empty leaf root.
             self.nodes[leaf].mbr = None;
@@ -874,11 +1019,23 @@ impl SemanticRTree {
     }
 
     /// Validates structure: parent/child symmetry, MBR containment,
-    /// level consistency, fan-out bounds (root exempt from the minimum).
+    /// level consistency, fan-out bounds (root exempt from the minimum),
+    /// and that the unit → leaf table lists exactly the leaves reachable
+    /// from the root.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let mut housed = 0;
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
             let node = &self.nodes[n];
+            if let Some(unit) = node.unit {
+                if self.leaf_of_unit(unit) != Some(n) {
+                    return Err(format!(
+                        "leaf {n} hosts unit {unit} but the table says {:?}",
+                        self.leaf_of_unit(unit)
+                    ));
+                }
+                housed += 1;
+            }
             if node.level > 0 {
                 if node.children.is_empty() {
                     return Err(format!("index node {n} has no children"));
@@ -914,6 +1071,12 @@ impl SemanticRTree {
                     ));
                 }
             }
+        }
+        let listed = self.leaf_of.iter().flatten().count();
+        if listed != housed {
+            return Err(format!(
+                "unit table lists {listed} leaves, the tree houses {housed}"
+            ));
         }
         Ok(())
     }

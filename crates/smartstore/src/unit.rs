@@ -29,7 +29,7 @@
 //! is a pure function of the record and the scan visits rows in the
 //! same order.
 
-use smartstore_bloom::{BloomFilter, HashFamily};
+use smartstore_bloom::{BloomFilter, HashFamily, PreparedKey};
 use smartstore_rtree::Rect;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
@@ -567,9 +567,16 @@ impl StorageUnit {
         self.files.push(file);
     }
 
+    /// The first slot holding `file_id`, found in the dense id column
+    /// (`ids[i] == files[i].file_id`) rather than by striding through
+    /// the records.
+    fn slot_of(&self, file_id: u64) -> Option<usize> {
+        self.ids.iter().position(|&id| id == file_id)
+    }
+
     /// Removes a file by id without refreshing summaries.
     pub fn remove_file_raw(&mut self, file_id: u64) -> Option<FileMetadata> {
-        let pos = self.files.iter().position(|f| f.file_id == file_id)?;
+        let pos = self.slot_of(file_id)?;
         self.remove_column_slot(pos);
         Some(self.files.remove(pos))
     }
@@ -577,7 +584,7 @@ impl StorageUnit {
     /// Replaces a file's metadata in place without refreshing summaries;
     /// inserts if absent.
     pub fn modify_file_raw(&mut self, file: FileMetadata) {
-        match self.files.iter().position(|f| f.file_id == file.file_id) {
+        match self.slot_of(file.file_id) {
             Some(slot) => {
                 let row = file.attr_vector();
                 self.coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS].copy_from_slice(&row);
@@ -648,11 +655,23 @@ impl StorageUnit {
     /// names the first slot in store order answers, matching the
     /// pre-columnar prefix scan.
     pub fn point_query(&self, name: &str) -> (Option<&FileMetadata>, LocalWork) {
+        self.point_query_prepared(name, &self.bloom.prepare(name.as_bytes()))
+    }
+
+    /// [`Self::point_query`] with `name` already hashed into `key` —
+    /// the form a routed point query uses, so the units it reaches
+    /// share the hash its tree descent made.
+    pub(crate) fn point_query_prepared(
+        &self,
+        name: &str,
+        key: &PreparedKey<'_>,
+    ) -> (Option<&FileMetadata>, LocalWork) {
+        debug_assert_eq!(key.key(), name.as_bytes(), "key prepared from another name");
         let mut work = LocalWork {
             records: 0,
             filters: 1,
         };
-        if !self.bloom.contains(name.as_bytes()) {
+        if !self.bloom.contains_prepared(key) {
             return (None, work);
         }
         match self.lookup_name(name) {

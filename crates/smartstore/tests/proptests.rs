@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use smartstore::config::SmartStoreConfig;
 use smartstore::grouping::{group_level, partition_tiled, wcss};
-use smartstore::tree::SemanticRTree;
+use smartstore::tree::{NodeId, SemanticRTree};
 use smartstore::unit::StorageUnit;
 use smartstore::versioning::{Change, VersionStore};
 use smartstore_trace::{FileMetadata, GeneratorConfig, MetadataPopulation};
@@ -27,6 +27,35 @@ fn meta(id: u64, size: u64, t: f64) -> FileMetadata {
         access_count: 1,
         proc_id: (id % 16) as u32,
         truth_cluster: None,
+    }
+}
+
+/// Checks `leaf_of_unit` against a walk of the tree from its root: the
+/// walk finds exactly the `live` units, each in the leaf the table
+/// names, and no removed unit is still listed.
+fn assert_unit_table_matches_walk(tree: &SemanticRTree, live: &[usize], removed: &[usize]) {
+    let mut walked: Vec<(usize, NodeId)> = Vec::new();
+    let mut stack = vec![tree.root()];
+    while let Some(n) = stack.pop() {
+        let node = tree.node(n);
+        if let Some(unit) = node.unit {
+            walked.push((unit, n));
+        }
+        stack.extend(node.children.iter().copied());
+    }
+    walked.sort_unstable();
+    let mut expected = live.to_vec();
+    expected.sort_unstable();
+    assert_eq!(
+        walked.iter().map(|&(u, _)| u).collect::<Vec<_>>(),
+        expected,
+        "units reachable from the root"
+    );
+    for (unit, leaf) in walked {
+        assert_eq!(tree.leaf_of_unit(unit), Some(leaf), "unit {unit}");
+    }
+    for &unit in removed {
+        assert_eq!(tree.leaf_of_unit(unit), None, "removed unit {unit}");
     }
 }
 
@@ -120,6 +149,61 @@ proptest! {
         tree.insert_unit(&extra);
         tree.check_invariants().unwrap();
         prop_assert!(tree.leaf_of_unit(777).is_some());
+    }
+
+    #[test]
+    fn unit_table_follows_inserts_removes_splits_and_merges(
+        ops in prop::collection::vec((0u32..3, any::<prop::sample::Index>(), 1usize..4), 10..70),
+    ) {
+        // A fan-out of 4 makes a handful of inserts split a group and a
+        // handful of removals merge one, so a short sequence crosses
+        // both reconfigurations (and arena-slot reuse) many times.
+        let cfg = SmartStoreConfig {
+            rtree: smartstore_rtree::RTreeConfig::new(4, 2),
+            ..SmartStoreConfig::default()
+        };
+        let unit = |id: usize| {
+            let files: Vec<FileMetadata> = (0..6u64)
+                .map(|i| {
+                    let fid = id as u64 * 100 + i;
+                    meta(fid, 500 + fid * 13 % 7000, id as f64 * 37.0 + i as f64)
+                })
+                .collect();
+            StorageUnit::new(id, cfg.bloom_bits, cfg.bloom_hashes, files)
+        };
+        let seed_units: Vec<StorageUnit> = (0..3).map(unit).collect();
+        let mut tree = SemanticRTree::build(&seed_units, &cfg);
+        let mut live: Vec<usize> = vec![0, 1, 2];
+        let mut removed: Vec<usize> = Vec::new();
+        let mut next_id = 3usize;
+        for (kind, pick, gap) in ops {
+            // Two inserts for every removal, so the tree grows through
+            // splits and still shrinks through merges; ids leave gaps.
+            if kind > 0 || live.len() <= 1 {
+                next_id += gap;
+                tree.insert_unit(&unit(next_id));
+                live.push(next_id);
+            } else {
+                let victim = live.remove(pick.index(live.len()));
+                prop_assert!(tree.remove_unit(victim));
+                removed.push(victim);
+            }
+            tree.check_invariants().unwrap();
+            assert_unit_table_matches_walk(&tree, &live, &removed);
+        }
+        // The table is derived state: a tree reassembled from its parts
+        // has the same one.
+        let back = SemanticRTree::from_parts(tree.to_parts(), &cfg);
+        back.check_invariants().unwrap();
+        assert_unit_table_matches_walk(&back, &live, &removed);
+        // And shrinking to one unit leaves that unit listed.
+        while live.len() > 1 {
+            let victim = live.remove(0);
+            prop_assert!(tree.remove_unit(victim));
+            removed.push(victim);
+            tree.check_invariants().unwrap();
+            assert_unit_table_matches_walk(&tree, &live, &removed);
+        }
     }
 
     #[test]

@@ -134,6 +134,48 @@ fn point_query_finds_files_and_rejects_ghosts() {
 }
 
 #[test]
+fn point_trace_is_the_public_route_plus_the_routed_units_probes() {
+    // `eval_point` walks the tree and probes the units in one pass over
+    // one prepared key. What it reports must be what the public pieces
+    // report when called one after another, each hashing for itself:
+    // `route_point`, then `point_query` at every routed unit.
+    use smartstore::routing::RouteTrace;
+    let (mut sys, pop) = system(6000, 40, 23);
+    // Version chains answer only after the units have; off, the trace
+    // is the tree's and the units' alone.
+    sys.set_versioning(false);
+    // A stale index too: files the units hold that no filter knows.
+    for f in pop.files.iter().take(40) {
+        let mut moved = f.clone();
+        moved.file_id += 1_000_000;
+        moved.name = format!("late_{}", f.name);
+        sys.apply_change(Change::Insert(moved));
+    }
+    let names = (pop.files.iter().step_by(8).map(|f| f.name.clone()))
+        .chain((0..40).map(|i| format!("late_{}", pop.files[i].name)))
+        .chain((0..210).map(|i| format!("ghost_{i:05}.dat")));
+    let mut checked = 0;
+    for name in names {
+        let route = sys.tree().route_point(&name);
+        let mut want = RouteTrace::routed(&route);
+        want.bearing_group_hops = route.group_hops;
+        let mut ids = Vec::new();
+        for &u in &route.target_units {
+            let (hit, work) = sys.units()[u].point_query(&name);
+            ids.extend(hit.map(|f| f.file_id));
+            want.add_unit(work);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let got = sys.query().point(&name);
+        assert_eq!(got.trace, want, "trace of {name:?}");
+        assert_eq!(got.file_ids, ids, "answer of {name:?}");
+        checked += 1;
+    }
+    assert_eq!(checked, 1000);
+}
+
+#[test]
 fn topk_visits_few_units_thanks_to_maxd() {
     let (sys, pop) = system(3000, 30, 12);
     let w = QueryWorkload::generate(
