@@ -127,130 +127,6 @@ fn wal_knob_sweep(n_files: usize, n_changes: u64, report_dir: &Path) {
     }
 }
 
-/// The differential-compaction sweep (the ISSUE's acceptance
-/// scenario): concentrate churn on a small *hot* fraction of the
-/// units, then compare what a delta generation writes against what a
-/// full-image rewrite of the same state writes. Delta cost must track
-/// the churn footprint, not the corpus size — and recovery from
-/// base + delta must be bit-identical to recovery from a full image.
-fn delta_churn_sweep(n_files: usize, n_units: usize, n_changes: u64, report_dir: &Path) {
-    let pop = population(TraceKind::Msn, n_files, 23);
-    let base_sys = SmartStoreSystem::build(pop.files, n_units, SmartStoreConfig::default(), 23);
-    let fingerprint = |sys: &SmartStoreSystem| snapshot::encode_snapshot(&sys.to_parts()).0;
-
-    let mut report = Report::new(
-        "delta_churn_sweep",
-        "Differential vs full compaction under churn-skewed workloads",
-        &[
-            "hot_unit_pct",
-            "dirty_units",
-            "total_units",
-            "delta_bytes",
-            "full_bytes",
-            "bytes_ratio_pct",
-            "delta_encode_ms",
-            "full_compact_ms",
-        ],
-    );
-
-    for hot_frac in [0.05f64, 0.25, 0.50] {
-        // Two identical replicas: one compacts differentially, the
-        // other rewrites the full image from the same state.
-        let mut sys_d = SmartStoreSystem::from_parts(base_sys.to_parts());
-        let mut sys_f = SmartStoreSystem::from_parts(base_sys.to_parts());
-        let dir_d = bench_dir(&format!("delta{}", (hot_frac * 100.0) as u32));
-        let dir_f = bench_dir(&format!("full{}", (hot_frac * 100.0) as u32));
-        let (mut st_d, _) = sys_d.save_snapshot(&dir_d).unwrap();
-        let (mut st_f, _) = sys_f.save_snapshot(&dir_f).unwrap();
-
-        // Hot set: the files of the first `hot_frac` of units. Deletes
-        // and modifies route to the owner, so the churn footprint
-        // stays inside the hot units (plus any group-mates a lazy
-        // refresh touches).
-        let hot_units = ((n_units as f64 * hot_frac).ceil() as usize).max(1);
-        let hot_files: Vec<FileMetadata> = sys_d.units()[..hot_units]
-            .iter()
-            .flat_map(|u| u.files().iter().cloned())
-            .collect();
-        for i in 0..n_changes {
-            let mut f = hot_files[(i as usize * 17) % hot_files.len()].clone();
-            f.size = f.size.wrapping_add(1 + i).max(1);
-            f.mtime += 1.0;
-            let ch = Change::Modify(f);
-            sys_d.apply_journaled(&mut st_d, ch.clone()).unwrap();
-            sys_f.apply_journaled(&mut st_f, ch).unwrap();
-        }
-        st_d.sync().unwrap();
-        st_f.sync().unwrap();
-
-        let dirty = sys_d.dirty_count();
-        // Differential path, two-phase: the cut is the only writer-side
-        // work; the encode runs off the write path.
-        let cut = st_d.begin_delta_compaction(&mut sys_d).unwrap();
-        let t0 = Instant::now();
-        let encoded = cut.encode();
-        let delta_encode_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let delta_stats = st_d.install_delta(encoded).unwrap();
-
-        // Full-image path on the identical twin.
-        let t0 = Instant::now();
-        let full_stats = st_f.compact(&mut sys_f).unwrap();
-        let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        assert!(
-            delta_stats.bytes < full_stats.bytes,
-            "delta generation ({} B) must write fewer bytes than the full image ({} B)",
-            delta_stats.bytes,
-            full_stats.bytes
-        );
-
-        // Recovery bit-identity: base + delta vs the fresh full image
-        // must reproduce the same (identical) live state exactly.
-        drop(st_d);
-        drop(st_f);
-        let (rec_d, _, rep_d) = SmartStoreSystem::open_from_dir(&dir_d).unwrap();
-        let (rec_f, _, rep_f) = SmartStoreSystem::open_from_dir(&dir_f).unwrap();
-        assert_eq!(rep_d.deltas_folded, 1);
-        assert_eq!(rep_f.deltas_folded, 0);
-        let live_print = fingerprint(&sys_d);
-        assert_eq!(
-            fingerprint(&rec_d),
-            live_print,
-            "delta-chain recovery diverged"
-        );
-        assert_eq!(
-            fingerprint(&rec_f),
-            live_print,
-            "full-image recovery diverged"
-        );
-
-        report.row(&[
-            format!("{:.0}", hot_frac * 100.0),
-            dirty.to_string(),
-            n_units.to_string(),
-            delta_stats.bytes.to_string(),
-            full_stats.bytes.to_string(),
-            format!(
-                "{:.1}",
-                delta_stats.bytes as f64 / full_stats.bytes as f64 * 100.0
-            ),
-            format!("{delta_encode_ms:.1}"),
-            format!("{full_ms:.1}"),
-        ]);
-        let _ = std::fs::remove_dir_all(&dir_d);
-        let _ = std::fs::remove_dir_all(&dir_f);
-    }
-    report.note(format!(
-        "{n_files}-file / {n_units}-unit system, {n_changes} modifies concentrated on the hot \
-         fraction; delta bytes track the dirty footprint while full bytes stay O(corpus); \
-         recovery verified bit-identical to a full-snapshot open before reporting"
-    ));
-    print!("{}", report.render());
-    if let Err(e) = report.write_json(report_dir) {
-        eprintln!("warning: could not write JSON report: {e}");
-    }
-}
-
 fn bench_persistence(c: &mut Criterion) {
     let (n_files, n_units, n_changes) = scale();
     println!("== persistence benchmark: {n_files} files, {n_units} units, {n_changes} journaled changes ==");
@@ -264,18 +140,6 @@ fn bench_persistence(c: &mut Criterion) {
         (5_000, 2_000)
     };
     wal_knob_sweep(knob_files, knob_changes, &report_dir);
-
-    // Churn-skewed differential-compaction sweep: delta cost must
-    // scale with the hot footprint, not the corpus.
-    // Enough units that the corpus spans several first-level groups —
-    // with a single group, a lazy refresh dirties every unit and no
-    // skew is expressible.
-    let (sweep_files, sweep_units, sweep_changes) = if n_files <= 5_000 {
-        (4_000, 40, 120)
-    } else {
-        (20_000, 60, 1_200)
-    };
-    delta_churn_sweep(sweep_files, sweep_units, sweep_changes, &report_dir);
 
     // Build once (expensive at 50k) and time it — this is the "full
     // regroup" cost a restart would pay without persistence.

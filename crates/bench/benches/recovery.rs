@@ -104,12 +104,9 @@ fn churn_sweep(n_files: usize, n_units: usize, levels: &[u64], report_dir: &Path
     );
 
     for &n_changes in levels {
-        // A fresh twin per level: compaction thresholds are left at
-        // their defaults, so high churn levels also exercise recovery
-        // across whatever delta chain the store cut along the way.
+        // A fresh twin per level with compaction disabled, so
+        // `n_changes` really is the replay length being measured.
         let mut parts = base_sys.to_parts();
-        // Keep the WAL un-compacted across the sweep so `n_changes`
-        // really is the replay length being measured.
         parts.cfg.persist.wal_compact_bytes = u64::MAX;
         let mut sys = SmartStoreSystem::from_parts(parts);
         let dir = bench_dir(&format!("churn{n_changes}"));

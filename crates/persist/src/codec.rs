@@ -28,11 +28,15 @@ use std::collections::HashMap;
 
 /// Highest artifact format version this build reads and the version it
 /// writes. v2 added differential snapshots: the manifest carries the
-/// base + delta generation chain and the config carries
-/// `max_delta_chain`. v3 added the Bloom hash-family tag to every
+/// base + delta generation chain and the config carries a
+/// `max_delta_chain` slot. v3 added the Bloom hash-family tag to every
 /// persisted filter and to the config; v2 images decode their filters
 /// as [`HashFamily::Md5`] (the only family that existed then) and are
-/// migrated in memory on open.
+/// migrated in memory on open. Since PR 25 nothing writes deltas: the
+/// manifest's chain is always written empty and the config slot always
+/// holds `0` ("deltas disabled" to the builds that still wrote them,
+/// so they read these images unchanged); both are still read, so old
+/// delta chains open.
 pub const FORMAT_VERSION: u16 = 3;
 
 /// Upper bound on a single record's payload (sanity check against
@@ -808,17 +812,17 @@ pub fn put_config(e: &mut Enc, c: &SmartStoreConfig) {
     e.u32(c.version_ratio);
     e.usize(c.persist.wal_sync_every);
     e.u64(c.persist.wal_compact_bytes);
-    e.usize(c.persist.max_delta_chain);
+    // The legacy `max_delta_chain` slot: 0 = no deltas.
+    e.usize(0);
 }
 
 /// Decodes the full configuration. `version` is the containing
-/// artifact's format version: v1 images predate `max_delta_chain`, so
-/// for them the field is not read and the default chain policy applies
-/// — reopening a v1 store upgrades it to differential compaction (its
-/// next manifest flip writes v2). Likewise, v2 images predate
-/// `bloom_family`: the *desired* family decodes as the build default
-/// (the fast family), while the v2 filters themselves decode as MD5 —
-/// the mismatch is what triggers the in-memory migration on open.
+/// artifact's format version: v1 images predate the legacy
+/// `max_delta_chain` slot, which v2+ images carry and this build skips.
+/// v2 images predate `bloom_family`: the *desired* family decodes as
+/// the build default (the fast family), while the v2 filters themselves
+/// decode as MD5 — the mismatch is what triggers the in-memory
+/// migration on open.
 pub fn get_config(d: &mut Dec, version: u16) -> DecResult<SmartStoreConfig> {
     let lsi_rank = d.usize()?;
     let n_dims = d.u32()? as usize;
@@ -851,14 +855,15 @@ pub fn get_config(d: &mut Dec, version: u16) -> DecResult<SmartStoreConfig> {
         autoconfig_threshold: d.f64()?,
         lazy_update_threshold: d.f64()?,
         version_ratio: d.u32()?,
-        persist: PersistConfig {
-            wal_sync_every: d.usize()?,
-            wal_compact_bytes: d.u64()?,
-            max_delta_chain: if version >= 2 {
-                d.usize()?
-            } else {
-                PersistConfig::default().max_delta_chain
-            },
+        persist: {
+            let persist = PersistConfig {
+                wal_sync_every: d.usize()?,
+                wal_compact_bytes: d.u64()?,
+            };
+            if version >= 2 {
+                d.usize()?; // legacy `max_delta_chain` slot
+            }
+            persist
         },
     })
 }

@@ -21,16 +21,14 @@
 //! * [`vfs`] — the filesystem abstraction everything above runs on:
 //!   [`vfs::RealVfs`] in production, the deterministic fault-injecting
 //!   [`vfs::FaultVfs`] under the crash-recovery torture harness;
-//! * [`store`] — [`PersistentStore`]: manifest + snapshot chain +
-//!   active WAL; **crash recovery** is `open` = load the base snapshot,
-//!   fold the delta chain, replay surviving WAL frames through the
-//!   system's own deterministic [`SmartStoreSystem::apply_change`]
-//!   (returning a [`RecoveryReport`] of generations folded, frames
-//!   replayed, and bytes quarantined), and **compaction** is
-//!   incremental: per-unit dirty tracking lets it write cheap
-//!   *differential* generations (only the churn footprint re-encodes)
-//!   with the expensive encode off the write path, falling back to a
-//!   full rewrite when the chain outgrows `persist.max_delta_chain`.
+//! * [`store`] — [`PersistentStore`]: manifest + snapshot + active
+//!   WAL; **crash recovery** is `open` = load the base snapshot, fold
+//!   any legacy delta chain (written by builds before PR 25; read-only),
+//!   replay surviving WAL frames through the system's own deterministic
+//!   [`SmartStoreSystem::apply_change`] (returning a [`RecoveryReport`]
+//!   of generations folded, frames replayed, and bytes quarantined),
+//!   and **compaction** is one operation: a full-image rewrite once the
+//!   WAL outgrows `persist.wal_compact_bytes`.
 //!
 //! The recovery invariant the torture harness
 //! (`crates/persist/tests/torture.rs`) enforces at every injectable
@@ -62,12 +60,8 @@ pub mod vfs;
 pub mod wal;
 
 pub use error::{PersistError, Result};
-pub use snapshot::{
-    load_delta, load_snapshot, write_delta, write_snapshot, DeltaStats, SnapshotStats,
-};
-pub use store::{
-    CompactionOutcome, DeltaCompaction, EncodedDelta, PersistentStore, RecoveryReport, StoreOptions,
-};
+pub use snapshot::{load_snapshot, write_snapshot, SnapshotStats};
+pub use store::{CompactionOutcome, PersistentStore, RecoveryReport};
 pub use vfs::{CrashTail, FaultKind, FaultPlan, FaultVfs, RealVfs, Vfs, VfsFile};
 pub use wal::{WalFrame, WalProbe, WalReplay, WalWriter};
 
@@ -83,23 +77,21 @@ use std::sync::Arc;
 /// system stays storage-agnostic; import it to get the methods.)
 pub trait SystemPersist: Sized {
     /// Snapshots the full system state into `dir` and returns the store
-    /// handle whose WAL will journal subsequent changes. Resets the
-    /// system's per-unit dirty tracking: the written image covers
-    /// everything.
-    fn save_snapshot(&mut self, dir: &Path) -> Result<(PersistentStore, SnapshotStats)>;
+    /// handle whose WAL will journal subsequent changes.
+    fn save_snapshot(&self, dir: &Path) -> Result<(PersistentStore, SnapshotStats)>;
 
     /// [`Self::save_snapshot`] over an explicit [`Vfs`] — the
     /// injectable entry point the torture harness drives.
     fn save_snapshot_with(
-        &mut self,
+        &self,
         vfs: Arc<dyn Vfs>,
         dir: &Path,
     ) -> Result<(PersistentStore, SnapshotStats)>;
 
     /// Crash recovery: reassembles the system from `dir`'s snapshot
-    /// chain (base + differential generations) plus its write-ahead
-    /// log (a torn or corrupt tail is salvaged prefix-first, with the
-    /// unverifiable bytes quarantined to a side file).
+    /// (plus any legacy delta chain) and its write-ahead log (a torn or
+    /// corrupt tail is salvaged prefix-first, with the unverifiable
+    /// bytes quarantined to a side file).
     fn open_from_dir(dir: &Path) -> Result<(Self, PersistentStore, RecoveryReport)>;
 
     /// [`Self::open_from_dir`] over an explicit [`Vfs`].
@@ -110,10 +102,9 @@ pub trait SystemPersist: Sized {
 
     /// Applies one change with write-ahead durability: the frame is
     /// appended (and group-tagged) *before* the in-memory mutation, and
-    /// the WAL is compacted into the next snapshot generation — a cheap
-    /// differential one while the churn footprint allows — once it
-    /// outgrows `cfg.persist.wal_compact_bytes`. Returns the group the
-    /// change landed in.
+    /// the WAL is compacted into the next full snapshot generation once
+    /// it outgrows `cfg.persist.wal_compact_bytes`. Returns the group
+    /// the change landed in.
     fn apply_journaled(
         &mut self,
         store: &mut PersistentStore,
@@ -122,12 +113,12 @@ pub trait SystemPersist: Sized {
 }
 
 impl SystemPersist for SmartStoreSystem {
-    fn save_snapshot(&mut self, dir: &Path) -> Result<(PersistentStore, SnapshotStats)> {
+    fn save_snapshot(&self, dir: &Path) -> Result<(PersistentStore, SnapshotStats)> {
         PersistentStore::create(dir, self)
     }
 
     fn save_snapshot_with(
-        &mut self,
+        &self,
         vfs: Arc<dyn Vfs>,
         dir: &Path,
     ) -> Result<(PersistentStore, SnapshotStats)> {
@@ -156,7 +147,7 @@ impl SystemPersist for SmartStoreSystem {
         let landed = self
             .try_apply_change_journaled(change, |group, ch| store.append(group, ch).map(|_| ()))?;
         if store.should_compact() {
-            store.compact_incremental(self)?;
+            store.compact(self)?;
         }
         Ok(landed)
     }
@@ -290,131 +281,22 @@ mod tests {
             .iter()
             .filter(|n| n.starts_with("snapshot-") && n.ends_with(".snap"))
             .count();
-        let deltas = names
-            .iter()
-            .filter(|n| n.starts_with("delta-") && n.ends_with(".snap"))
-            .count();
+        let deltas = names.iter().filter(|n| n.starts_with("delta-")).count();
         let wals = names.iter().filter(|n| n.ends_with(".log")).count();
         assert_eq!(
             (fulls, deltas, wals),
-            (1, store.delta_chain().len(), 1),
+            (1, 0, 1),
             "stale generations left behind: {names:?}"
         );
         // Reopen and verify equivalence.
         drop(store);
-        let (sys2, store2, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
-        assert_eq!(report.deltas_folded, store2.delta_chain().len());
+        let (sys2, _, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
+        assert_eq!(report.deltas_folded, 0);
         let mut a = sys.current_files();
         let mut b = sys2.current_files();
         a.sort_by_key(|f| f.file_id);
         b.sort_by_key(|f| f.file_id);
         assert_eq!(a, b);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_compaction_encodes_only_the_churn_footprint() {
-        let dir = tmpdir("delta_footprint");
-        let mut sys = small_system(400, 8, 29);
-        let (mut store, full) = sys.save_snapshot(&dir).unwrap();
-        // Concentrate churn on the files of a single unit.
-        let hot: Vec<_> = sys.units()[0].files().to_vec();
-        for (i, f) in hot.iter().take(6).cloned().enumerate() {
-            let mut m = f;
-            m.size += 1 + i as u64;
-            sys.apply_journaled(&mut store, Change::Modify(m)).unwrap();
-        }
-        let dirty = sys.dirty_count();
-        assert!((1..8).contains(&dirty), "churn stayed narrow: {dirty}");
-        let outcome = store.compact_incremental(&mut sys).unwrap();
-        assert!(outcome.is_delta());
-        assert!(
-            outcome.bytes_written() < full.bytes / 2,
-            "delta ({} B) should be far smaller than the full image ({} B)",
-            outcome.bytes_written(),
-            full.bytes
-        );
-        assert_eq!(sys.dirty_count(), 0, "cut resets dirty tracking");
-        assert_eq!(store.delta_chain().len(), 1);
-        // Recovery folds base + delta back to the live state.
-        drop(store);
-        let (sys2, _, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
-        assert_eq!(report.deltas_folded, 1);
-        assert_eq!(report.replayed_frames, 0);
-        assert_eq!(
-            snapshot::encode_snapshot(&sys.to_parts()).0,
-            snapshot::encode_snapshot(&sys2.to_parts()).0,
-            "folded chain must be bit-identical to the live image"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delta_chain_overflow_falls_back_to_full_rewrite() {
-        let dir = tmpdir("chain_overflow");
-        let mut sys = small_system(300, 6, 31);
-        sys.cfg.persist.max_delta_chain = 2;
-        let (mut store, _) = sys.save_snapshot(&dir).unwrap();
-        let files = sys.current_files();
-        for round in 0..3u64 {
-            let mut f = files[round as usize].clone();
-            f.size += round + 1;
-            sys.apply_journaled(&mut store, Change::Modify(f)).unwrap();
-            let outcome = store.compact_incremental(&mut sys).unwrap();
-            if round < 2 {
-                assert!(outcome.is_delta(), "round {round} should be a delta");
-            } else {
-                assert!(!outcome.is_delta(), "chain overflow must rewrite in full");
-                assert!(store.delta_chain().is_empty(), "full rewrite resets chain");
-            }
-        }
-        drop(store);
-        let (sys2, _, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
-        assert_eq!(report.deltas_folded, 0);
-        assert_eq!(
-            snapshot::encode_snapshot(&sys.to_parts()).0,
-            snapshot::encode_snapshot(&sys2.to_parts()).0
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn writer_keeps_journaling_while_delta_encodes() {
-        // The off-write-path shape: cut, encode on a worker thread
-        // while the writer appends to the fresh segment, install, then
-        // recover and verify the full history survived.
-        let dir = tmpdir("concurrent_encode");
-        let mut sys = small_system(300, 6, 37);
-        let (mut store, _) = sys.save_snapshot(&dir).unwrap();
-        let files = sys.current_files();
-        for i in 0..10u64 {
-            let mut f = files[i as usize].clone();
-            f.size += i;
-            sys.apply_journaled(&mut store, Change::Modify(f)).unwrap();
-        }
-        let cut = store.begin_delta_compaction(&mut sys).unwrap();
-        assert!(cut.n_dirty() >= 1);
-        let encoded = std::thread::scope(|s| {
-            let worker = s.spawn(move || cut.encode());
-            // Writer stays live during the encode: journal more churn
-            // into the post-cut segment.
-            for i in 10..20u64 {
-                let mut f = files[i as usize].clone();
-                f.size += i;
-                sys.apply_journaled(&mut store, Change::Modify(f)).unwrap();
-            }
-            worker.join().expect("encode thread")
-        });
-        store.install_delta(encoded).unwrap();
-        store.sync().unwrap();
-        drop(store);
-        let (sys2, _, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
-        assert_eq!(report.deltas_folded, 1);
-        assert_eq!(report.replayed_frames, 10, "post-cut frames replayed");
-        assert_eq!(
-            snapshot::encode_snapshot(&sys.to_parts()).0,
-            snapshot::encode_snapshot(&sys2.to_parts()).0
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -452,7 +334,7 @@ mod tests {
         // generation with no log. The snapshot alone is consistent —
         // open must recreate the log empty, not fail.
         let dir = tmpdir("missing_wal");
-        let mut sys = small_system(200, 4, 13);
+        let sys = small_system(200, 4, 13);
         let (store, _) = sys.save_snapshot(&dir).unwrap();
         drop(store);
         let wal = std::fs::read_dir(&dir)
@@ -475,7 +357,7 @@ mod tests {
     #[test]
     fn open_sweeps_orphaned_compaction_artifacts() {
         let dir = tmpdir("sweep");
-        let mut sys = small_system(150, 3, 17);
+        let sys = small_system(150, 3, 17);
         let (store, _) = sys.save_snapshot(&dir).unwrap();
         drop(store);
         // A crashed compaction can leave temp files and an unreferenced
@@ -503,6 +385,56 @@ mod tests {
         assert!(
             names.iter().any(|n| n == "wal-00000002.log.quarantine"),
             "garbage segment should be quarantined, not deleted: {names:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crash_before_compaction_flip_is_not_damage() {
+        // `compact` creates generation 2's header-only WAL
+        // (`prev_frames = 0`) before it flips the manifest. A crash in
+        // between leaves a successor whose `prev_frames` disagrees with
+        // its predecessor's 12 frames — the lying-fsync signature — yet
+        // it holds no frame, so recovery removes it as a creation
+        // artifact instead of reporting damage.
+        let dir = tmpdir("preflip_crash");
+        let mut sys = small_system(200, 4, 19);
+        let (mut store, _) = sys.save_snapshot(&dir).unwrap();
+        let files = sys.current_files();
+        for (i, f) in files.iter().take(12).enumerate() {
+            let mut f = f.clone();
+            f.size += 1 + i as u64;
+            sys.apply_journaled(&mut store, Change::Modify(f)).unwrap();
+        }
+        store.sync().unwrap();
+        drop(store);
+        // Compaction's first two steps, then the crash.
+        snapshot::write_snapshot(
+            &RealVfs,
+            &sys.to_parts(),
+            &dir.join("snapshot-00000002.snap"),
+        )
+        .unwrap();
+        WalWriter::create(&RealVfs, &dir.join("wal-00000002.log"), 1, 0).unwrap();
+
+        let (rec, _store, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
+        assert_eq!(
+            report.quarantined_bytes, 0,
+            "no acknowledged frame was at risk"
+        );
+        assert_eq!(report.replayed_frames, 12);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !names.iter().any(|n| n.ends_with(".quarantine")),
+            "a frameless successor is not damage: {names:?}"
+        );
+        assert_eq!(
+            snapshot::encode_snapshot(&rec.to_parts()).0,
+            snapshot::encode_snapshot(&sys.to_parts()).0,
+            "recovered state diverged from the live system"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -20,25 +20,24 @@
 //! Writers therefore go through a temp file + `fsync` + atomic rename,
 //! so a crash mid-write can never install a partial snapshot.
 //!
-//! # Differential snapshots
+//! # Legacy delta files (read-only)
 //!
-//! A *delta* file (`DELTA_MAGIC`) is the same record stream with one
-//! twist: its UNIT section holds only the units **dirtied** since the
-//! previous generation (per-unit dirty tracking in
-//! [`smartstore::system::DirtyUnits`]), while the small index-side
-//! sections (tree, mapping, versions, pending) are present in full —
-//! they shift with every change but are dwarfed by unit records.
-//! [`fold_delta`] overlays a decoded delta onto base [`SystemParts`]
-//! deterministically: dirty units replace (or append) by unit id, the
-//! index sections are taken wholesale from the delta. Folding
-//! base + deltas in chain order reproduces the full image
-//! bit-for-bit.
+//! Builds from PR 4 until PR 25 also wrote *delta* files
+//! (`DELTA_MAGIC`): the same record stream, but its UNIT section held
+//! only the units dirtied since the previous generation, while the
+//! index-side sections (tree, mapping, versions, pending) were present
+//! in full. Nothing writes them any more — every compaction is a full
+//! image — but a manifest may still name a chain of them, so opening a
+//! store decodes each one ([`decode_delta`]) and overlays it onto the
+//! base ([`fold_delta`]): units replace (or append) by unit id, the
+//! index sections are taken wholesale from the delta. The next
+//! compaction rewrites the folded state as one full image.
 
 use crate::codec::{self, Dec, Enc, FrameError};
 use crate::error::{PersistError, Result};
 use crate::vfs::Vfs;
 use rayon::prelude::*;
-use smartstore::system::{DeltaParts, SystemParts};
+use smartstore::system::SystemParts;
 use smartstore::tree::NodeId;
 use smartstore::unit::StorageUnit;
 use smartstore::versioning::VersionStore;
@@ -47,7 +46,8 @@ use std::path::Path;
 /// Magic prefix of snapshot files (7 bytes + 1 reserved).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SSSNAP\x00\x00";
 
-/// Magic prefix of differential-snapshot (delta) files.
+/// Magic prefix of legacy delta files.
+// lint:allow(W002) -- read-only legacy format: no build since PR 25 writes delta files
 pub const DELTA_MAGIC: &[u8; 8] = b"SSDELT\x00\x00";
 
 const SEC_HEADER: u8 = 0x01;
@@ -73,76 +73,6 @@ pub struct SnapshotStats {
     pub n_nodes: usize,
 }
 
-/// Size/shape statistics of a written delta generation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeltaStats {
-    /// Total file bytes.
-    pub bytes: u64,
-    /// Dirty storage units re-encoded.
-    pub n_dirty_units: usize,
-    /// Total units in the system at the cut.
-    pub n_units_total: usize,
-    /// File-metadata records inside the re-encoded units.
-    pub n_files: usize,
-}
-
-/// Encodes + CRC-frames one SEC_UNIT record per unit, in parallel; the
-/// framed records splice back in slice order, so the byte stream is
-/// identical to a sequential encoding.
-fn encode_unit_records(units: &[StorageUnit]) -> Vec<Vec<u8>> {
-    units
-        .par_iter()
-        .map(|u| {
-            let mut e = Enc::new();
-            e.u8(SEC_UNIT);
-            codec::put_unit(&mut e, u);
-            let mut rec = Vec::new();
-            codec::put_record(&mut rec, &e.into_bytes());
-            rec
-        })
-        .collect()
-}
-
-/// Appends the index-side sections (tree, mapping, versions, pending)
-/// and the end marker — identical between full and delta images.
-fn put_index_sections(
-    out: &mut Vec<u8>,
-    tree: &smartstore::tree::TreeParts,
-    mapping: &smartstore::mapping::IndexMapping,
-    versions: &[(NodeId, VersionStore)],
-    pending: &[(NodeId, usize)],
-) {
-    let mut t = Enc::new();
-    t.u8(SEC_TREE);
-    codec::put_tree(&mut t, tree);
-    codec::put_record(out, &t.into_bytes());
-
-    let mut m = Enc::new();
-    m.u8(SEC_MAPPING);
-    codec::put_mapping(&mut m, mapping);
-    codec::put_record(out, &m.into_bytes());
-
-    let mut v = Enc::new();
-    v.u8(SEC_VERSIONS);
-    v.u32(versions.len() as u32);
-    for (group, vs) in versions {
-        v.usize(*group);
-        codec::put_version_store(&mut v, vs);
-    }
-    codec::put_record(out, &v.into_bytes());
-
-    let mut p = Enc::new();
-    p.u8(SEC_PENDING);
-    p.u32(pending.len() as u32);
-    for (group, count) in pending {
-        p.usize(*group);
-        p.usize(*count);
-    }
-    codec::put_record(out, &p.into_bytes());
-
-    codec::put_record(out, &[SEC_END]);
-}
-
 /// Serializes `parts` into snapshot bytes.
 pub fn encode_snapshot(parts: &SystemParts) -> (Vec<u8>, SnapshotStats) {
     let mut out = Vec::new();
@@ -166,21 +96,56 @@ pub fn encode_snapshot(parts: &SystemParts) -> (Vec<u8>, SnapshotStats) {
     codec::put_record(&mut out, &cfg.into_bytes());
 
     // Unit records dominate snapshot bytes; encode + CRC them in
-    // parallel on the shared pool.
-    let unit_records = encode_unit_records(&parts.units);
+    // parallel on the shared pool. The framed records splice back in
+    // unit order, so the byte stream is identical to a sequential
+    // encoding.
+    let unit_records: Vec<Vec<u8>> = parts
+        .units
+        .par_iter()
+        .map(|u| {
+            let mut e = Enc::new();
+            e.u8(SEC_UNIT);
+            codec::put_unit(&mut e, u);
+            let mut rec = Vec::new();
+            codec::put_record(&mut rec, &e.into_bytes());
+            rec
+        })
+        .collect();
     let unit_bytes: usize = unit_records.iter().map(|r| r.len()).sum();
     out.reserve(unit_bytes);
     for rec in &unit_records {
         out.extend_from_slice(rec);
     }
 
-    put_index_sections(
-        &mut out,
-        &parts.tree,
-        &parts.mapping,
-        &parts.versions,
-        &parts.pending,
-    );
+    let mut t = Enc::new();
+    t.u8(SEC_TREE);
+    codec::put_tree(&mut t, &parts.tree);
+    codec::put_record(&mut out, &t.into_bytes());
+
+    let mut m = Enc::new();
+    m.u8(SEC_MAPPING);
+    codec::put_mapping(&mut m, &parts.mapping);
+    codec::put_record(&mut out, &m.into_bytes());
+
+    let mut v = Enc::new();
+    v.u8(SEC_VERSIONS);
+    v.u32(parts.versions.len() as u32);
+    for (group, vs) in &parts.versions {
+        v.usize(*group);
+        codec::put_version_store(&mut v, vs);
+    }
+    codec::put_record(&mut out, &v.into_bytes());
+
+    let mut p = Enc::new();
+    p.u8(SEC_PENDING);
+    p.u32(parts.pending.len() as u32);
+    for (group, count) in &parts.pending {
+        p.usize(*group);
+        p.usize(*count);
+    }
+    codec::put_record(&mut out, &p.into_bytes());
+
+    codec::put_record(&mut out, &[SEC_END]);
 
     let stats = SnapshotStats {
         bytes: out.len() as u64,
@@ -191,89 +156,21 @@ pub fn encode_snapshot(parts: &SystemParts) -> (Vec<u8>, SnapshotStats) {
     (out, stats)
 }
 
-/// Serializes a differential cut into delta-file bytes: only the dirty
-/// units are re-encoded; the index-side sections ride along in full.
-pub fn encode_delta(delta: &DeltaParts) -> (Vec<u8>, DeltaStats) {
-    let mut out = Vec::new();
-    out.extend_from_slice(DELTA_MAGIC);
-    out.extend_from_slice(&codec::FORMAT_VERSION.to_le_bytes());
-
-    let n_files: usize = delta.units.iter().map(|u| u.len()).sum();
-
-    let mut header = Enc::new();
-    header.u8(SEC_DHEADER);
-    header.usize(delta.n_units_total);
-    header.usize(delta.units.len());
-    header.usize(n_files);
-    header.bool(delta.versioning_enabled);
-    header.u64(delta.maintenance_messages);
-    header.u64(delta.reseed);
-    codec::put_record(&mut out, &header.into_bytes());
-
-    let mut cfg = Enc::new();
-    cfg.u8(SEC_CONFIG);
-    codec::put_config(&mut cfg, &delta.cfg);
-    codec::put_record(&mut out, &cfg.into_bytes());
-
-    let unit_records = encode_unit_records(&delta.units);
-    let unit_bytes: usize = unit_records.iter().map(|r| r.len()).sum();
-    out.reserve(unit_bytes);
-    for rec in &unit_records {
-        out.extend_from_slice(rec);
-    }
-
-    put_index_sections(
-        &mut out,
-        &delta.tree,
-        &delta.mapping,
-        &delta.versions,
-        &delta.pending,
-    );
-
-    let stats = DeltaStats {
-        bytes: out.len() as u64,
-        n_dirty_units: delta.units.len(),
-        n_units_total: delta.n_units_total,
-        n_files,
-    };
-    (out, stats)
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same
+/// Writes `parts` to `path` atomically: temp file in the same
 /// directory, `fsync`, rename over the target, `fsync` the directory.
-fn write_atomic(vfs: &dyn Vfs, bytes: &[u8], path: &Path) -> Result<()> {
+pub fn write_snapshot(vfs: &dyn Vfs, parts: &SystemParts, path: &Path) -> Result<SnapshotStats> {
+    let (bytes, stats) = encode_snapshot(parts);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let tmp = path.with_extension("tmp");
     {
         let mut f = vfs.create(&tmp)?;
-        f.write_all_at(0, bytes)?;
+        f.write_all_at(0, &bytes)?;
         f.sync()?;
     }
     vfs.rename(&tmp, path)?;
     // Directory fsync makes the rename durable; best-effort on
     // filesystems that reject directory syncs.
     vfs.sync_dir(dir)?;
-    Ok(())
-}
-
-/// Writes `parts` to `path` atomically.
-pub fn write_snapshot(vfs: &dyn Vfs, parts: &SystemParts, path: &Path) -> Result<SnapshotStats> {
-    let (bytes, stats) = encode_snapshot(parts);
-    write_atomic(vfs, &bytes, path)?;
-    Ok(stats)
-}
-
-/// Writes pre-encoded artifact bytes (from [`encode_delta`] or
-/// [`encode_snapshot`]) to `path` atomically — the install half of a
-/// two-phase compaction whose encode half ran off the write path.
-pub fn write_encoded(vfs: &dyn Vfs, bytes: &[u8], path: &Path) -> Result<()> {
-    write_atomic(vfs, bytes, path)
-}
-
-/// Writes a differential cut to `path` atomically.
-pub fn write_delta(vfs: &dyn Vfs, delta: &DeltaParts, path: &Path) -> Result<DeltaStats> {
-    let (bytes, stats) = encode_delta(delta);
-    write_atomic(vfs, &bytes, path)?;
     Ok(stats)
 }
 
@@ -289,8 +186,30 @@ fn corrupt(path: &Path, offset: usize, reason: impl Into<String>) -> PersistErro
 /// corruption — snapshots are written atomically, so a bad snapshot is
 /// a real integrity problem, not an expected crash artifact.
 pub fn decode_snapshot(bytes: &[u8], path: &Path) -> Result<SystemParts> {
-    if bytes.len() < 10 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(corrupt(path, 0, "bad snapshot magic"));
+    let (parts, _) = decode_image(bytes, path, false)?;
+    check_unit_refs(&parts.units, &parts.tree, path)?;
+    Ok(parts)
+}
+
+/// Loads a snapshot file.
+pub fn load_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<SystemParts> {
+    let bytes = vfs.read(path)?;
+    decode_snapshot(&bytes, path)
+}
+
+/// The one record-stream decoder behind full snapshots and legacy
+/// deltas; they differ only in magic, header section and which units
+/// the UNIT section holds. Returns the parts plus the system's total
+/// unit count (for a delta: the count at its cut, of which `units`
+/// holds only the re-encoded ones, ascending by id).
+fn decode_image(bytes: &[u8], path: &Path, delta: bool) -> Result<(SystemParts, usize)> {
+    let (magic, what) = if delta {
+        (DELTA_MAGIC, "delta")
+    } else {
+        (SNAPSHOT_MAGIC, "snapshot")
+    };
+    if bytes.len() < 10 || &bytes[..8] != magic {
+        return Err(corrupt(path, 0, format!("bad {what} magic")));
     }
     let version = u16::from_le_bytes([bytes[8], bytes[9]]);
     if version > codec::FORMAT_VERSION {
@@ -310,121 +229,73 @@ pub fn decode_snapshot(bytes: &[u8], path: &Path) -> Result<SystemParts> {
                 }
                 Ok(payload)
             }
-            Err(FrameError::Eof) => Err(corrupt(path, *pos, "unexpected end of snapshot")),
+            Err(FrameError::Eof) => Err(corrupt(path, *pos, format!("unexpected end of {what}"))),
             Err(FrameError::Torn { offset, reason }) => Err(corrupt(path, offset, reason)),
         }
     };
     let dec_err = |e: codec::DecodeError| corrupt(path, e.offset, e.reason);
+    // Opens the next record, checking its section tag.
+    let section = |pos: &mut usize, tag: u8, name: &str| -> Result<Dec<'_>> {
+        let mut d = Dec::new(next(pos)?);
+        if d.u8().map_err(dec_err)? != tag {
+            return Err(corrupt(path, *pos, format!("expected {name} section")));
+        }
+        Ok(d)
+    };
 
-    // HEADER
-    let payload = next(&mut pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_HEADER {
-        return Err(corrupt(path, pos, "expected header section"));
-    }
-    let n_units = d.usize().map_err(dec_err)?;
+    // HEADER (full image) or DHEADER (legacy delta)
+    let mut d = if delta {
+        section(&mut pos, SEC_DHEADER, "delta header")?
+    } else {
+        section(&mut pos, SEC_HEADER, "header")?
+    };
+    let n_units_total = d.usize().map_err(dec_err)?;
+    let n_units = if delta {
+        d.usize().map_err(dec_err)?
+    } else {
+        n_units_total
+    };
     let _n_files = d.usize().map_err(dec_err)?;
     let versioning_enabled = d.bool().map_err(dec_err)?;
     let maintenance_messages = d.u64().map_err(dec_err)?;
     let reseed = d.u64().map_err(dec_err)?;
     d.finish().map_err(dec_err)?;
+    if n_units > n_units_total {
+        return Err(corrupt(
+            path,
+            pos,
+            format!("delta claims {n_units} dirty of {n_units_total} total units"),
+        ));
+    }
 
     // CONFIG
-    let payload = next(&mut pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_CONFIG {
-        return Err(corrupt(path, pos, "expected config section"));
-    }
+    let mut d = section(&mut pos, SEC_CONFIG, "config")?;
     let cfg = codec::get_config(&mut d, version).map_err(dec_err)?;
     d.finish().map_err(dec_err)?;
 
     // UNITS
     let mut units = Vec::with_capacity(n_units.min(1 << 20));
     for _ in 0..n_units {
-        let payload = next(&mut pos)?;
-        let mut d = Dec::new(payload);
-        if d.u8().map_err(dec_err)? != SEC_UNIT {
-            return Err(corrupt(path, pos, "expected unit section"));
-        }
+        let mut d = section(&mut pos, SEC_UNIT, "unit")?;
         units.push(codec::get_unit(&mut d, version).map_err(dec_err)?);
         d.finish().map_err(dec_err)?;
     }
-
-    let ix = get_index_sections(bytes, &mut pos, path, version)?;
-
-    check_unit_refs(&units, &ix.tree, path)?;
-
-    Ok(SystemParts {
-        cfg,
-        units,
-        tree: ix.tree,
-        mapping: ix.mapping,
-        versions: ix.versions,
-        pending: ix.pending,
-        versioning_enabled,
-        maintenance_messages,
-        reseed,
-    })
-}
-
-/// The decoded index-side sections shared by full and delta images.
-struct IndexSections {
-    tree: smartstore::tree::TreeParts,
-    mapping: smartstore::mapping::IndexMapping,
-    versions: Vec<(NodeId, VersionStore)>,
-    pending: Vec<(NodeId, usize)>,
-}
-
-/// Decodes the TREE/MAPPING/VERSIONS/PENDING sections plus the END
-/// marker and trailing-data check — the read-side mirror of
-/// [`put_index_sections`], shared by [`decode_snapshot`] and
-/// [`decode_delta`].
-fn get_index_sections(
-    bytes: &[u8],
-    pos: &mut usize,
-    path: &Path,
-    version: u16,
-) -> Result<IndexSections> {
-    let next = |pos: &mut usize| -> Result<&[u8]> {
-        match codec::get_record(bytes, *pos) {
-            Ok((payload, np)) => {
-                let at = *pos;
-                *pos = np;
-                if payload.is_empty() {
-                    return Err(corrupt(path, at, "empty record"));
-                }
-                Ok(payload)
-            }
-            Err(FrameError::Eof) => Err(corrupt(path, *pos, "unexpected end of artifact")),
-            Err(FrameError::Torn { offset, reason }) => Err(corrupt(path, offset, reason)),
-        }
-    };
-    let dec_err = |e: codec::DecodeError| corrupt(path, e.offset, e.reason);
+    if delta && !units.windows(2).all(|w| w[0].id < w[1].id) {
+        return Err(corrupt(path, pos, "delta units not ascending by id"));
+    }
 
     // TREE
-    let payload = next(pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_TREE {
-        return Err(corrupt(path, *pos, "expected tree section"));
-    }
+    let mut d = section(&mut pos, SEC_TREE, "tree")?;
     let tree = codec::get_tree(&mut d, version).map_err(dec_err)?;
     d.finish().map_err(dec_err)?;
 
     // MAPPING
-    let payload = next(pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_MAPPING {
-        return Err(corrupt(path, *pos, "expected mapping section"));
-    }
+    let mut d = section(&mut pos, SEC_MAPPING, "mapping")?;
     let mapping = codec::get_mapping(&mut d).map_err(dec_err)?;
     d.finish().map_err(dec_err)?;
 
     // VERSIONS
-    let payload = next(pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_VERSIONS {
-        return Err(corrupt(path, *pos, "expected versions section"));
-    }
+    let mut d = section(&mut pos, SEC_VERSIONS, "versions")?;
     let n_groups = d.u32().map_err(dec_err)? as usize;
     let mut versions: Vec<(NodeId, VersionStore)> = Vec::with_capacity(n_groups.min(1 << 20));
     for _ in 0..n_groups {
@@ -435,11 +306,7 @@ fn get_index_sections(
     d.finish().map_err(dec_err)?;
 
     // PENDING
-    let payload = next(pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_PENDING {
-        return Err(corrupt(path, *pos, "expected pending section"));
-    }
+    let mut d = section(&mut pos, SEC_PENDING, "pending")?;
     let n_pending = d.u32().map_err(dec_err)? as usize;
     let mut pending: Vec<(NodeId, usize)> = Vec::with_capacity(n_pending.min(1 << 20));
     for _ in 0..n_pending {
@@ -450,32 +317,31 @@ fn get_index_sections(
     d.finish().map_err(dec_err)?;
 
     // END
-    let payload = next(pos)?;
-    if payload != [SEC_END] {
-        return Err(corrupt(path, *pos, "expected end marker"));
+    if next(&mut pos)? != [SEC_END] {
+        return Err(corrupt(path, pos, "expected end marker"));
     }
-    match codec::get_record(bytes, *pos) {
+    match codec::get_record(bytes, pos) {
         Err(FrameError::Eof) => {}
-        _ => return Err(corrupt(path, *pos, "trailing data after end marker")),
+        _ => return Err(corrupt(path, pos, "trailing data after end marker")),
     }
 
-    Ok(IndexSections {
+    let parts = SystemParts {
+        cfg,
+        units,
         tree,
         mapping,
         versions,
         pending,
-    })
-}
-
-/// Loads a snapshot file.
-pub fn load_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<SystemParts> {
-    let bytes = vfs.read(path)?;
-    decode_snapshot(&bytes, path)
+        versioning_enabled,
+        maintenance_messages,
+        reseed,
+    };
+    Ok((parts, n_units_total))
 }
 
 /// Referential sanity shared by full-image decode and chain folding:
 /// every live leaf's unit id must resolve to a storage unit.
-pub(crate) fn check_unit_refs(
+fn check_unit_refs(
     units: &[StorageUnit],
     tree: &smartstore::tree::TreeParts,
     path: &Path,
@@ -495,111 +361,36 @@ pub(crate) fn check_unit_refs(
     Ok(())
 }
 
-/// Decodes a delta file back into [`DeltaParts`]. Like full snapshots,
-/// deltas are written atomically, so *any* corruption fails the load.
-pub fn decode_delta(bytes: &[u8], path: &Path) -> Result<DeltaParts> {
-    if bytes.len() < 10 || &bytes[..8] != DELTA_MAGIC {
-        return Err(corrupt(path, 0, "bad delta magic"));
-    }
-    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if version > codec::FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion {
-            found: version,
-            supported: codec::FORMAT_VERSION,
-        });
-    }
-    let mut pos = 10usize;
-    let next = |pos: &mut usize| -> Result<&[u8]> {
-        match codec::get_record(bytes, *pos) {
-            Ok((payload, np)) => {
-                let at = *pos;
-                *pos = np;
-                if payload.is_empty() {
-                    return Err(corrupt(path, at, "empty record"));
-                }
-                Ok(payload)
-            }
-            Err(FrameError::Eof) => Err(corrupt(path, *pos, "unexpected end of delta")),
-            Err(FrameError::Torn { offset, reason }) => Err(corrupt(path, offset, reason)),
-        }
-    };
-    let dec_err = |e: codec::DecodeError| corrupt(path, e.offset, e.reason);
+/// A decoded legacy delta generation: `image.units` holds only the
+/// units it re-encoded (ascending id); every other section is the full
+/// state at its cut.
+pub(crate) struct Delta {
+    image: SystemParts,
+    n_units_total: usize,
+}
 
-    // DHEADER
-    let payload = next(&mut pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_DHEADER {
-        return Err(corrupt(path, pos, "expected delta header section"));
-    }
-    let n_units_total = d.usize().map_err(dec_err)?;
-    let n_dirty = d.usize().map_err(dec_err)?;
-    let _n_files = d.usize().map_err(dec_err)?;
-    let versioning_enabled = d.bool().map_err(dec_err)?;
-    let maintenance_messages = d.u64().map_err(dec_err)?;
-    let reseed = d.u64().map_err(dec_err)?;
-    d.finish().map_err(dec_err)?;
-    if n_dirty > n_units_total {
-        return Err(corrupt(
-            path,
-            pos,
-            format!("delta claims {n_dirty} dirty of {n_units_total} total units"),
-        ));
-    }
-
-    // CONFIG
-    let payload = next(&mut pos)?;
-    let mut d = Dec::new(payload);
-    if d.u8().map_err(dec_err)? != SEC_CONFIG {
-        return Err(corrupt(path, pos, "expected config section"));
-    }
-    let cfg = codec::get_config(&mut d, version).map_err(dec_err)?;
-    d.finish().map_err(dec_err)?;
-
-    // Dirty UNITs
-    let mut units = Vec::with_capacity(n_dirty.min(1 << 20));
-    for _ in 0..n_dirty {
-        let payload = next(&mut pos)?;
-        let mut d = Dec::new(payload);
-        if d.u8().map_err(dec_err)? != SEC_UNIT {
-            return Err(corrupt(path, pos, "expected unit section"));
-        }
-        units.push(codec::get_unit(&mut d, version).map_err(dec_err)?);
-        d.finish().map_err(dec_err)?;
-    }
-    if !units.windows(2).all(|w| w[0].id < w[1].id) {
-        return Err(corrupt(path, pos, "delta units not ascending by id"));
-    }
-
-    let ix = get_index_sections(bytes, &mut pos, path, version)?;
-
-    Ok(DeltaParts {
-        cfg,
-        units,
+/// Decodes a legacy delta file. Like full snapshots, deltas were
+/// written atomically, so *any* corruption fails the load.
+pub(crate) fn decode_delta(bytes: &[u8], path: &Path) -> Result<Delta> {
+    let (image, n_units_total) = decode_image(bytes, path, true)?;
+    Ok(Delta {
+        image,
         n_units_total,
-        tree: ix.tree,
-        mapping: ix.mapping,
-        versions: ix.versions,
-        pending: ix.pending,
-        versioning_enabled,
-        maintenance_messages,
-        reseed,
     })
 }
 
-/// Loads a delta file.
-pub fn load_delta(vfs: &dyn Vfs, path: &Path) -> Result<DeltaParts> {
-    let bytes = vfs.read(path)?;
-    decode_delta(&bytes, path)
-}
-
-/// Overlays one delta generation onto accumulated base parts, in
-/// place. Deterministic: dirty units replace their base counterpart by
-/// id (or append, for units created after the base — unit ids are
-/// always the dense `0..n` of the units vector), and the index-side
-/// sections are taken wholesale from the delta, which captured them in
-/// full at its cut.
-pub fn fold_delta(base: &mut SystemParts, delta: DeltaParts, path: &Path) -> Result<()> {
-    for u in delta.units {
+/// Overlays one legacy delta generation onto accumulated base parts,
+/// in place. Deterministic: the delta's units replace their base
+/// counterpart by id (or append, for units created after the base —
+/// unit ids are always the dense `0..n` of the units vector), and
+/// every other section is taken wholesale from the delta, which
+/// captured it in full at its cut.
+pub(crate) fn fold_delta(base: &mut SystemParts, delta: Delta, path: &Path) -> Result<()> {
+    let Delta {
+        mut image,
+        n_units_total,
+    } = delta;
+    for u in std::mem::take(&mut image.units) {
         let id = u.id;
         match id.cmp(&base.units.len()) {
             std::cmp::Ordering::Less => base.units[id] = u,
@@ -616,24 +407,17 @@ pub fn fold_delta(base: &mut SystemParts, delta: DeltaParts, path: &Path) -> Res
             }
         }
     }
-    if base.units.len() != delta.n_units_total {
+    if base.units.len() != n_units_total {
         return Err(corrupt(
             path,
             0,
             format!(
-                "folded unit count {} != delta total {}",
-                base.units.len(),
-                delta.n_units_total
+                "folded unit count {} != delta total {n_units_total}",
+                base.units.len()
             ),
         ));
     }
-    base.cfg = delta.cfg;
-    base.tree = delta.tree;
-    base.mapping = delta.mapping;
-    base.versions = delta.versions;
-    base.pending = delta.pending;
-    base.versioning_enabled = delta.versioning_enabled;
-    base.maintenance_messages = delta.maintenance_messages;
-    base.reseed = delta.reseed;
+    image.units = std::mem::take(&mut base.units);
+    *base = image;
     check_unit_refs(&base.units, &base.tree, path)
 }

@@ -1,52 +1,42 @@
-//! The durable store: a chain of snapshot generations plus the active
-//! write-ahead log, tied together by a manifest.
+//! The durable store: one full snapshot plus the active write-ahead
+//! log, tied together by a manifest.
 //!
 //! Layout of a store directory:
 //!
 //! ```text
-//! MANIFEST              — checksummed chain: base generation + deltas
-//! snapshot-<gen>.snap   — full point-in-time system image (chain base)
-//! delta-<gen>.snap      — differential generation: only the units
-//!                         dirtied since the previous generation
+//! MANIFEST              — checksummed: base generation (+ a legacy delta
+//!                         chain, always written empty)
+//! snapshot-<gen>.snap   — full point-in-time system image
+//! delta-<gen>.snap      — read-only legacy: a differential generation
+//!                         written by builds before PR 25, folded on open
 //! wal-<gen>.log         — changes applied since generation <gen>
 //! wal-<gen>.log.quarantine — salvaged bytes of a corrupt segment/tail
 //! ```
 //!
 //! *Crash recovery* (`PersistentStore::open`) = read the manifest, load
-//! the base snapshot, fold the delta chain in order
-//! ([`snapshot::fold_delta`]), then replay the WAL segments from the
-//! chain end onward through [`SmartStoreSystem::apply_change`] — the
-//! same deterministic code path the live system took, so the recovered
-//! state matches the pre-crash state exactly up to the last durable
-//! frame. Recovery never destroys bytes it cannot verify: a torn or
-//! corrupt tail is *salvaged prefix-first* — the verified frames
-//! replay, the unverifiable remainder moves to a `.quarantine` side
-//! file (reported in [`RecoveryReport::quarantined_bytes`]) — and a
-//! successor segment whose header's `prev_frames` disagrees with what
-//! its predecessor actually replayed (the signature of an `fsync` that
-//! lied) is quarantined whole rather than replayed into a
-//! non-prefix state. Transient read corruption is distinguished from
-//! damage on the platter by re-reading once before anything
-//! destructive happens.
+//! the base snapshot, fold any legacy delta chain it names, then replay
+//! the WAL segments from the chain end onward through
+//! [`SmartStoreSystem::apply_change`] — the same deterministic code path
+//! the live system took, so the recovered state matches the pre-crash
+//! state exactly up to the last durable frame. Recovery never destroys
+//! bytes it cannot verify: a torn or corrupt tail is *salvaged
+//! prefix-first* — the verified frames replay, the unverifiable
+//! remainder moves to a `.quarantine` side file (reported in
+//! [`RecoveryReport::quarantined_bytes`]) — and a successor segment
+//! whose header's `prev_frames` disagrees with what its predecessor
+//! actually replayed (the signature of an `fsync` that lied) is
+//! quarantined whole rather than replayed into a non-prefix state,
+//! unless it holds no frame at all (then it is a creation artifact and
+//! is removed). Transient read corruption is distinguished from damage
+//! on the platter by re-reading once before anything destructive
+//! happens.
 //!
-//! *Compaction* is **incremental and off the write path**: a cut
-//! ([`PersistentStore::begin_delta_compaction`]) seals the current WAL,
-//! switches journaling to a fresh segment, and captures a copy-on-write
-//! view of just the dirty units — O(churn footprint). The expensive
-//! encode ([`DeltaCompaction::encode`], parallel per-unit on the shared
-//! pool) borrows neither the system nor the store, so the writer keeps
-//! journaling while it runs; [`PersistentStore::install_delta`] then
-//! writes the delta atomically and flips the manifest. (The automatic
-//! policy in [`PersistentStore::compact_incremental`] — what
-//! `apply_journaled` uses — runs the three phases back-to-back on the
-//! caller, so it blocks for the encode but still pays only O(churn)
-//! bytes; hand the cut to a worker thread yourself for a truly
-//! non-blocking writer, as the concurrency test does.) Once the delta
-//! chain outgrows `max_delta_chain` (or most units are dirty anyway), a
-//! full rewrite ([`PersistentStore::compact`]) resets the chain. A
-//! crash at *any* step boundary leaves a recoverable directory: the
-//! manifest always points at a complete chain, and un-flipped deltas /
-//! superseded WAL segments are swept as orphans on the next open.
+//! *Compaction* ([`PersistentStore::compact`]) is one operation: seal
+//! the WAL, write the full image as generation `g+1`, create its empty
+//! WAL, flip the manifest, delete the old generation. A crash at *any*
+//! step boundary leaves a recoverable directory: the manifest always
+//! names a complete image, and un-flipped snapshots / superseded WAL
+//! segments are swept as orphans on the next open.
 //!
 //! All I/O goes through a [`Vfs`] handle; production entry points use
 //! [`RealVfs`](crate::vfs::RealVfs), the torture harness substitutes
@@ -54,10 +44,11 @@
 
 use crate::codec::{self, Dec, Enc, FrameError};
 use crate::error::{PersistError, Result};
-use crate::snapshot::{self, DeltaStats, SnapshotStats};
+use crate::snapshot::{self, SnapshotStats};
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{self, WalWriter};
-use smartstore::system::{DeltaParts, Journal};
+use smartstore::config::PersistConfig;
+use smartstore::system::Journal;
 use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
 use smartstore::SmartStoreSystem;
@@ -76,13 +67,14 @@ pub struct RecoveryReport {
     pub generation: u64,
     /// Base (full-image) generation of the chain.
     pub base_generation: u64,
-    /// Delta generations folded on top of the base.
+    /// Legacy delta generations folded on top of the base.
     pub deltas_folded: usize,
-    /// Snapshot + delta bytes read.
+    /// Snapshot (+ legacy delta) bytes read.
     pub snapshot_bytes: u64,
     /// WAL frames replayed on top of the folded chain.
     pub replayed_frames: usize,
-    /// WAL segments replayed (more than one after a crash mid-cut).
+    /// WAL segments replayed (more than one only after a legacy delta
+    /// cut crashed before its install).
     pub wal_segments: usize,
     /// Bytes of torn WAL tail dropped from the live log (0 for a clean
     /// shutdown).
@@ -93,113 +85,27 @@ pub struct RecoveryReport {
     pub quarantined_bytes: u64,
     /// Storage units whose Bloom filters were rebuilt in memory because
     /// the on-disk family differs from the configured one (e.g. a v2
-    /// image's MD5 filters under the fast-family default). The rebuilt
-    /// units are marked dirty, so the next compaction persists them in
-    /// the configured family.
+    /// image's MD5 filters under the fast-family default). The next
+    /// compaction persists them in the configured family.
     pub units_migrated: usize,
 }
 
-/// Durability/compaction tunables, normally taken from
-/// [`smartstore::config::PersistConfig`].
-#[derive(Clone, Copy, Debug)]
-pub struct StoreOptions {
-    /// `fsync` the WAL every N appends.
-    pub wal_sync_every: usize,
-    /// Compact once the WAL exceeds this many bytes.
-    pub wal_compact_bytes: u64,
-    /// Delta generations to accumulate before a full rewrite; 0
-    /// disables differential snapshots.
-    pub max_delta_chain: usize,
-}
-
-impl From<&smartstore::config::PersistConfig> for StoreOptions {
-    fn from(c: &smartstore::config::PersistConfig) -> Self {
-        Self {
-            wal_sync_every: c.wal_sync_every,
-            wal_compact_bytes: c.wal_compact_bytes,
-            max_delta_chain: c.max_delta_chain,
-        }
-    }
-}
-
 /// What one [`PersistentStore::compact_incremental`] call did.
+///
+/// Kept only because the frozen `benchmark/` trace bin reads it; every
+/// compaction is a full rewrite, so [`Self::is_delta`] is always false.
 #[derive(Clone, Copy, Debug)]
-pub enum CompactionOutcome {
-    /// Full-image rewrite: chain reset to a fresh base.
-    Full(SnapshotStats),
-    /// Differential generation appended to the chain.
-    Delta(DeltaStats),
-}
+pub struct CompactionOutcome(pub SnapshotStats);
 
 impl CompactionOutcome {
     /// Bytes written to the new generation.
     pub fn bytes_written(&self) -> u64 {
-        match self {
-            CompactionOutcome::Full(s) => s.bytes,
-            CompactionOutcome::Delta(s) => s.bytes,
-        }
+        self.0.bytes
     }
 
-    /// True for a delta generation.
+    /// Always false: no build since PR 25 writes delta generations.
     pub fn is_delta(&self) -> bool {
-        matches!(self, CompactionOutcome::Delta(_))
-    }
-}
-
-/// The writer-side cut of an in-flight delta compaction: a
-/// copy-on-write view of the dirty units plus the index-side sections,
-/// captured in O(churn footprint) while the store switched journaling
-/// to a fresh WAL segment. Owns no borrow of the system or the store —
-/// ship it to a worker thread and [`Self::encode`] there while the
-/// writer keeps appending.
-#[derive(Debug)]
-pub struct DeltaCompaction {
-    next_gen: u64,
-    view: DeltaParts,
-}
-
-impl DeltaCompaction {
-    /// Units this delta will re-encode.
-    pub fn n_dirty(&self) -> usize {
-        self.view.units.len()
-    }
-
-    /// Total units in the system at the cut.
-    pub fn n_units_total(&self) -> usize {
-        self.view.n_units_total
-    }
-
-    /// The expensive half: parallel per-unit encode + CRC on the shared
-    /// pool ([`snapshot::encode_delta`]). Pure — runs entirely off the
-    /// write path.
-    pub fn encode(self) -> EncodedDelta {
-        let (bytes, stats) = snapshot::encode_delta(&self.view);
-        EncodedDelta {
-            next_gen: self.next_gen,
-            bytes,
-            stats,
-        }
-    }
-}
-
-/// An encoded delta generation awaiting
-/// [`PersistentStore::install_delta`].
-#[derive(Debug)]
-pub struct EncodedDelta {
-    next_gen: u64,
-    bytes: Vec<u8>,
-    stats: DeltaStats,
-}
-
-impl EncodedDelta {
-    /// Encoded size in bytes.
-    pub fn bytes_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Shape statistics of the encoded delta.
-    pub fn stats(&self) -> DeltaStats {
-        self.stats
+        false
     }
 }
 
@@ -210,16 +116,17 @@ impl EncodedDelta {
 pub struct PersistentStore {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
-    /// Base (full-image) generation of the chain.
+    /// Base (full-image) generation.
     base_generation: u64,
-    /// Delta generations folded on top of the base, ascending.
+    /// Legacy delta generations the manifest names on top of the base,
+    /// ascending; empty once this build has compacted.
     deltas: Vec<u64>,
     /// Active WAL generation. Equals the chain end right after a
-    /// compaction; runs ahead of it between a cut and its install, and
-    /// after a crash recovery that replayed extra segments.
+    /// compaction; runs ahead of it after a crash recovery that
+    /// replayed extra segments (a legacy cut that never installed).
     generation: u64,
     wal: WalWriter,
-    opts: StoreOptions,
+    cfg: PersistConfig,
     /// First durability error hit inside the infallible [`Journal`]
     /// hook; surfaced by [`Self::take_journal_error`] / [`Self::sync`].
     journal_error: Option<PersistError>,
@@ -230,9 +137,6 @@ pub struct PersistentStore {
     /// way forward is a compaction, whose snapshot of the full
     /// in-memory state makes the gapped log irrelevant.
     poisoned: bool,
-    /// A cut is in flight (begin without install). A second concurrent
-    /// cut would double-clear dirty tracking, so it is refused.
-    cut_pending: bool,
 }
 
 fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
@@ -247,14 +151,12 @@ fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal-{generation:08}.log"))
 }
 
-fn write_manifest(vfs: &dyn Vfs, dir: &Path, base: u64, deltas: &[u64]) -> Result<()> {
+/// Writes a manifest naming `base` with an empty legacy delta chain.
+fn write_manifest(vfs: &dyn Vfs, dir: &Path, base: u64) -> Result<()> {
     let mut payload = Enc::new();
     payload.u16(codec::FORMAT_VERSION);
     payload.u64(base);
-    payload.u32(deltas.len() as u32);
-    for &g in deltas {
-        payload.u64(g);
-    }
+    payload.u32(0); // legacy delta chain length
     let mut bytes = Vec::new();
     bytes.extend_from_slice(MANIFEST_MAGIC);
     codec::put_record(&mut bytes, &payload.into_bytes());
@@ -269,8 +171,9 @@ fn write_manifest(vfs: &dyn Vfs, dir: &Path, base: u64, deltas: &[u64]) -> Resul
     Ok(())
 }
 
-/// Reads the manifest: `(base generation, delta chain)`. v1 manifests
-/// (pre-differential) carry a single generation and an empty chain.
+/// Reads the manifest: `(base generation, legacy delta chain)`. v1
+/// manifests (pre-differential) carry a single generation and no chain
+/// field.
 fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<(u64, Vec<u64>)> {
     let path = dir.join(MANIFEST);
     let bytes = match vfs.read(&path) {
@@ -353,9 +256,9 @@ fn probe_settled(vfs: &dyn Vfs, path: &Path) -> Result<wal::WalProbe> {
 /// quarantine: their frames were journaled after a hole in the history
 /// (a torn predecessor, or one that lost frames to a lying fsync), so
 /// replaying them would reconstruct a state matching no prefix of the
-/// change stream. Segments that never finished creation hold no
-/// acknowledged frames and are simply removed. Best-effort; returns the
-/// bytes preserved.
+/// change stream. Segments that hold no frame carry no acknowledged
+/// change and are simply removed. Best-effort; returns the bytes
+/// preserved.
 fn quarantine_successors(vfs: &dyn Vfs, dir: &Path, from: u64) -> u64 {
     let mut total = 0u64;
     let mut g = from;
@@ -364,7 +267,7 @@ fn quarantine_successors(vfs: &dyn Vfs, dir: &Path, from: u64) -> u64 {
         if !matches!(vfs.exists(&p), Ok(true)) {
             break;
         }
-        if matches!(wal::probe(vfs, &p), Ok(wal::WalProbe::CreationArtifact)) {
+        if holds_no_frames(vfs, &p) {
             let _ = vfs.remove_file(&p);
         } else {
             match wal::quarantine_file(vfs, &p) {
@@ -377,12 +280,27 @@ fn quarantine_successors(vfs: &dyn Vfs, dir: &Path, from: u64) -> u64 {
     total
 }
 
+/// True for a WAL segment that carries no frame: one that never
+/// finished creation, or a bare header. `compact` creates generation
+/// `g+1`'s header-only log (`prev_frames = 0`) before it flips the
+/// manifest, so a crash between the two leaves exactly that — not the
+/// lying-fsync signature its `prev_frames` mismatch would suggest, and
+/// nothing an acknowledgement ever covered.
+fn holds_no_frames(vfs: &dyn Vfs, path: &Path) -> bool {
+    match wal::probe(vfs, path) {
+        Ok(wal::WalProbe::CreationArtifact) => true,
+        Ok(wal::WalProbe::Valid { .. }) => {
+            matches!(vfs.file_len(path), Ok(n) if n == wal::header_len())
+        }
+        _ => false,
+    }
+}
+
 impl PersistentStore {
     /// Creates a new store at `dir` (made if missing) holding a full
-    /// snapshot of `system` as generation 1 with an empty WAL, and
-    /// resets the system's dirty tracking — disk and memory now agree.
+    /// snapshot of `system` as generation 1 with an empty WAL.
     /// Durability options come from `system.cfg.persist`.
-    pub fn create(dir: &Path, system: &mut SmartStoreSystem) -> Result<(Self, SnapshotStats)> {
+    pub fn create(dir: &Path, system: &SmartStoreSystem) -> Result<(Self, SnapshotStats)> {
         Self::create_with(RealVfs::handle(), dir, system)
     }
 
@@ -390,10 +308,10 @@ impl PersistentStore {
     pub fn create_with(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
-        system: &mut SmartStoreSystem,
+        system: &SmartStoreSystem,
     ) -> Result<(Self, SnapshotStats)> {
         vfs.create_dir_all(dir)?;
-        let opts = StoreOptions::from(&system.cfg.persist);
+        let cfg = system.cfg.persist;
         let generation = 1;
         let stats = snapshot::write_snapshot(
             vfs.as_ref(),
@@ -403,11 +321,10 @@ impl PersistentStore {
         let wal = WalWriter::create(
             vfs.as_ref(),
             &wal_path(dir, generation),
-            opts.wal_sync_every,
+            cfg.wal_sync_every,
             0,
         )?;
-        write_manifest(vfs.as_ref(), dir, generation, &[])?;
-        system.clear_dirty();
+        write_manifest(vfs.as_ref(), dir, generation)?;
         Ok((
             Self {
                 vfs,
@@ -416,22 +333,19 @@ impl PersistentStore {
                 deltas: Vec::new(),
                 generation,
                 wal,
-                opts,
+                cfg,
                 journal_error: None,
                 poisoned: false,
-                cut_pending: false,
             },
             stats,
         ))
     }
 
     /// Opens an existing store: loads the manifest's base snapshot,
-    /// folds the delta chain, replays the WAL segments from the chain
-    /// end onward (salvaging and quarantining anything unverifiable),
-    /// and returns the recovered system together with the store handle
-    /// positioned to keep appending. The recovered system's dirty set
-    /// is exactly the replayed footprint — the units the next delta
-    /// must re-encode.
+    /// folds any legacy delta chain, replays the WAL segments from the
+    /// chain end onward (salvaging and quarantining anything
+    /// unverifiable), and returns the recovered system together with
+    /// the store handle positioned to keep appending.
     pub fn open(dir: &Path) -> Result<(SmartStoreSystem, Self, RecoveryReport)> {
         Self::open_with(RealVfs::handle(), dir)
     }
@@ -448,7 +362,7 @@ impl PersistentStore {
         let mut snapshot_bytes = v.file_len(&snap_path)?;
         for &g in &deltas {
             let dpath = delta_path(dir, g);
-            let delta = retry_corrupt(|| snapshot::load_delta(v, &dpath))?;
+            let delta = retry_corrupt(|| snapshot::decode_delta(&v.read(&dpath)?, &dpath))?;
             snapshot_bytes += v.file_len(&dpath)?;
             snapshot::fold_delta(&mut parts, delta, &dpath)?;
         }
@@ -460,7 +374,7 @@ impl PersistentStore {
         // answer: filters only route probes, and exact name matching
         // sits behind them.
         let units_migrated = system.migrate_bloom_family();
-        let opts = StoreOptions::from(&system.cfg.persist);
+        let cfg = system.cfg.persist;
 
         let mut quarantined_bytes = 0u64;
         // The chain-end segment. The folded chain alone is a consistent
@@ -475,12 +389,12 @@ impl PersistentStore {
         match probe_settled(v, &first)? {
             wal::WalProbe::Valid { .. } => {}
             wal::WalProbe::CreationArtifact => {
-                WalWriter::create(v, &first, opts.wal_sync_every, 0)?;
+                WalWriter::create(v, &first, cfg.wal_sync_every, 0)?;
             }
             wal::WalProbe::Garbage => {
                 quarantined_bytes += wal::quarantine_file(v, &first)?;
                 quarantined_bytes += quarantine_successors(v, dir, chain_end + 1);
-                WalWriter::create(v, &first, opts.wal_sync_every, 0)?;
+                WalWriter::create(v, &first, cfg.wal_sync_every, 0)?;
             }
         }
 
@@ -511,13 +425,15 @@ impl PersistentStore {
                 quarantined_bytes += quarantine_successors(v, dir, active + 1);
                 break;
             }
-            // A crash between a compaction cut and its install leaves
+            // A legacy delta cut that crashed before its install left
             // the sealed old segment *and* the fresh one live; walk the
             // contiguous run. The successor's header records how many
             // frames its predecessor held at the seal — a mismatch
             // means the predecessor lost durable frames afterwards (an
             // fsync that lied), and replaying the successor on top
-            // would fabricate a state matching no prefix.
+            // would fabricate a state matching no prefix. A successor
+            // with no frame (`compact`'s fresh log, crash before the
+            // manifest flip) is removed there, not reported as damage.
             let next_path = wal_path(dir, active + 1);
             match probe_settled(v, &next_path)? {
                 wal::WalProbe::CreationArtifact => break,
@@ -550,7 +466,7 @@ impl PersistentStore {
         let wal = WalWriter::open_end(
             v,
             &wal_path(dir, active),
-            opts.wal_sync_every,
+            cfg.wal_sync_every,
             active_frames,
             active_replay.good_bytes,
         )?;
@@ -564,10 +480,9 @@ impl PersistentStore {
                 deltas,
                 generation: active,
                 wal,
-                opts,
+                cfg,
                 journal_error: None,
                 poisoned: false,
-                cut_pending: false,
             },
             report,
         ))
@@ -610,156 +525,24 @@ impl PersistentStore {
 
     /// True once the WAL has outgrown the compaction threshold.
     pub fn should_compact(&self) -> bool {
-        self.wal.bytes() > self.opts.wal_compact_bytes
+        self.wal.bytes() > self.cfg.wal_compact_bytes
     }
 
-    /// Compacts the WAL into the next snapshot generation, choosing the
-    /// cheap path: a *delta* generation (re-encoding only the dirty
-    /// units) while the chain is short and the churn footprint is a
-    /// minority of the corpus, a full-image rewrite otherwise. This is
-    /// the policy entry point [`crate::SystemPersist::apply_journaled`]
-    /// uses.
-    pub fn compact_incremental(
-        &mut self,
-        system: &mut SmartStoreSystem,
-    ) -> Result<CompactionOutcome> {
-        let n_units = system.units().len();
-        let dirty = system.dirty_count();
-        // Two states force the full path regardless of policy: an
-        // abandoned in-flight cut (begin without install — e.g. an
-        // encode worker died) and a poisoned store (a failed install
-        // may have discarded dirty tracking, so a delta could silently
-        // omit acknowledged churn). The full rewrite below captures
-        // everything and resets both.
-        let use_delta = !self.cut_pending
-            && !self.poisoned
-            && self.opts.max_delta_chain > 0
-            && self.deltas.len() < self.opts.max_delta_chain
-            && dirty * 2 < n_units;
-        if use_delta {
-            let cut = self.begin_delta_compaction(system)?;
-            let encoded = cut.encode();
-            Ok(CompactionOutcome::Delta(self.install_delta(encoded)?))
-        } else {
-            Ok(CompactionOutcome::Full(self.compact(system)?))
-        }
+    /// [`Self::compact`], reported as a [`CompactionOutcome`]. Holds no
+    /// logic of its own: it survives only for the frozen `benchmark/`
+    /// trace bin, which calls it by this name. Use [`Self::compact`].
+    pub fn compact_incremental(&mut self, system: &SmartStoreSystem) -> Result<CompactionOutcome> {
+        self.compact(system).map(CompactionOutcome)
     }
 
-    /// The writer-side cut of a delta compaction, O(churn footprint):
-    /// seals the current WAL segment, switches journaling to a fresh
-    /// one, captures the copy-on-write view of the dirty units, and
-    /// resets the system's dirty tracking (changes landing after the
-    /// cut re-mark their units for the *next* delta). The expensive
-    /// encode happens on the returned [`DeltaCompaction`] — on a worker
-    /// thread if you like — while this store keeps accepting appends;
-    /// finish with [`Self::install_delta`].
-    pub fn begin_delta_compaction(
-        &mut self,
-        system: &mut SmartStoreSystem,
-    ) -> Result<DeltaCompaction> {
-        if self.cut_pending {
-            return Err(PersistError::Io(std::io::Error::other(
-                "a delta compaction cut is already in flight; install it first",
-            )));
-        }
-        if self.poisoned {
-            // A poisoned store may have lost dirty tracking to a failed
-            // install — a delta cut here could silently omit
-            // acknowledged churn. Only the full rewrite is sound.
-            return Err(PersistError::Io(std::io::Error::other(
-                "store is poisoned; only a full compact() re-establishes a consistent snapshot",
-            )));
-        }
-        // Seal the old segment: every pre-cut frame durable before the
-        // manifest can ever supersede them.
-        self.wal.sync()?;
-        let next = self.generation + 1;
-        let new_wal = WalWriter::create(
-            self.vfs.as_ref(),
-            &wal_path(&self.dir, next),
-            self.opts.wal_sync_every,
-            // The successor records the sealed segment's frame count so
-            // recovery can detect the sealed log shrinking afterwards
-            // (a lying fsync) instead of replaying across the gap.
-            self.wal.next_seq(),
-        )?;
-        let view = system.to_delta_parts();
-        system.clear_dirty();
-        self.wal = new_wal;
-        self.generation = next;
-        self.cut_pending = true;
-        Ok(DeltaCompaction {
-            next_gen: next,
-            view,
-        })
-    }
-
-    /// Installs an encoded delta generation: writes the delta file
-    /// atomically, flips the manifest to the extended chain, and
-    /// retires the superseded WAL segments. On failure the store is
-    /// poisoned — the cut already cleared dirty tracking, so only a
-    /// full compaction (which re-encodes everything) can guarantee a
-    /// complete next generation — and the half-written artifacts are
-    /// removed immediately rather than stranded until the next open's
-    /// orphan sweep. (The next `open()` also heals this state on its
-    /// own: the manifest still names the old chain, and the sealed +
-    /// active segments replay every acknowledged change.)
-    pub fn install_delta(&mut self, encoded: EncodedDelta) -> Result<DeltaStats> {
-        if !self.cut_pending || encoded.next_gen != self.generation {
-            return Err(PersistError::Io(std::io::Error::other(format!(
-                "install_delta: generation {} does not match the in-flight cut",
-                encoded.next_gen
-            ))));
-        }
-        self.cut_pending = false;
-        let next = encoded.next_gen;
-        let prev_end = self.chain_end();
-        let install = (|| -> Result<()> {
-            snapshot::write_encoded(
-                self.vfs.as_ref(),
-                &encoded.bytes,
-                &delta_path(&self.dir, next),
-            )?;
-            let mut chain = self.deltas.clone();
-            chain.push(next);
-            write_manifest(self.vfs.as_ref(), &self.dir, self.base_generation, &chain)?;
-            self.deltas = chain;
-            Ok(())
-        })();
-        if let Err(e) = install {
-            self.poisoned = true;
-            // Nothing references these: the manifest was never flipped
-            // (or its tmp never renamed). Removing them now keeps the
-            // directory clean for however long this process lives.
-            let dpath = delta_path(&self.dir, next);
-            let _ = self.vfs.remove_file(&dpath.with_extension("tmp"));
-            let _ = self.vfs.remove_file(&dpath);
-            let _ = self.vfs.remove_file(&self.dir.join("MANIFEST.tmp"));
-            return Err(e);
-        }
-        // A poison present here necessarily arose *after* the cut
-        // (begin refuses poisoned stores): the gap lives in the
-        // still-active post-cut segment, which this install does not
-        // supersede — it must survive. Only a full compaction heals it.
-        if !self.poisoned {
-            self.journal_error = None;
-        }
-        // Superseded segments are unreachable now; removal is
-        // best-effort (the orphan sweep catches leftovers).
-        for g in prev_end..next {
-            let _ = self.vfs.remove_file(&wal_path(&self.dir, g));
-        }
-        Ok(encoded.stats)
-    }
-
-    /// Folds everything into a fresh *full* snapshot of `system` (which
+    /// Folds everything into a fresh full snapshot of `system` (which
     /// must be the state that *includes* every journaled change):
-    /// writes generation `g+1`, flips the manifest to a single-element
-    /// chain, deletes the old chain and WAL segments, and resets the
-    /// system's dirty tracking. Because the new snapshot captures the
-    /// full in-memory state, this also recovers a poisoned store — the
-    /// gapped old log becomes irrelevant.
-    pub fn compact(&mut self, system: &mut SmartStoreSystem) -> Result<SnapshotStats> {
+    /// writes generation `g+1`, flips the manifest to it, and deletes
+    /// the old generation — base, any legacy deltas, and WAL segments.
+    /// Because the new snapshot captures the full in-memory state, this
+    /// also recovers a poisoned store — the gapped old log becomes
+    /// irrelevant.
+    pub fn compact(&mut self, system: &SmartStoreSystem) -> Result<SnapshotStats> {
         if !self.poisoned {
             // A gapped WAL cannot be synced meaningfully; skip straight
             // to the snapshot that supersedes it.
@@ -775,19 +558,17 @@ impl PersistentStore {
         let new_wal = WalWriter::create(
             self.vfs.as_ref(),
             &wal_path(&self.dir, next),
-            self.opts.wal_sync_every,
+            self.cfg.wal_sync_every,
             0,
         )?;
-        write_manifest(self.vfs.as_ref(), &self.dir, next, &[])?;
+        write_manifest(self.vfs.as_ref(), &self.dir, next)?;
         let old_base = self.base_generation;
         let old_deltas = std::mem::take(&mut self.deltas);
         self.wal = new_wal;
         self.base_generation = next;
         self.generation = next;
         self.poisoned = false;
-        self.cut_pending = false;
         self.journal_error = None;
-        system.clear_dirty();
         // Old generations are unreachable now; removal is best-effort.
         let _ = self.vfs.remove_file(&snapshot_path(&self.dir, old_base));
         for g in old_deltas {
@@ -807,16 +588,6 @@ impl PersistentStore {
     /// Active WAL generation.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Base (full-image) generation of the snapshot chain.
-    pub fn base_generation(&self) -> u64 {
-        self.base_generation
-    }
-
-    /// Delta generations currently folded on top of the base.
-    pub fn delta_chain(&self) -> &[u64] {
-        &self.deltas
     }
 
     /// Current WAL size in bytes.
@@ -859,8 +630,8 @@ impl Journal for PersistentStore {
 }
 
 /// Best-effort cleanup of artifacts a crashed compaction can leave
-/// behind: `*.tmp` files, snapshot/delta files outside the manifest
-/// chain, and WAL segments outside the live `chain end ..= active`
+/// behind: `*.tmp` files, snapshot/legacy delta files outside the
+/// manifest chain, and WAL segments outside the live `chain end ..= active`
 /// run. Never touches the manifest or `.quarantine` side files.
 fn sweep_orphans(
     vfs: &dyn Vfs,

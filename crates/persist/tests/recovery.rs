@@ -253,7 +253,7 @@ fn corrupt_tail_drops_only_last_record() {
 #[test]
 fn corrupt_snapshot_refuses_to_load() {
     let dir = tmpdir("badsnap");
-    let mut live = build_system(200, 4, 3);
+    let live = build_system(200, 4, 3);
     let (store, _) = live.save_snapshot(&dir).unwrap();
     drop(store);
     let snap = std::fs::read_dir(&dir)

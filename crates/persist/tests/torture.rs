@@ -42,11 +42,10 @@ fn build_system(n_files: usize, n_units: usize, seed: u64, sync_every: usize) ->
     });
     let mut sys = SmartStoreSystem::build(pop.files, n_units, SmartStoreConfig::default(), seed);
     sys.cfg.persist.wal_sync_every = sync_every;
-    // Small enough that a ~30-change stream crosses several compactions
-    // (delta and full), so faults land inside the two-phase install and
-    // WAL hand-over paths, not just plain appends.
+    // Small enough that a ~30-change stream crosses several
+    // compactions, so faults land inside the snapshot install and WAL
+    // hand-over paths, not just plain appends.
     sys.cfg.persist.wal_compact_bytes = 1536;
-    sys.cfg.persist.max_delta_chain = 2;
     sys
 }
 
@@ -97,7 +96,7 @@ struct Baseline {
 fn baseline(sync_every: usize) -> Baseline {
     let dir = Path::new(DIR);
     let vfs = FaultVfs::new();
-    let mut sys = build_system(140, 4, 0xC0FFEE, sync_every);
+    let sys = build_system(140, 4, 0xC0FFEE, sync_every);
     let (store, _) = sys
         .save_snapshot_with(vfs.handle(), dir)
         .expect("baseline snapshot");
@@ -304,61 +303,6 @@ fn open_time_faults_never_brick_recovery() {
             }
         }
     }
-}
-
-/// A failed `install_delta` poisons the store (satellite: the `.tmp`
-/// artifacts are removed immediately), and a subsequent `open()` heals
-/// it — the manifest still names the old chain and the sealed + active
-/// WAL segments replay every acknowledged change.
-#[test]
-fn poisoned_install_heals_on_reopen() {
-    let dir = Path::new(DIR);
-    let vfs = FaultVfs::new();
-    let mut sys = build_system(120, 4, 7, 1);
-    let (mut store, _) = sys.save_snapshot_with(vfs.handle(), dir).expect("snapshot");
-
-    let files = sys.current_files();
-    let ops: Vec<(u8, u64, u64)> = (0..8u64).map(|i| ((i % 3) as u8, i * 31, i)).collect();
-    for ch in churn(&files, &ops) {
-        sys.apply_journaled(&mut store, ch.clone()).expect("apply");
-    }
-
-    // Cut a delta, then make its install fail at the first write.
-    let cut = store
-        .begin_delta_compaction(&mut sys)
-        .expect("begin delta cut");
-    vfs.set_plan(Some(FaultPlan {
-        at: vfs.ops(),
-        kind: FaultKind::IoError,
-        sticky: true,
-    }));
-    let err = store.install_delta(cut.encode());
-    assert!(err.is_err(), "install should fail under a dead disk");
-    vfs.set_plan(None);
-    assert!(store.is_poisoned(), "failed install must poison the store");
-
-    // Satellite: no half-written artifacts stranded for the next sweep.
-    let names = vfs.handle().list_dir(dir).expect("list dir");
-    assert!(
-        names.iter().all(|n| !n.ends_with(".tmp")),
-        "stranded tmp artifacts after failed install: {names:?}"
-    );
-
-    // Poisoned stores refuse appends with a typed error, not a panic.
-    assert!(sys.apply_journaled(&mut store, Change::Delete(1)).is_err());
-
-    // Crash and reopen: every acknowledged change recovers.
-    let live_print = fingerprint(&sys);
-    vfs.crash(CrashTail::DropUnsynced);
-    drop(store);
-    let (rec, store2, _) =
-        SmartStoreSystem::open_from_dir_with(vfs.handle(), dir).expect("heal on reopen");
-    assert!(!store2.is_poisoned());
-    assert_eq!(
-        fingerprint(&rec),
-        live_print,
-        "healed store diverged from the acknowledged state"
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -13,176 +13,31 @@
 //! * the next compaction rewrites the chain at the current format
 //!   version, which then round-trips through a second open.
 //!
-//! The `regenerate_v2_fixture` test is the fixture's provenance: it can
-//! only produce a valid fixture when compiled against a build whose
-//! `FORMAT_VERSION` is 2, and asserts exactly that so it cannot
-//! silently overwrite the committed v2 bytes with a newer format.
+//! Provenance: the fixture was written by `regenerate_v2_fixture` on a
+//! build whose `FORMAT_VERSION` was 2 (150 files, 10 units, seed 42; two
+//! modifies in unit 0 compacted into delta generation 2; then five
+//! inserts, a delete and a rename left in the WAL). That generator
+//! needed the delta writer and left this file with it in PR 25; see
+//! `git show 23a0439:crates/persist/tests/v2_compat.rs`.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
-use smartstore::versioning::Change;
-use smartstore::{QueryOptions, SmartStoreConfig, SmartStoreSystem};
+mod common;
+
+use common::{answer_digest, artifact_version, snap_files, stage_fixture, tmpdir};
+use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_persist::SystemPersist as _;
 use smartstore_trace::{GeneratorConfig, MetadataPopulation};
-use std::path::{Path, PathBuf};
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("v2-store")
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("smartstore_v2compat_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// Copies the committed fixture into a scratch directory: opening a
-/// store appends to its WAL and sweeps orphans, and the committed bytes
-/// must never change under test.
-fn stage_fixture(tag: &str) -> PathBuf {
-    let dst = tmpdir(tag);
-    std::fs::create_dir_all(&dst).unwrap();
-    for entry in std::fs::read_dir(fixture_dir()).unwrap() {
-        let entry = entry.unwrap();
-        if entry.file_type().unwrap().is_file() {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-        }
-    }
-    dst
-}
-
-/// Canonical query-answer digest of a system: deterministic point,
-/// range and top-k queries derived purely from the system's own state,
-/// with f64 distances rendered as raw bit patterns. Byte-for-byte
-/// equality of two digests means the two systems answer this probe
-/// workload bit-identically.
-fn answer_digest(sys: &SmartStoreSystem) -> String {
-    let engine = sys.query();
-    let opts = QueryOptions::offline();
-    let mut names: Vec<String> = sys.current_files().into_iter().map(|f| f.name).collect();
-    names.sort();
-    names.dedup();
-    let mut out = String::new();
-    for name in names.iter().step_by(7).take(30) {
-        out.push_str(&format!(
-            "point {name} = {:?}\n",
-            engine.point(name).file_ids
-        ));
-    }
-    for name in ["never_written_a", "never_written_b", "zzz_missing_file"] {
-        out.push_str(&format!(
-            "point {name} = {:?}\n",
-            engine.point(name).file_ids
-        ));
-    }
-    for (i, u) in sys.units().iter().enumerate() {
-        let c = u.centroid();
-        let lo: Vec<f64> = c.iter().map(|x| x - 0.5).collect();
-        let hi: Vec<f64> = c.iter().map(|x| x + 0.5).collect();
-        out.push_str(&format!(
-            "range {i} = {:?}\n",
-            engine.range(&lo, &hi, &opts).file_ids
-        ));
-    }
-    for (i, u) in sys.units().iter().enumerate().take(3) {
-        let (scored, _) = engine.topk_scored(u.centroid(), &opts.with_k(8));
-        let rendered: Vec<String> = scored
-            .iter()
-            .map(|&(id, d)| format!("{id}:{:016x}", d.to_bits()))
-            .collect();
-        out.push_str(&format!("topk {i} = [{}]\n", rendered.join(", ")));
-    }
-    out
-}
-
-/// Builds the fixture's system state and store directory. Kept in one
-/// place so the committed `answers.txt` and the store bytes always come
-/// from the same state.
-fn build_fixture_store(dir: &Path) -> SmartStoreSystem {
-    let pop = MetadataPopulation::generate(GeneratorConfig {
-        n_files: 150,
-        n_clusters: 6,
-        seed: 42,
-        ..GeneratorConfig::default()
-    });
-    let mut sys = SmartStoreSystem::build(pop.files, 10, SmartStoreConfig::default(), 42);
-    let (mut store, _) = sys.save_snapshot(dir).unwrap();
-    // Dirty a strict minority of units (a modify dirties at most the
-    // source and destination unit) so compaction takes the delta path.
-    let victims: Vec<_> = sys.units()[0].files()[..2].to_vec();
-    for mut f in victims {
-        f.size += 4096;
-        f.access_count += 1;
-        sys.apply_journaled(&mut store, Change::Modify(f)).unwrap();
-    }
-    let outcome = store.compact_incremental(&mut sys).unwrap();
-    assert!(outcome.is_delta(), "fixture must exercise the delta chain");
-    // Leave a WAL tail for replay: inserts, a delete, a rename.
-    let mut extra = sys.units()[1].files()[0].clone();
-    for i in 0..5u64 {
-        let mut f = extra.clone();
-        f.file_id = 900_000 + i;
-        f.name = format!("v2_tail_file_{i}");
-        f.size += i;
-        sys.apply_journaled(&mut store, Change::Insert(f)).unwrap();
-    }
-    let doomed = sys.units()[2].files()[3].file_id;
-    sys.apply_journaled(&mut store, Change::Delete(doomed))
-        .unwrap();
-    extra.name = "v2_renamed_file".into();
-    extra.size += 1;
-    sys.apply_journaled(&mut store, Change::Modify(extra))
-        .unwrap();
-    store.sync().unwrap();
-    sys
-}
-
-/// Provenance generator for the committed fixture. Ignored in CI: it
-/// refuses to run unless the build still writes format v2, so the
-/// committed artifact can only ever be a genuine v2 image.
-#[test]
-#[ignore = "writes the committed v2 fixture; only valid on a v2-era build"]
-fn regenerate_v2_fixture() {
-    assert_eq!(
-        smartstore_persist::codec::FORMAT_VERSION,
-        2,
-        "the v2 fixture must be generated by a build whose FORMAT_VERSION is 2"
-    );
-    let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let sys = build_fixture_store(&dir);
-    std::fs::write(dir.join("answers.txt"), answer_digest(&sys)).unwrap();
-}
+const FIXTURE: &str = "v2-store";
 
 fn committed_answers() -> String {
-    std::fs::read_to_string(fixture_dir().join("answers.txt")).unwrap()
-}
-
-/// Format version stamped in an artifact's header (bytes 8..10, after
-/// the 8-byte magic).
-fn artifact_version(path: &Path) -> u16 {
-    let bytes = std::fs::read(path).unwrap();
-    u16::from_le_bytes([bytes[8], bytes[9]])
-}
-
-/// Every `.snap` artifact (full or delta) currently in `dir`.
-fn snap_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-        .collect();
-    out.sort();
-    out
+    common::committed_answers(FIXTURE)
 }
 
 #[test]
 fn v2_fixture_opens_migrates_and_answers_bit_identically() {
-    let dir = stage_fixture("open");
+    let dir = stage_fixture(FIXTURE, "open");
     for snap in snap_files(&dir) {
         assert_eq!(artifact_version(&snap), 2, "{snap:?} must be a v2 artifact");
     }
@@ -207,13 +62,11 @@ fn v2_fixture_opens_migrates_and_answers_bit_identically() {
 
 #[test]
 fn v2_fixture_compacts_to_v3_and_roundtrips() {
-    let dir = stage_fixture("compact");
-    let (mut sys, mut store, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
+    let dir = stage_fixture(FIXTURE, "compact");
+    let (sys, mut store, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
     assert!(report.units_migrated > 0);
-    // Migration marks every unit dirty, so the policy must choose a
-    // full rewrite — the whole corpus gets re-persisted in v3.
-    let outcome = store.compact_incremental(&mut sys).unwrap();
-    assert!(!outcome.is_delta(), "post-migration compaction is full");
+    // Compaction rewrites the whole migrated corpus in v3.
+    store.compact(&sys).unwrap();
     drop(store);
     let snaps = snap_files(&dir);
     assert!(!snaps.is_empty());
@@ -246,7 +99,7 @@ fn explicit_md5_v3_store_is_not_migrated() {
         bloom_family: smartstore::HashFamily::Md5,
         ..SmartStoreConfig::default()
     };
-    let mut sys = SmartStoreSystem::build(pop.files, 6, cfg, 7);
+    let sys = SmartStoreSystem::build(pop.files, 6, cfg, 7);
     let digest = answer_digest(&sys);
     let (store, _) = sys.save_snapshot(&dir).unwrap();
     drop(store);

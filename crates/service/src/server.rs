@@ -226,7 +226,7 @@ impl MetadataServer {
             for f in &bucket {
                 owner.insert(f.file_id, i);
             }
-            let mut sys = SmartStoreSystem::build(
+            let sys = SmartStoreSystem::build(
                 bucket,
                 cfg.units_per_shard,
                 cfg.cfg.clone(),
@@ -648,10 +648,10 @@ impl MetadataServer {
 
     /// The durable write path with in-place healing. The change is
     /// acknowledged iff it was journaled *and* applied; compaction runs
-    /// best-effort after the ack point, and a store it poisons is
-    /// healed by the full-rewrite compaction (which re-snapshots the
-    /// complete in-memory state and clears the poison). An error means
-    /// the change did not land and the store could not be healed.
+    /// best-effort after the ack point. A failed append poisons the
+    /// store, which the full-rewrite compaction heals (it re-snapshots
+    /// the complete in-memory state and clears the poison). An error
+    /// means the change did not land and the store could not be healed.
     fn apply_durable(
         sys: &mut SmartStoreSystem,
         store: &mut PersistentStore,
@@ -678,13 +678,10 @@ impl MetadataServer {
             // Strictly best-effort: the change is already durable in
             // the WAL, so a compaction failure must NOT become an
             // error — the caller would answer `Unavailable` and a
-            // retry would apply the change twice. A poisoned store is
-            // healed opportunistically; if even that fails, the *next*
-            // append finds the poison and takes the heal-or-quarantine
-            // path with nothing acknowledged.
-            if store.compact_incremental(sys).is_err() && store.is_poisoned() {
-                let _ = store.compact(sys);
-            }
+            // retry would apply the change twice. A failed compaction
+            // leaves the old generation in force, and the next mutation
+            // (the WAL still over its threshold) tries again.
+            let _ = store.compact(sys);
         }
         Ok(landed)
     }

@@ -62,13 +62,6 @@ pub struct PersistConfig {
     /// Compact the WAL into a fresh snapshot once the log exceeds this
     /// many bytes.
     pub wal_compact_bytes: u64,
-    /// Maximum differential-snapshot chain length: compaction appends
-    /// cheap *delta* generations (re-encoding only the units dirtied
-    /// since the previous generation) until the chain holds this many
-    /// deltas, then pays for one full-image rewrite that resets the
-    /// chain. `0` disables deltas entirely (every compaction rewrites
-    /// the full image, the pre-differential behavior).
-    pub max_delta_chain: usize,
 }
 
 impl Default for PersistConfig {
@@ -80,9 +73,6 @@ impl Default for PersistConfig {
             // 16 MiB of log ≈ a few hundred thousand changes before the
             // cost of replay outweighs the cost of a snapshot rewrite.
             wal_compact_bytes: 16 * 1024 * 1024,
-            // Eight deltas before a full rewrite: cold-start folds at
-            // most eight extra files while compaction stays O(churn).
-            max_delta_chain: 8,
         }
     }
 }

@@ -63,9 +63,7 @@ pub mod versioning;
 pub use config::{PersistConfig, SmartStoreConfig};
 pub use query::{QueryEngine, QueryOptions};
 pub use smartstore_bloom::HashFamily;
-pub use system::{
-    DeltaParts, DirtyUnits, Journal, QueryOutcome, SmartStoreSystem, SystemParts, SystemStats,
-};
+pub use system::{Journal, QueryOutcome, SmartStoreSystem, SystemParts, SystemStats};
 
 pub use tree::SemanticRTree;
 pub use unit::StorageUnit;

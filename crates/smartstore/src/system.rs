@@ -64,85 +64,6 @@ pub trait Journal {
     fn record(&mut self, group: NodeId, change: &Change);
 }
 
-/// Per-unit dirty bitmap: which storage units have mutated since the
-/// last [`SmartStoreSystem::clear_dirty`]. One bit per unit id, packed
-/// into `u64` words, so tracking a million units costs 128 KiB and
-/// marking is a single OR.
-///
-/// This is the bookkeeping behind *differential snapshots*
-/// (`smartstore-persist`): a compaction that knows exactly which units
-/// changed can re-encode only those, making its cost proportional to
-/// the churn footprint instead of the corpus size.
-#[derive(Clone, Debug, Default)]
-pub struct DirtyUnits {
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl DirtyUnits {
-    /// An empty (all-clean) bitmap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks one unit dirty.
-    pub fn mark(&mut self, unit: usize) {
-        let word = unit / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (unit % 64);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
-            self.count += 1;
-        }
-    }
-
-    /// Marks units `0..n` dirty (full-image invalidation).
-    pub fn mark_all(&mut self, n: usize) {
-        for u in 0..n {
-            self.mark(u);
-        }
-    }
-
-    /// Whether `unit` is marked.
-    pub fn contains(&self, unit: usize) -> bool {
-        self.words
-            .get(unit / 64)
-            .is_some_and(|w| w & (1u64 << (unit % 64)) != 0)
-    }
-
-    /// Number of dirty units.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// True when nothing is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The dirty unit ids, ascending.
-    pub fn to_vec(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count);
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-
-    /// Clears every mark.
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.count = 0;
-    }
-}
-
 /// The complete mutable state of a [`SmartStoreSystem`], exported for
 /// serialization. The `owner` map is intentionally absent: it is always
 /// exactly "file → unit that stores it" and is rebuilt from the units.
@@ -169,39 +90,6 @@ pub struct SystemParts {
     pub reseed: u64,
 }
 
-/// The copy-on-write cut a *differential* snapshot encodes: only the
-/// storage units dirtied since the previous snapshot generation, plus
-/// the (small) index-side sections in full — the semantic R-tree,
-/// index mapping, version chains and pending counters all shift with
-/// every change, but together they are dwarfed by the unit records
-/// that dominate snapshot bytes.
-///
-/// Capturing one is O(churn footprint + index), never O(corpus):
-/// see [`SmartStoreSystem::to_delta_parts`].
-#[derive(Clone, Debug)]
-pub struct DeltaParts {
-    /// Configuration in force.
-    pub cfg: SmartStoreConfig,
-    /// Clones of the dirty units only, ascending unit id.
-    pub units: Vec<StorageUnit>,
-    /// Total unit count of the system at the cut (folding sanity).
-    pub n_units_total: usize,
-    /// Semantic R-tree structural state (full).
-    pub tree: crate::tree::TreeParts,
-    /// Index-unit → storage-unit mapping (full).
-    pub mapping: IndexMapping,
-    /// Per-group version chains, sorted by group id (full).
-    pub versions: Vec<(NodeId, VersionStore)>,
-    /// Per-group pending-change counters, sorted by group id (full).
-    pub pending: Vec<(NodeId, usize)>,
-    /// Whether versioning is enabled.
-    pub versioning_enabled: bool,
-    /// Accumulated replica-maintenance message count.
-    pub maintenance_messages: u64,
-    /// Seed for re-deriving the post-restore RNG stream.
-    pub reseed: u64,
-}
-
 /// A complete SmartStore deployment over simulated storage units.
 #[derive(Clone, Debug)]
 pub struct SmartStoreSystem {
@@ -220,9 +108,6 @@ pub struct SmartStoreSystem {
     /// Messages spent on replica maintenance (lazy updates, version
     /// multicasts) — background traffic, reported separately.
     pub maintenance_messages: u64,
-    /// Units mutated since the last [`Self::clear_dirty`] — the churn
-    /// footprint a differential snapshot re-encodes.
-    dirty: DirtyUnits,
     rng: StdRng,
 }
 
@@ -283,10 +168,6 @@ impl SmartStoreSystem {
         for g in tree.first_level_index_units() {
             versions.insert(g, VersionStore::new(cfg.version_ratio));
         }
-        // A freshly built system has no snapshot generation behind it:
-        // everything is dirty until a full image is written.
-        let mut dirty = DirtyUnits::new();
-        dirty.mark_all(units.len());
         Self {
             cfg,
             units,
@@ -297,7 +178,6 @@ impl SmartStoreSystem {
             pending: HashMap::new(),
             versioning_enabled: true,
             maintenance_messages: 0,
-            dirty,
             rng,
         }
     }
@@ -370,70 +250,7 @@ impl SmartStoreSystem {
             pending: parts.pending.into_iter().collect(),
             versioning_enabled: parts.versioning_enabled,
             maintenance_messages: parts.maintenance_messages,
-            // Parts come from a persisted image, so disk and memory
-            // agree: nothing is dirty until a change lands (WAL replay
-            // re-marks exactly the replayed footprint via
-            // `apply_change`).
-            dirty: DirtyUnits::new(),
             rng: StdRng::seed_from_u64(parts.reseed),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Dirty tracking (differential snapshots)
-    // ------------------------------------------------------------------
-
-    /// The units mutated since the last [`Self::clear_dirty`],
-    /// ascending — the churn footprint a differential snapshot must
-    /// re-encode.
-    pub fn dirty_units(&self) -> Vec<usize> {
-        self.dirty.to_vec()
-    }
-
-    /// Number of dirty units.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.count()
-    }
-
-    /// Resets dirty tracking. Call *only* at the instant a snapshot
-    /// generation (full or delta) captures the current state — clearing
-    /// at any other time silently drops units from the next delta.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
-    /// Exports the differential cut for the current dirty set: clones
-    /// of the dirty units plus the (small) index-side sections in full.
-    /// O(churn footprint + index), never O(corpus). Does **not** clear
-    /// the dirty set — the caller clears it once the cut is safely on
-    /// its way to disk (see `smartstore-persist`).
-    pub fn to_delta_parts(&self) -> DeltaParts {
-        let mut versions: Vec<(NodeId, VersionStore)> = self
-            .versions // lint:allow(D002) -- collected then sorted below; map order never escapes
-            .iter()
-            .map(|(&g, vs)| (g, vs.clone()))
-            .collect();
-        versions.sort_by_key(|&(g, _)| g);
-        let mut pending: Vec<(NodeId, usize)> =
-            // lint:allow(D002) -- collected then sorted below
-            self.pending.iter().map(|(&g, &n)| (g, n)).collect();
-        pending.sort_unstable();
-        DeltaParts {
-            cfg: self.cfg.clone(),
-            units: self
-                .dirty
-                .to_vec()
-                .into_iter()
-                .map(|u| self.units[u].clone())
-                .collect(),
-            n_units_total: self.units.len(),
-            tree: self.tree.to_parts(),
-            mapping: self.mapping.clone(),
-            versions,
-            pending,
-            versioning_enabled: self.versioning_enabled,
-            maintenance_messages: self.maintenance_messages,
-            reseed: 0x5afe_5eed,
         }
     }
 
@@ -734,7 +551,6 @@ impl SmartStoreSystem {
     /// Applies a change whose target `unit` has already been resolved by
     /// [`Self::unit_of_change`].
     fn apply_change_at(&mut self, change: Change, unit: usize) -> Option<NodeId> {
-        self.dirty.mark(unit);
         match &change {
             Change::Insert(f) => {
                 self.owner.insert(f.file_id, unit);
@@ -777,8 +593,6 @@ impl SmartStoreSystem {
     /// fresh replica (counted as maintenance traffic).
     fn lazy_refresh_group(&mut self, group: NodeId) {
         for u in self.tree.descendant_units(group) {
-            // Recomputed summaries mutate the stored unit image.
-            self.dirty.mark(u);
             self.units[u].recompute_summaries();
             self.tree.update_leaf_summary(&self.units[u]);
         }
@@ -801,9 +615,9 @@ impl SmartStoreSystem {
     /// per-file removal, then republishes the fresh leaf summaries to
     /// the index — the deleting units come out *consistent*, not stale,
     /// so no lazy-update debt accrues. Version chains record the
-    /// deletes (off-line replicas may still hold the ids), ownership
-    /// and dirty tracking update as usual. Unknown ids are ignored;
-    /// returns the number of records removed.
+    /// deletes (off-line replicas may still hold the ids) and ownership
+    /// updates as usual. Unknown ids are ignored; returns the number of
+    /// records removed.
     ///
     /// This is the in-memory admin path, deliberately not journaled —
     /// route individual deletes through
@@ -821,7 +635,6 @@ impl SmartStoreSystem {
         units.sort_unstable();
         let mut removed_total = 0;
         for u in units {
-            self.dirty.mark(u);
             let removed = self.units[u].remove_files(&per_unit[&u]);
             let group = self.group_of_unit(u);
             for f in &removed {
@@ -851,8 +664,8 @@ impl SmartStoreSystem {
     /// (§3.4). Rebuilt filters are *fresh* — names journaled since the
     /// last summary refresh become visible to point routing, which is
     /// exactly the effect of a lazy update (§3.4) arriving early, never
-    /// a lost answer. Every unit is marked dirty so the next compaction
-    /// rewrites the full image under the new family.
+    /// a lost answer. The next compaction persists the rebuilt filters,
+    /// since every compaction rewrites the full image.
     pub fn migrate_bloom_family(&mut self) -> usize {
         let family = self.cfg.bloom_family;
         let mut migrated = 0usize;
@@ -864,7 +677,6 @@ impl SmartStoreSystem {
         }
         if migrated > 0 {
             self.tree.rebuild_blooms(&self.units);
-            self.dirty.mark_all(self.units.len());
         }
         migrated
     }
@@ -872,7 +684,6 @@ impl SmartStoreSystem {
     /// Forces a full index rebuild (reconfiguration): recomputes unit
     /// summaries, rebuilds the tree and mapping, clears version chains.
     pub fn reconfigure(&mut self) {
-        self.dirty.mark_all(self.units.len());
         for u in &mut self.units {
             u.recompute_summaries();
         }
@@ -955,7 +766,6 @@ impl SmartStoreSystem {
     /// Inserts a whole storage unit into the running system (§3.2.1).
     pub fn add_unit(&mut self, files: Vec<FileMetadata>) -> usize {
         let id = self.units.len();
-        self.dirty.mark(id);
         for f in &files {
             self.owner.insert(f.file_id, id);
         }

@@ -556,47 +556,6 @@ fn two_threads_query_one_engine_concurrently() {
 }
 
 #[test]
-fn dirty_tracking_follows_the_change_stream() {
-    use smartstore::versioning::Change;
-    let (mut sys, pop) = system(1000, 10, 41);
-    // A freshly built system is fully dirty: no snapshot covers it yet.
-    assert_eq!(sys.dirty_units(), (0..10).collect::<Vec<_>>());
-    sys.clear_dirty();
-    assert_eq!(sys.dirty_count(), 0);
-
-    // Queries never dirty anything.
-    let q = pop.files[77].attr_vector();
-    let lo: Vec<f64> = q.iter().map(|x| x - 0.3).collect();
-    let hi: Vec<f64> = q.iter().map(|x| x + 0.3).collect();
-    sys.query().range(&lo, &hi, &QueryOptions::offline());
-    sys.query().topk(&q, &QueryOptions::online().with_k(5));
-    sys.query().point(&pop.files[77].name);
-    assert_eq!(sys.dirty_count(), 0);
-
-    // A delete dirties exactly the owning unit.
-    let victim = sys.current_files()[3].clone();
-    sys.apply_change(Change::Delete(victim.file_id));
-    assert_eq!(sys.dirty_count(), 1);
-
-    // A no-op change dirties nothing further.
-    sys.apply_change(Change::Delete(u64::MAX));
-    assert_eq!(sys.dirty_count(), 1);
-
-    // The delta cut carries exactly the dirty units, ascending.
-    let delta = sys.to_delta_parts();
-    assert_eq!(delta.n_units_total, 10);
-    assert_eq!(
-        delta.units.iter().map(|u| u.id).collect::<Vec<_>>(),
-        sys.dirty_units()
-    );
-
-    // Reconfiguration rewrites every unit's summaries.
-    sys.clear_dirty();
-    sys.reconfigure();
-    assert_eq!(sys.dirty_count(), 10);
-}
-
-#[test]
 fn bulk_removal_matches_change_stream_answers() {
     // remove_files_bulk refreshes summaries eagerly while the change
     // stream leaves them stale, but storage units are the source of

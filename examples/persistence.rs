@@ -1,10 +1,9 @@
 //! Persistence walkthrough: build a system, snapshot it, journal live
-//! churn through the write-ahead log — compacting *differentially*
-//! (each generation re-encodes only the units the churn dirtied),
-//! "crash" (drop everything), then reopen from disk and show the
-//! recovered system folds base + deltas + WAL back to a state that
-//! answers queries identically — without re-running the LSI grouping
-//! pipeline.
+//! churn through the write-ahead log — compacting into a fresh full
+//! snapshot each time the log outgrows its threshold — "crash" (drop
+//! everything), then reopen from disk and show the recovered system
+//! (snapshot + WAL replay) answers queries identically — without
+//! re-running the LSI grouping pipeline.
 //!
 //! ```sh
 //! cargo run --release --example persistence
@@ -33,8 +32,8 @@ fn main() {
     let mut sys = SmartStoreSystem::build(pop.files.clone(), 40, SmartStoreConfig::default(), 42);
     let build_time = t0.elapsed();
     println!("built system from scratch in {build_time:?} (LSI grouping of 8k files)");
-    // Compact aggressively so the walkthrough shows a differential
-    // chain growing (production keeps the default 16 MiB threshold).
+    // Compact aggressively so the walkthrough shows several snapshot
+    // generations (production keeps the default 16 MiB threshold).
     sys.cfg.persist.wal_compact_bytes = 24 * 1024;
 
     // 2. Make it durable: snapshot + an empty write-ahead log.
@@ -49,15 +48,10 @@ fn main() {
     );
 
     // 3. Live churn, journaled write-ahead: each change hits the WAL
-    //    (group-tagged, checksummed) before the in-memory structures.
-    //    Real change streams are skewed — a few hot semantic groups
-    //    absorb most writes — so draw the churn from the files of a
-    //    handful of units: per-unit dirty tracking then keeps each
-    //    compaction *differential*, re-encoding only that footprint.
-    let base: Vec<_> = sys.units()[..4]
-        .iter()
-        .flat_map(|u| u.files().iter().cloned())
-        .collect();
+    //    (group-tagged, checksummed) before the in-memory structures;
+    //    past the threshold the log compacts into the next full
+    //    snapshot generation.
+    let base = sys.current_files();
     for i in 0..500u64 {
         let change = match i % 3 {
             0 => {
@@ -77,18 +71,10 @@ fn main() {
     }
     store.sync().expect("sync");
     println!(
-        "journaled 500 changes: WAL at {} frames / {} bytes (generation {})",
+        "journaled 500 changes: compacted into snapshot generation {}, WAL now at {} frames / {} bytes",
+        store.generation(),
         store.wal_frames(),
         store.wal_bytes(),
-        store.generation(),
-    );
-    println!(
-        "differential chain: base generation {} + {} delta generation(s) {:?} — each delta \
-         re-encoded only the units its churn window dirtied ({} currently dirty for the next one)",
-        store.base_generation(),
-        store.delta_chain().len(),
-        store.delta_chain(),
-        sys.dirty_count(),
     );
 
     // 4. "Crash": drop the live system and the store handle.
@@ -100,13 +86,9 @@ fn main() {
     let (reopened, _store, report) = SmartStoreSystem::open_from_dir(&dir).expect("recovery");
     let open_time = t0.elapsed();
     println!(
-        "reopened from disk in {open_time:?} (base gen {} + {} folded delta(s) → gen {}, \
-         {} WAL frames replayed, {} torn bytes dropped)",
-        report.base_generation,
-        report.deltas_folded,
-        report.generation,
-        report.replayed_frames,
-        report.dropped_tail_bytes,
+        "reopened from disk in {open_time:?} (snapshot gen {}, {} WAL frames replayed, \
+         {} torn bytes dropped)",
+        report.generation, report.replayed_frames, report.dropped_tail_bytes,
     );
     println!(
         "cold start vs rebuild: {:.1}× faster",
