@@ -3,20 +3,18 @@
 //! JSON trajectory report.
 //!
 //! The point path is Bloom-probe-bound, so the hash family is what its
-//! latency hangs on. Two rows per scale:
+//! latency hangs on. One row per scale, `point_family`: the same corpus
+//! indexed under each family, the full point path timed on both.
+//! Answers are checked **identical** between the families before timing
+//! (routing false positives never change answers — exact name matching
+//! sits behind the filters — but a latency number for a wrong answer is
+//! worthless).
 //!
-//! * `point_family` — the same corpus indexed under each family, the
-//!   full point path timed on both. Answers are checked **identical**
-//!   between the families before timing (routing false positives never
-//!   change answers — exact name matching sits behind the filters — but
-//!   a latency number for a wrong answer is worthless);
-//! * `hierarchy_probe` — ns per Bloom-hierarchy filter probe, isolated
-//!   from unit-local name resolution.
-//!
-//! The columnar-vs-record-walk rows this bench used to carry are
-//! history in `results/query_latency.json`; the record-walk reference
-//! itself lives where references belong, in
-//! `crates/smartstore/tests/columnar.rs`.
+//! The columnar-vs-record-walk and `hierarchy_probe` rows this bench
+//! used to carry are history in `results/query_latency.json`; the
+//! record-walk reference itself lives where references belong, in
+//! `crates/smartstore/tests/columnar.rs`, and the probe the system runs
+//! is timed per request by the repository benchmark's `bloom.probe_ns`.
 //!
 //! The table is printed and written as JSON (`query_latency.json`)
 //! under `target/bench-reports` (override with `BENCH_REPORT_DIR`); CI
@@ -29,7 +27,6 @@
 use smartstore::HashFamily;
 use smartstore_bench::fixture::{population, system, system_with_family, workload};
 use smartstore_bench::Report;
-use smartstore_bloom::BloomHierarchy;
 use smartstore_trace::{QueryDistribution, TraceKind};
 use std::time::Instant;
 
@@ -82,69 +79,31 @@ fn bench_scale(n_files: usize, rounds: usize, report: &mut Report) {
             "point answers diverged between hash families"
         );
     }
-    let before_family = time_ns(rounds, w.points.len(), || {
+    let before = time_ns(rounds, w.points.len(), || {
         for q in &w.points {
             std::hint::black_box(md5_engine.point(&q.name));
         }
     });
-    let after_family = time_ns(rounds, w.points.len(), || {
+    let after = time_ns(rounds, w.points.len(), || {
         for q in &w.points {
             std::hint::black_box(engine.point(&q.name));
         }
     });
 
-    // Routing-probe micro-row: ns per Bloom-hierarchy filter probe,
-    // isolated from unit-local name resolution. One hierarchy per
-    // family over the same leaves (units) and the same probe stream.
-    let (before_probe, after_probe) = {
-        let mut per_family = [0.0f64; 2];
-        for (slot, family) in [HashFamily::Md5, HashFamily::Fast].into_iter().enumerate() {
-            let mut h =
-                BloomHierarchy::with_family(sys.cfg.bloom_bits, sys.cfg.bloom_hashes, family);
-            let leaves: Vec<_> = sys
-                .units()
-                .iter()
-                .map(|u| h.add_leaf(u.id, u.files().iter().map(|f| f.name.as_bytes())))
-                .collect();
-            let root = h.add_internal(leaves);
-            h.set_root(root);
-            let mut probes = 0usize;
-            for q in &w.points {
-                probes += h.query(q.name.as_bytes()).1;
-            }
-            per_family[slot] = time_ns(rounds * 4, probes, || {
-                for q in &w.points {
-                    std::hint::black_box(h.query(q.name.as_bytes()));
-                }
-            });
-        }
-        (per_family[0], per_family[1])
-    };
-
-    for (kind, before, after, gate) in [
-        (
-            "point_family",
-            before_family,
-            after_family,
-            (n_files >= 50_000).then_some(FAMILY_GATE),
-        ),
-        ("hierarchy_probe", before_probe, after_probe, None),
-    ] {
-        let speedup = before / after.max(1e-9);
-        report.row(&[
-            n_files.to_string(),
-            kind.to_string(),
-            format!("{before:.0}"),
-            format!("{after:.0}"),
-            format!("{speedup:.2}"),
-        ]);
-        println!("  {kind:<16} {before:>10.0} ns -> {after:>8.0} ns  ({speedup:.2}x)");
-        if let Some(g) = gate {
-            assert!(
-                speedup >= g,
-                "{kind} at {n_files} files: speedup {speedup:.2}x below the {g}x gate"
-            );
-        }
+    let speedup = before / after.max(1e-9);
+    report.row(&[
+        n_files.to_string(),
+        "point_family".to_string(),
+        format!("{before:.0}"),
+        format!("{after:.0}"),
+        format!("{speedup:.2}"),
+    ]);
+    println!("  point_family     {before:>10.0} ns -> {after:>8.0} ns  ({speedup:.2}x)");
+    if n_files >= 50_000 {
+        assert!(
+            speedup >= FAMILY_GATE,
+            "point_family at {n_files} files: speedup {speedup:.2}x below the {FAMILY_GATE}x gate"
+        );
     }
 }
 
@@ -168,9 +127,7 @@ fn main() {
          family (before) vs the fast Kirsch–Mitzenmacher family (after) and runs \
          the full point path on each; answers are checked identical between \
          families before timing, and the speedup is gated at ≥{FAMILY_GATE}x at \
-         50k files. hierarchy_probe is the routing micro-row: ns per Bloom-\
-         hierarchy filter probe, MD5 vs fast, no name resolution. Results are \
-         single-thread (no thread-count dependence), valid on a 1-core host"
+         50k files. Results are single-thread (no thread-count dependence), valid on a 1-core host"
     ));
     print!("{}", report.render());
     let dir = smartstore_bench::report::default_report_dir();

@@ -6,9 +6,6 @@ use smartstore_trace::{
     MetadataPopulation, QueryDistribution, QueryWorkload, TraceKind, WorkloadModel,
 };
 
-/// Default storage-unit count (the paper's cluster has 60, §5.1).
-pub const PAPER_UNITS: usize = 60;
-
 /// Builds a population for a trace at a simulation size.
 pub fn population(kind: TraceKind, n_files: usize, seed: u64) -> MetadataPopulation {
     WorkloadModel::new(kind).generate(n_files, seed)

@@ -1,6 +1,5 @@
 //! The Bloom filter proper: a fixed-size bit array with k hash
-//! functions from a selectable [`HashFamily`], plus union and
-//! false-probability math.
+//! functions from a selectable [`HashFamily`], plus union.
 
 use crate::hash::{HashFamily, PreparedKey};
 
@@ -147,49 +146,6 @@ impl BloomFilter {
         acc
     }
 
-    /// Number of set bits.
-    pub fn popcount(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Fraction of set bits (the filter's "fill").
-    pub fn fill_ratio(&self) -> f64 {
-        self.popcount() as f64 / self.n_bits as f64
-    }
-
-    /// Theoretical false-positive probability for `n` inserted keys:
-    /// `(1 − e^(−k·n/m))^k`.
-    pub fn theoretical_fpp(n_bits: usize, n_hashes: usize, n_keys: usize) -> f64 {
-        let m = n_bits as f64;
-        let k = n_hashes as f64;
-        let n = n_keys as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
-    }
-
-    /// Estimated false-positive probability of *this* filter from its
-    /// observed fill ratio: `fill^k`.
-    pub fn estimated_fpp(&self) -> f64 {
-        self.fill_ratio().powi(self.n_hashes as i32)
-    }
-
-    /// Sets bit `i` for every non-zero entry of `occupancy` — the export
-    /// path from a counting filter (same geometry, same hash family).
-    ///
-    /// # Panics
-    /// If `occupancy.len() != self.n_bits()`.
-    pub fn set_bits_from(&mut self, occupancy: &[u8]) {
-        assert_eq!(
-            occupancy.len(),
-            self.n_bits,
-            "set_bits_from: geometry mismatch"
-        );
-        for (i, &c) in occupancy.iter().enumerate() {
-            if c > 0 {
-                self.bits[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-    }
-
     /// Clears all bits.
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
@@ -235,6 +191,20 @@ impl BloomFilter {
 mod tests {
     use super::*;
 
+    /// Theoretical false-positive probability for `n` inserted keys:
+    /// `(1 − e^(−k·n/m))^k`.
+    fn theoretical_fpp(n_bits: usize, n_hashes: usize, n_keys: usize) -> f64 {
+        let m = n_bits as f64;
+        let k = n_hashes as f64;
+        let n = n_keys as f64;
+        (1.0 - (-k * n / m).exp()).powf(k)
+    }
+
+    /// Number of set bits.
+    fn popcount(f: &BloomFilter) -> usize {
+        f.words().iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     #[test]
     fn no_false_negatives() {
         for family in [HashFamily::Md5, HashFamily::Fast] {
@@ -256,7 +226,7 @@ mod tests {
     fn empty_filter_contains_nothing() {
         let f = BloomFilter::paper_default();
         assert!(!f.contains(b"anything"));
-        assert_eq!(f.popcount(), 0);
+        assert_eq!(popcount(&f), 0);
         assert_eq!(f.family(), HashFamily::Md5);
     }
 
@@ -273,7 +243,7 @@ mod tests {
                 .filter(|i| f.contains(format!("nonmember_{i}").as_bytes()))
                 .count();
             let observed = fp as f64 / trials as f64;
-            let theory = BloomFilter::theoretical_fpp(1024, 7, n);
+            let theory = theoretical_fpp(1024, 7, n);
             // Within a factor of 3 of theory (binomial noise + hash quality).
             assert!(
                 observed < theory * 3.0 + 0.005,
@@ -303,8 +273,8 @@ mod tests {
             b.insert(format!("b{i}").as_bytes());
         }
         let u = BloomFilter::union_all([&a, &b]);
-        assert!(u.popcount() <= a.popcount() + b.popcount());
-        assert!(u.popcount() >= a.popcount().max(b.popcount()));
+        assert!(popcount(&u) <= popcount(&a) + popcount(&b));
+        assert!(popcount(&u) >= popcount(&a).max(popcount(&b)));
     }
 
     #[test]
@@ -335,8 +305,8 @@ mod tests {
 
     #[test]
     fn theoretical_fpp_monotone_in_keys() {
-        let a = BloomFilter::theoretical_fpp(1024, 7, 50);
-        let b = BloomFilter::theoretical_fpp(1024, 7, 200);
+        let a = theoretical_fpp(1024, 7, 50);
+        let b = theoretical_fpp(1024, 7, 200);
         assert!(a < b);
         assert!(a > 0.0 && b < 1.0);
     }
@@ -359,11 +329,8 @@ mod tests {
         for i in 0..1000 {
             f.insert(format!("k{i}").as_bytes());
         }
-        assert!(
-            f.fill_ratio() > 0.99,
-            "heavily loaded filter should saturate"
-        );
-        assert!(f.estimated_fpp() > 0.9);
+        let fill = popcount(&f) as f64 / f.n_bits() as f64;
+        assert!(fill > 0.99, "heavily loaded filter should saturate");
     }
 
     #[test]

@@ -203,9 +203,8 @@ enum IndexState {
     },
 }
 
-/// Zero-allocation iterator over a key's Bloom bit indexes. Shared by
-/// [`crate::BloomFilter`], [`crate::CountingBloomFilter`] and the
-/// hierarchy probes, for both hash families.
+/// Zero-allocation iterator over a key's Bloom bit indexes: the probe
+/// and insert loop of [`crate::BloomFilter`], for both hash families.
 pub struct BitIndexes<'k> {
     key: &'k [u8],
     n_bits: usize,

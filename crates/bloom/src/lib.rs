@@ -20,21 +20,17 @@
 //! default [`HashFamily::Fast`] drives Kirsch–Mitzenmacher double
 //! hashing from a single one-pass 64-bit hash (see [`hash`]).
 //!
-//! Either way the key is hashed once per hierarchy it is looked up
-//! in, not once per filter: [`HashFamily::prepare`] yields a small
+//! Either way the key is hashed once per tree it is looked up in, not
+//! once per filter: [`HashFamily::prepare`] yields a small
 //! `Copy` [`PreparedKey`] and [`BloomFilter::contains_prepared`] probes
 //! with it, so the ≈ 30 filters a point query meets on its way down one
 //! shard's tree and at the routed units share one hash.
 //! [`BloomFilter::contains`] is the same probe over a key prepared on
 //! the spot.
 
-pub mod counting;
 pub mod filter;
 pub mod hash;
-pub mod hierarchy;
 pub mod md5;
 
-pub use counting::CountingBloomFilter;
 pub use filter::{BloomFilter, PAPER_BITS, PAPER_HASHES};
 pub use hash::{HashFamily, PreparedKey};
-pub use hierarchy::BloomHierarchy;

@@ -173,14 +173,14 @@ fn words_of(d: [u8; 16]) -> [u32; 4] {
     ]
 }
 
-/// Hex string of a digest (for tests and debugging).
-pub fn to_hex(digest: &[u8; 16]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Hex string of a digest.
+    fn to_hex(digest: &[u8; 16]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     // RFC 1321 appendix A.5 test suite.
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the Bloom substrate: no false negatives, union
-//! soundness, counting-filter delete correctness, MD5 determinism, and
+//! soundness, MD5 determinism, and
 //! the fast hash family's statistical health (false-positive proportion
 //! near theory, double-hashing probes well dispersed, families
 //! isolated).
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use smartstore_bloom::hash::{fast_hash64, splitmix64};
 use smartstore_bloom::md5::md5;
-use smartstore_bloom::{BloomFilter, CountingBloomFilter, HashFamily};
+use smartstore_bloom::{BloomFilter, HashFamily};
 
 /// The index derivations written out longhand — no iterator, no
 /// prepared key, no power-of-two shortcut — as the reference the
@@ -120,53 +120,6 @@ proptest! {
             if fa.contains(probe.as_bytes()) || fb.contains(probe.as_bytes()) {
                 prop_assert!(u.contains(probe.as_bytes()));
             }
-        }
-    }
-
-    #[test]
-    fn counting_filter_matches_multiset_semantics(
-        ops in prop::collection::vec(("[a-g]", any::<bool>()), 1..300),
-    ) {
-        let mut f = CountingBloomFilter::new(2048, 5);
-        let mut model: std::collections::HashMap<String, usize> = Default::default();
-        for (key, is_insert) in ops {
-            if is_insert {
-                f.insert(key.as_bytes());
-                *model.entry(key).or_insert(0) += 1;
-            } else {
-                let have = model.get(&key).copied().unwrap_or(0);
-                let removed = f.remove(key.as_bytes());
-                if have > 0 {
-                    prop_assert!(removed, "remove of live key {key} must succeed");
-                    *model.get_mut(&key).unwrap() -= 1;
-                } else if removed {
-                    // A false-positive removal is possible but must not
-                    // create false negatives for other live keys —
-                    // checked below. Track nothing.
-                }
-            }
-        }
-        // With a 2048-counter filter and ≤7 distinct short keys,
-        // counter collisions between distinct keys are overwhelmingly
-        // unlikely, so live keys must still be present.
-        for (key, &count) in &model {
-            if count > 0 {
-                prop_assert!(f.contains(key.as_bytes()), "live key {key} lost");
-            }
-        }
-    }
-
-    #[test]
-    fn counting_export_preserves_membership(
-        keys in prop::collection::vec("[a-z]{1,12}", 0..80),
-    ) {
-        let mut cf = CountingBloomFilter::new(1024, 7);
-        for k in &keys {
-            cf.insert(k.as_bytes());
-        }
-        let plain = cf.to_bloom();
-        for k in &keys {
-            prop_assert!(plain.contains(k.as_bytes()));
         }
     }
 

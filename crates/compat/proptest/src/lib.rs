@@ -241,7 +241,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng as _;
 
-    /// Element-count specification for [`vec`]: an exact size or a
+    /// Element-count specification for [`vec()`]: an exact size or a
     /// half-open range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

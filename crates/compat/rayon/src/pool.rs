@@ -175,8 +175,7 @@ pub fn current_num_threads() -> usize {
 // ThreadPool + builder.
 // ---------------------------------------------------------------------------
 
-/// Error from [`ThreadPoolBuilder::build`] /
-/// [`ThreadPoolBuilder::build_global`].
+/// Error from [`ThreadPoolBuilder::build`].
 #[derive(Debug)]
 pub struct ThreadPoolBuildError {
     msg: &'static str,
@@ -220,16 +219,6 @@ impl ThreadPoolBuilder {
     /// Builds a standalone pool.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool::new(self.resolve()))
-    }
-
-    /// Installs the built pool as the process-global default. Fails if
-    /// the global pool was already initialized (by an earlier call or
-    /// lazily by a parallel operation).
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let pool = ThreadPool::new(self.resolve());
-        GLOBAL.set(pool).map_err(|_| ThreadPoolBuildError {
-            msg: "the global thread pool has already been initialized",
-        })
     }
 }
 

@@ -16,8 +16,6 @@
 //! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding; the paper
 //!   discusses K-means as the alternative grouping tool (§3.1.1), and the
 //!   benchmark harness uses it for the grouping ablation.
-//! * [`power`] — randomized subspace iteration for the leading singular
-//!   triplets, the O(mnp) path for Exabyte-scale reindexing.
 //!
 //! Everything is deterministic given a caller-supplied RNG, which the
 //! repository relies on for reproducible experiments.
@@ -25,13 +23,11 @@
 pub mod kmeans;
 pub mod lsi;
 pub mod matrix;
-pub mod power;
 pub mod svd;
 
 pub use kmeans::{kmeans, KMeansResult};
-pub use lsi::{CorrelationMatrix, Lsi, LsiConfig};
+pub use lsi::{Lsi, LsiConfig};
 pub use matrix::Matrix;
-pub use power::{subspace_svd, SubspaceOptions};
 pub use svd::{jacobi_svd, Svd, TruncatedSvd};
 
 /// Numeric tolerance used across the crate when comparing floating-point
@@ -68,11 +64,6 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sum()
 }
 
-/// Euclidean distance between two equal-length vectors.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    sq_euclidean(a, b).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +93,7 @@ mod tests {
 
     #[test]
     fn euclidean_matches_hand_computation() {
-        assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
+        assert!((sq_euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 25.0).abs() < 1e-12);
         assert!((sq_euclidean(&[1.0, 1.0], &[2.0, 2.0]) - 2.0).abs() < 1e-12);
     }
 

@@ -216,65 +216,6 @@ impl Lsi {
         };
         self.svd.fold_query(&scaled)
     }
-
-    /// Correlation between an ad-hoc query vector and item `j`.
-    pub fn query_similarity(&self, q: &[f64], j: usize) -> f64 {
-        cosine_similarity(&self.fold_query(q), self.item_coords(j))
-    }
-
-    /// Index of the item most similar to the query, or `None` for an
-    /// empty model.
-    pub fn most_similar_item(&self, q: &[f64]) -> Option<usize> {
-        let folded = self.fold_query(q);
-        (0..self.n_items())
-            .map(|j| (j, cosine_similarity(&folded, self.item_coords(j))))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(j, _)| j)
-    }
-
-    /// Full pairwise correlation matrix, computed in parallel.
-    pub fn correlation_matrix(&self) -> CorrelationMatrix {
-        let n = self.n_items();
-        let rows: Vec<Vec<f64>> = (0..n)
-            .into_par_iter()
-            .map(|i| (0..n).map(|j| self.similarity(i, j)).collect())
-            .collect();
-        CorrelationMatrix { n, rows }
-    }
-}
-
-/// Symmetric pairwise item-correlation matrix produced by
-/// [`Lsi::correlation_matrix`].
-#[derive(Clone, Debug)]
-pub struct CorrelationMatrix {
-    n: usize,
-    rows: Vec<Vec<f64>>,
-}
-
-impl CorrelationMatrix {
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Correlation between items `i` and `j`.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.rows[i][j]
-    }
-
-    /// For item `i`, the other item with the highest correlation (ties
-    /// broken by lower index), or `None` if there is no other item.
-    pub fn best_partner(&self, i: usize) -> Option<(usize, f64)> {
-        (0..self.n)
-            .filter(|&j| j != i)
-            .map(|j| (j, self.rows[i][j]))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-    }
 }
 
 #[cfg(test)]
@@ -325,11 +266,19 @@ mod tests {
                 standardize: true,
             },
         );
-        let q = vec![1.0, 1.0, 0.0, 0.0]; // looks like cluster A (items 0-2)
-        let best = lsi.most_similar_item(&q).unwrap();
+        // The item whose semantic coordinates best match the folded query.
+        let most_similar = |q: &[f64]| {
+            let folded = lsi.fold_query(q);
+            (0..lsi.n_items())
+                .max_by(|&a, &b| {
+                    cosine_similarity(&folded, lsi.item_coords(a))
+                        .total_cmp(&cosine_similarity(&folded, lsi.item_coords(b)))
+                })
+                .unwrap()
+        };
+        let best = most_similar(&[1.0, 1.0, 0.0, 0.0]); // looks like cluster A (items 0-2)
         assert!(best < 3, "query should route to cluster A, got item {best}");
-        let q2 = vec![0.0, 0.0, 1.0, 1.0];
-        let best2 = lsi.most_similar_item(&q2).unwrap();
+        let best2 = most_similar(&[0.0, 0.0, 1.0, 1.0]);
         assert!(
             best2 >= 3,
             "query should route to cluster B, got item {best2}"
@@ -339,34 +288,11 @@ mod tests {
     #[test]
     fn correlation_matrix_is_symmetric() {
         let lsi = Lsi::fit_items(&clustered_items(), LsiConfig::default());
-        let c = lsi.correlation_matrix();
-        for i in 0..c.len() {
-            for j in 0..c.len() {
-                assert!((c.get(i, j) - c.get(j, i)).abs() < 1e-9);
+        for i in 0..lsi.n_items() {
+            for j in 0..lsi.n_items() {
+                assert!((lsi.similarity(i, j) - lsi.similarity(j, i)).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn best_partner_prefers_same_cluster() {
-        let lsi = Lsi::fit_items(
-            &clustered_items(),
-            LsiConfig {
-                rank: 2,
-                standardize: true,
-            },
-        );
-        let c = lsi.correlation_matrix();
-        let (p, v) = c.best_partner(0).unwrap();
-        assert!(p < 3, "partner of item 0 should be in cluster A");
-        assert!(v > 0.9);
-    }
-
-    #[test]
-    fn best_partner_none_for_single_item() {
-        let lsi = Lsi::fit_items(&[vec![1.0, 2.0]], LsiConfig::default());
-        let c = lsi.correlation_matrix();
-        assert!(c.best_partner(0).is_none());
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Writes `values` into column `c`.
-    pub fn set_col(&mut self, c: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.rows, "set_col: length mismatch");
-        for (r, &v) in values.iter().enumerate() {
-            self[(r, c)] = v;
-        }
-    }
-
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -202,17 +194,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    /// If `v.len() != self.cols`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(&a, &b)| a * b).sum())
-            .collect()
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -235,18 +216,6 @@ impl Matrix {
             cols: self.cols,
             data,
         }
-    }
-
-    /// Scales every element by `s` in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
-    /// Maximum absolute element, or 0.0 for an empty matrix.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 }
 
@@ -317,13 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let v = vec![5.0, 6.0];
-        assert_eq!(a.matvec(&v), vec![17.0, 39.0]);
-    }
-
-    #[test]
     fn frobenius_norm_of_345() {
         let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
@@ -332,7 +294,9 @@ mod tests {
     #[test]
     fn col_and_set_col_roundtrip() {
         let mut a = Matrix::zeros(3, 2);
-        a.set_col(1, &[1.0, 2.0, 3.0]);
+        for (r, v) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            a[(r, 1)] = v;
+        }
         assert_eq!(a.col(1), vec![1.0, 2.0, 3.0]);
         assert_eq!(a.col(0), vec![0.0, 0.0, 0.0]);
     }
@@ -385,7 +349,7 @@ mod tests {
         let a = Matrix::from_rows(&[vec![2.0, 4.0]]);
         let b = Matrix::from_rows(&[vec![1.0, 1.0]]);
         let mut c = a.sub(&b);
-        c.scale_in_place(2.0);
+        c.as_mut_slice().iter_mut().for_each(|x| *x *= 2.0);
         assert_eq!(c.as_slice(), &[2.0, 6.0]);
     }
 }

@@ -192,7 +192,9 @@ fn find_cfg_test_spans(src: &str, lexed: &Lexed) -> Vec<(usize, usize)> {
 
 /// Parses the attribute starting at `#` token `i`. Returns the token
 /// index just past the closing `]` and whether the attribute is
-/// `cfg(test)`-like (`cfg(test)`, `cfg(any(test, …))`, or `test`).
+/// `cfg(test)`-like (`cfg(test)`, `cfg(any(test, …))`, or `test`). A
+/// `test` inside `not(..)` is production code: `cfg(not(test))` marks
+/// exactly what the test build leaves out.
 fn parse_attr(src: &str, lexed: &Lexed, i: usize) -> Option<(usize, bool)> {
     let toks = &lexed.tokens;
     let text = |k: usize| lexed.text(src, k);
@@ -208,9 +210,17 @@ fn parse_attr(src: &str, lexed: &Lexed, i: usize) -> Option<(usize, bool)> {
     let mut saw_cfg = false;
     let mut saw_test = false;
     let mut first_ident: Option<String> = None;
+    // One entry per open `(`: whether it opened a `not(..)`.
+    let mut parens: Vec<bool> = Vec::new();
     while j < toks.len() {
         let t = text(j);
         match toks[j].kind {
+            TokKind::Punct if t == "(" => {
+                parens.push(j > 0 && toks[j - 1].kind == TokKind::Ident && text(j - 1) == "not")
+            }
+            TokKind::Punct if t == ")" => {
+                parens.pop();
+            }
             TokKind::Punct if t == "[" => depth += 1,
             TokKind::Punct if t == "]" => {
                 depth -= 1;
@@ -226,7 +236,7 @@ fn parse_attr(src: &str, lexed: &Lexed, i: usize) -> Option<(usize, bool)> {
                 if t == "cfg" {
                     saw_cfg = true;
                 }
-                if t == "test" {
+                if t == "test" && !parens.contains(&true) {
                     saw_test = true;
                 }
             }
@@ -349,6 +359,19 @@ mod tests {
             .find(|&i| c.text(i) == "unwrap")
             .unwrap();
         assert!(c.is_test_tok(i));
+    }
+
+    #[test]
+    fn cfg_not_test_is_production() {
+        let c = ctx("#[cfg(not(test))]\nfn prod() { x.unwrap(); }\n#[cfg(all(unix, not(test)))]\nfn prod2() {}\n#[cfg(any(test, not(unix)))]\nfn t() {}\n");
+        let find = |name: &str| {
+            (0..c.tokens().len())
+                .find(|&i| c.text(i) == name)
+                .map(|i| c.is_test_tok(i))
+        };
+        assert_eq!(find("prod"), Some(false));
+        assert_eq!(find("prod2"), Some(false));
+        assert_eq!(find("t"), Some(true));
     }
 
     #[test]

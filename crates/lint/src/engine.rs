@@ -1,6 +1,6 @@
 //! Drives the rule set over a set of file contexts: local rules per
-//! file, the cross-file wire/lock accumulators, then centralized
-//! suppression (`lint:allow`) and ordering.
+//! file, the cross-file wire and reachability accumulators, then
+//! centralized suppression (`lint:allow`) and ordering.
 
 use crate::context::FileContext;
 use crate::report::{AllowRecord, Finding, Report};
@@ -10,14 +10,27 @@ use crate::rules;
 /// line covered by a *justified* `lint:allow(<rule>)` directive (same
 /// line or the line above) are suppressed; an allow without a
 /// ` -- justification` is itself a finding (A001) and suppresses
-/// nothing.
+/// nothing. `ctxs` is the whole world: reachability (X001) judges a
+/// `pub` item by whether any other file in it names the item.
 pub fn scan(ctxs: &[FileContext]) -> Report {
+    scan_rules(ctxs, true)
+}
+
+/// [`scan`] over one file taken out of its workspace. Every rule runs
+/// except reachability, which would find each `pub` item unnamed by a
+/// world of one.
+pub fn scan_file(ctx: &FileContext) -> Report {
+    scan_rules(std::slice::from_ref(ctx), false)
+}
+
+fn scan_rules(ctxs: &[FileContext], reachability: bool) -> Report {
     let mut findings = Vec::new();
     let mut report = Report {
         files_scanned: ctxs.len(),
         ..Report::default()
     };
     let mut wire = rules::wire::WireCheck::default();
+    let mut reach = rules::reach::Reachability::default();
 
     for ctx in ctxs {
         rules::determinism::check_partial_cmp(ctx, &mut findings);
@@ -27,6 +40,9 @@ pub fn scan(ctxs: &[FileContext]) -> Report {
         rules::locks::check(ctx, &mut findings);
         rules::unsafety::check(ctx, &mut findings, &mut report.unsafe_inventory);
         wire.collect(ctx);
+        if reachability {
+            reach.collect(ctx);
+        }
 
         // Allow hygiene applies to production files only — fixtures and
         // tests may demonstrate bare directives.
@@ -53,6 +69,7 @@ pub fn scan(ctxs: &[FileContext]) -> Report {
         }
     }
     wire.finalize(&mut findings);
+    reach.finalize(&mut findings);
 
     // Centralized suppression: A001 is never suppressible.
     findings.retain(|f| {

@@ -6,7 +6,7 @@
 //! conventions machine-enforced: a hand-rolled Rust lexer
 //! ([`lexer`]) feeds a rule engine ([`engine`]) that walks the token
 //! stream with lightweight context (crate, test spans, fn boundaries;
-//! [`context`]) and applies five rule classes ([`rules`]):
+//! [`context`]) and applies six rule classes ([`rules`]):
 //!
 //! | rule | class | what it catches |
 //! |------|-------|-----------------|
@@ -15,9 +15,17 @@
 //! | D003 | determinism | `Instant::now`/`SystemTime::now` outside the timing allowlist |
 //! | P001–P003 | panic-freedom | `.unwrap()`, `.expect()`, panic macros in serving/persistence production code |
 //! | W001–W002 | wire protocol | duplicate tags; tags missing an encoder or decoder |
+//! | W003 | wire protocol | a hash-family tag read or written by more than one fn |
 //! | L001 | lock order | mutex acquisition against the declared order |
 //! | U001 | unsafe audit | `unsafe` without a `SAFETY` comment (plus a full inventory) |
+//! | X001 | reachability | a `pub` item no other file names |
 //! | A001 | hygiene | `lint:allow` without a justification |
+//!
+//! X001 counts every token outside a `pub use` as a use, test code and
+//! `benchmark/` included, except in `fixtures/` and in the item's own
+//! file's tests; resolve a finding by deleting the item, or by moving a
+//! helper only its own tests call into that test module. It runs on the
+//! workspace walk ([`run`], [`engine::scan`]), not on [`scan_source`].
 //!
 //! Suppression is inline only:
 //! `// lint:allow(<RULE>) -- why this site is sound`, covering the
@@ -53,5 +61,5 @@ pub fn scan_source(path_label: &str, crate_name: &str, is_dev: bool, src: &str) 
         is_dev,
         src.to_string(),
     );
-    engine::scan(std::slice::from_ref(&ctx))
+    engine::scan_file(&ctx)
 }

@@ -3,9 +3,11 @@
 //! * `determinism` — D001 float-order panics, D002 hash-container
 //!   iteration, D003 wall-clock reads
 //! * `panics` — P001 `unwrap`, P002 `expect`, P003 panic macros
-//! * `wire` — W001 duplicate protocol tags, W002 encoder/decoder pairing
+//! * `wire` — W001 duplicate protocol tags, W002 encoder/decoder
+//!   pairing, W003 one encoder/decoder pair per hash-family tag
 //! * `locks` — L001 declared mutex acquisition order
 //! * `unsafety` — U001 `SAFETY`-comment audit + inventory
+//! * `reach` — X001 `pub` items no other file names
 //!
 //! All rules walk the lexed token stream through [`FileContext`], so
 //! text inside strings and comments never matches.
@@ -13,6 +15,7 @@
 pub mod determinism;
 pub mod locks;
 pub mod panics;
+pub mod reach;
 pub mod unsafety;
 pub mod wire;
 

@@ -21,6 +21,11 @@ fn not_flagged(v: Option<u32>) -> u32 {
     v.unwrap_or(0)
 }
 
+#[cfg(not(test))]
+fn production_only(v: Option<u32>) -> u32 {
+    v.unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

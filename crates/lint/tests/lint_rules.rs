@@ -5,6 +5,8 @@
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
+use smartstore_lint::context::FileContext;
+use smartstore_lint::engine;
 use smartstore_lint::report::Report;
 use smartstore_lint::scan_source;
 
@@ -57,6 +59,7 @@ fn panic_rules_fire_exactly_where_seeded() {
             "fx/panics.rs:4:P001",  // v.unwrap()
             "fx/panics.rs:8:P002",  // r.expect("boom")
             "fx/panics.rs:13:P003", // panic!("nope")
+            "fx/panics.rs:26:P001", // v.unwrap() under #[cfg(not(test))]
         ],
         "{:#?}",
         r.findings
@@ -159,6 +162,74 @@ fn dev_files_are_exempt_from_production_rules() {
         &fixture("panics.rs"),
     );
     assert!(r.findings.is_empty(), "{:#?}", r.findings);
+}
+
+#[test]
+fn reachability_flags_pub_items_no_other_file_names() {
+    let file = |path: &str, is_dev: bool, src: &str| {
+        FileContext::new(path.into(), "demo".into(), is_dev, src.into())
+    };
+    let items = "\
+pub fn unreferenced() {}
+
+pub fn only_own_tests() {}
+
+pub fn only_reexported() {}
+
+pub fn only_in_text() {}
+
+pub fn used_by_tests() {}
+
+pub fn used_locally() {}
+
+fn helper() {
+    used_locally();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::only_own_tests();
+    }
+}
+";
+    let ctxs = [
+        file("demo/src/items.rs", false, items),
+        file(
+            "demo/src/lib.rs",
+            false,
+            "pub mod items;\npub use items::{only_reexported, used_by_tests};\n\
+             // only_in_text()\nconst NOTE: &str = \"only_in_text\";\n",
+        ),
+        file(
+            "demo/tests/it.rs",
+            true,
+            "#[test]\nfn it() {\n    demo::items::used_by_tests();\n}\n",
+        ),
+        // Fixtures are inputs, not users.
+        file(
+            "demo/tests/fixtures/f.rs",
+            true,
+            "fn f() { unreferenced(); }\n",
+        ),
+    ];
+    let r = engine::scan(&ctxs);
+    assert_eq!(
+        keys(&r),
+        vec![
+            "demo/src/items.rs:1:X001", // named nowhere else (a fixture does not count)
+            "demo/src/items.rs:3:X001", // named only by its own file's tests
+            "demo/src/items.rs:5:X001", // named only by a `pub use`
+            "demo/src/items.rs:7:X001", // named only in a string and a comment
+        ],
+        "{:#?}",
+        r.findings
+    );
+    // A file scanned on its own has no world to be reachable from.
+    assert!(scan_source("demo/src/items.rs", "demo", false, items)
+        .findings
+        .is_empty());
 }
 
 #[test]

@@ -137,11 +137,6 @@ impl SocketTransport {
         &self.addr
     }
 
-    /// True while a connection is established.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     fn ensure_connected(&mut self) -> TransportResult<()> {
         if self.conn.is_none() {
             self.reconnect()?;

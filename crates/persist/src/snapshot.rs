@@ -1,4 +1,5 @@
-//! Point-in-time snapshots of a whole [`SmartStoreSystem`].
+//! Point-in-time snapshots of a whole
+//! [`SmartStoreSystem`](smartstore::SmartStoreSystem).
 //!
 //! A snapshot file is a header followed by checksummed records (see
 //! [`crate::codec`]), one section per subsystem:
@@ -28,8 +29,8 @@
 //! index-side sections (tree, mapping, versions, pending) were present
 //! in full. Nothing writes them any more — every compaction is a full
 //! image — but a manifest may still name a chain of them, so opening a
-//! store decodes each one ([`decode_delta`]) and overlays it onto the
-//! base ([`fold_delta`]): units replace (or append) by unit id, the
+//! store decodes each one (`decode_delta`) and overlays it onto the
+//! base (`fold_delta`): units replace (or append) by unit id, the
 //! index sections are taken wholesale from the delta. The next
 //! compaction rewrites the folded state as one full image.
 

@@ -39,7 +39,7 @@
 //! segments are swept as orphans on the next open.
 //!
 //! All I/O goes through a [`Vfs`] handle; production entry points use
-//! [`RealVfs`](crate::vfs::RealVfs), the torture harness substitutes
+//! [`RealVfs`], the torture harness substitutes
 //! [`FaultVfs`](crate::vfs::FaultVfs).
 
 use crate::codec::{self, Dec, Enc, FrameError};

@@ -253,8 +253,6 @@ struct MemFs {
     plan: Option<FaultPlan>,
     /// Whether the armed plan has fired at least once.
     fired: bool,
-    /// Total faults injected.
-    faults: u64,
 }
 
 impl MemFs {
@@ -271,7 +269,6 @@ impl MemFs {
             return None;
         }
         self.fired = true;
-        self.faults += 1;
         Some(plan.kind)
     }
 }
@@ -321,11 +318,6 @@ impl FaultVfs {
         self.lock().ops
     }
 
-    /// Faults injected so far.
-    pub fn faults_fired(&self) -> u64 {
-        self.lock().faults
-    }
-
     /// Resets the I/O call counter (so a fresh enumeration pass can
     /// target call indices relative to *its* start).
     pub fn reset_ops(&self) {
@@ -367,7 +359,6 @@ impl FaultVfs {
                 ops: 0,
                 plan: None,
                 fired: false,
-                faults: 0,
             })),
         }
     }
@@ -384,11 +375,6 @@ impl FaultVfs {
             }
             _ => false,
         }
-    }
-
-    /// The live length of `path`, if it exists (test introspection).
-    pub fn live_len(&self, path: &Path) -> Option<usize> {
-        self.lock().files.get(path).map(|f| f.live.len())
     }
 
     /// A `dyn`-typed handle to this filesystem.

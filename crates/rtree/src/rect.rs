@@ -60,11 +60,6 @@ impl Rect {
         self.lo.iter().zip(&self.hi).map(|(&l, &h)| h - l).product()
     }
 
-    /// Sum of side lengths (the "margin", used by some split heuristics).
-    pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(&self.hi).map(|(&l, &h)| h - l).sum()
-    }
-
     /// Geometric center.
     pub fn center(&self) -> Vec<f64> {
         self.lo
@@ -187,10 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_margin() {
+    fn area_and_center() {
         let r = r2([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(r.area(), 6.0);
-        assert_eq!(r.margin(), 5.0);
         assert_eq!(r.center(), vec![1.0, 1.5]);
     }
 

@@ -350,13 +350,6 @@ impl MetadataServer {
         }
     }
 
-    /// Read access to one shard's durable store, when the deployment
-    /// persists (tests, compaction telemetry); `None` when in-memory
-    /// or quarantined.
-    pub fn shard_store(&self, i: usize) -> Option<&PersistentStore> {
-        self.shards[i].up().and_then(|s| s.store.as_ref())
-    }
-
     /// Serving state of shard `i`.
     pub fn shard_health(&self, i: usize) -> ShardHealth {
         self.shards[i].health()

@@ -114,18 +114,6 @@ impl<M> Simulator<M> {
         self.stats
     }
 
-    /// Resets traffic counters and the clock (between experiment
-    /// phases). Pending events must be drained first.
-    ///
-    /// # Panics
-    /// If events are still queued.
-    pub fn reset(&mut self) {
-        assert!(self.queue.is_empty(), "reset: events still queued");
-        self.stats = NetStats::default();
-        self.clock = 0;
-        self.busy_until.iter_mut().for_each(|b| *b = 0);
-    }
-
     /// Sends `msg` of `bytes` payload from `from` to `to`, arriving
     /// after wire latency. A self-send models a local enqueue and skips
     /// the hop charge.
@@ -204,11 +192,6 @@ impl<M> Simulator<M> {
             let processing = handler(self, delivery);
             self.busy_until[to] = start + self.cost.per_msg_cpu_ns + processing;
         }
-    }
-
-    /// True when no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -332,25 +315,6 @@ mod tests {
         assert_eq!(seen[0].0, 2);
         assert_eq!(seen[1].0, 1);
         assert!(seen[1].1 >= 1_000_000);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut s = sim(2);
-        s.send(0, 1, Msg::Ping(0), 10);
-        s.run(|_, _| 0);
-        assert_ne!(s.stats().messages, 0);
-        s.reset();
-        assert_eq!(s.stats(), NetStats::default());
-        assert_eq!(s.now(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn reset_with_pending_events_panics() {
-        let mut s = sim(2);
-        s.send(0, 1, Msg::Ping(0), 0);
-        s.reset();
     }
 
     #[test]

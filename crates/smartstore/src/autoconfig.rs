@@ -125,22 +125,6 @@ impl AutoConfig {
             None => (&self.full, query_dims.len() == AttributeKind::ALL.len()),
         }
     }
-
-    /// Total trees kept (full + subsets).
-    pub fn tree_count(&self) -> usize {
-        1 + self.subsets.len()
-    }
-
-    /// Aggregate index bytes across all kept trees — the storage-space
-    /// side of the §2.4 tradeoff.
-    pub fn total_index_bytes(&self) -> usize {
-        self.full.tree.index_size_bytes()
-            + self
-                .subsets
-                .iter()
-                .map(|t| t.tree.index_size_bytes())
-                .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +173,6 @@ mod tests {
         let ac = AutoConfig::configure(&us, &some_candidates(), &SmartStoreConfig::default());
         assert_eq!(ac.full.dims.len(), AttributeKind::ALL.len());
         ac.full.tree.check_invariants().unwrap();
-        assert_eq!(ac.tree_count(), 1 + ac.subsets.len());
         assert_eq!(ac.subsets.len() + ac.rejected, 3);
     }
 
@@ -266,7 +249,6 @@ mod tests {
         let none = AutoConfig::configure(&us, &some_candidates(), &keep_none);
         assert_eq!(all.subsets.len(), 3);
         assert_eq!(none.subsets.len(), 0);
-        assert!(all.total_index_bytes() > none.total_index_bytes());
     }
 
     #[test]

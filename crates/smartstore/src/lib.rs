@@ -37,8 +37,7 @@
 //!   execute query workloads, report structure statistics (§5); also
 //!   home of the [`system::Journal`] write-ahead hook and the
 //!   [`system::SystemParts`] export/import used by the durable
-//!   `smartstore-persist` crate (snapshots + WAL + crash recovery);
-//! * [`cache`] — semantic-aware caching with top-k prefetching (§1.1).
+//!   `smartstore-persist` crate (snapshots + WAL + crash recovery).
 //!
 //! The paper's simulated latencies and message counts (§5) are not
 //! computed here: `smartstore-bench` prices a trace under a cost model.
@@ -49,7 +48,6 @@
 //! storage-agnostic.
 
 pub mod autoconfig;
-pub mod cache;
 pub mod config;
 pub mod grouping;
 pub mod mapping;

@@ -25,23 +25,6 @@ pub struct IndexMapping {
     pub root_replicas: Vec<usize>,
 }
 
-impl IndexMapping {
-    /// Hosting storage unit of an index node.
-    pub fn host_of(&self, node: NodeId) -> Option<usize> {
-        self.assignment.get(&node).copied()
-    }
-
-    /// Number of index units hosted per storage unit (load check).
-    pub fn load_histogram(&self) -> HashMap<usize, usize> {
-        let mut h = HashMap::new();
-        // lint:allow(D002) -- additive histogram; order-insensitive
-        for &unit in self.assignment.values() {
-            *h.entry(unit).or_insert(0) += 1;
-        }
-        h
-    }
-}
-
 /// Runs the bottom-up random label-and-assign mapping.
 ///
 /// Levels are processed from 1 upward; each index unit draws a random
@@ -172,7 +155,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let m = map_index_units(&t, &mut rng);
         for g in t.first_level_index_units() {
-            let host = m.host_of(g).unwrap();
+            let host = m.assignment[&g];
             let subtree = t.descendant_units(g);
             assert!(
                 subtree.contains(&host),
@@ -187,7 +170,11 @@ mod tests {
         let t = tree(40);
         let mut rng = StdRng::seed_from_u64(4);
         let m = map_index_units(&t, &mut rng);
-        let max_load = m.load_histogram().values().copied().max().unwrap_or(0);
+        let mut load: HashMap<usize, usize> = HashMap::new();
+        for &unit in m.assignment.values() {
+            *load.entry(unit).or_insert(0) += 1;
+        }
+        let max_load = load.values().copied().max().unwrap_or(0);
         assert!(max_load <= 2, "max load {max_load} too high with 40 units");
     }
 

@@ -702,12 +702,12 @@ impl StorageUnit {
     /// Two layers of work avoidance, both answer-preserving:
     ///
     /// * **dimension pruning** — a dimension whose query interval
-    ///   covers the column's [`ColBounds`] cannot reject any row, so
+    ///   covers the column's `ColBounds` cannot reject any row, so
     ///   its column is never read (the bounds are conservative
     ///   supersets of the column values, unlike the possibly-stale unit
     ///   MBR);
     /// * **chunked mask scan** — the remaining dimensions are evaluated
-    ///   column-at-a-time over [`SCAN_CHUNK`]-row blocks: each pass is
+    ///   column-at-a-time over `SCAN_CHUNK`-row blocks: each pass is
     ///   a branch-free strided sweep the compiler can vectorize, and a
     ///   chunk whose mask empties skips its remaining dimensions.
     ///

@@ -108,28 +108,28 @@ impl ArrivalSchedule {
     pub fn is_empty(&self) -> bool {
         self.offsets_ns.is_empty()
     }
+}
 
-    /// Total schedule span in seconds (0 for empty schedules).
-    pub fn span_s(&self) -> f64 {
-        self.offsets_ns.last().map_or(0.0, |&t| t as f64 / 1e9)
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Achieved mean rate over the schedule span.
-    pub fn mean_rate_rps(&self) -> f64 {
-        let span = self.span_s();
+    fn mean_rate_rps(s: &ArrivalSchedule) -> f64 {
+        let span = s.offsets_ns.last().map_or(0.0, |&t| t as f64 / 1e9);
         if span <= 0.0 {
             return 0.0;
         }
-        self.len() as f64 / span
+        s.len() as f64 / span
     }
 
     /// Squared coefficient of variation of the inter-arrival gaps
     /// (1 for a Poisson process, larger for bursty ones).
-    pub fn gap_cv2(&self) -> f64 {
-        if self.len() < 2 {
+    fn gap_cv2(s: &ArrivalSchedule) -> f64 {
+        if s.len() < 2 {
             return 0.0;
         }
-        let gaps: Vec<f64> = self
+        let gaps: Vec<f64> = s
             .offsets_ns
             .windows(2)
             .map(|w| (w[1] - w[0]) as f64)
@@ -141,11 +141,6 @@ impl ArrivalSchedule {
         let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
         var / (mean * mean)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn schedule_is_deterministic_and_ordered() {
@@ -171,7 +166,7 @@ mod tests {
                 ..Default::default()
             };
             let s = ArrivalSchedule::generate(&cfg);
-            let rate = s.mean_rate_rps();
+            let rate = mean_rate_rps(&s);
             assert!(
                 (rate - 20_000.0).abs() / 20_000.0 < 0.10,
                 "burstiness {burstiness}: mean rate {rate:.0} should be ~20000"
@@ -193,7 +188,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let (p, b) = (poisson.gap_cv2(), bursty.gap_cv2());
+        let (p, b) = (gap_cv2(&poisson), gap_cv2(&bursty));
         assert!((p - 1.0).abs() < 0.2, "Poisson CV² ≈ 1, got {p:.2}");
         assert!(b > p + 1.0, "bursty CV² {b:.2} must exceed Poisson {p:.2}");
     }

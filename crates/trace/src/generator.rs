@@ -241,18 +241,6 @@ impl MetadataPopulation {
         self.files.is_empty()
     }
 
-    /// Partitions file ids round-robin by id across `n_units` storage
-    /// units — the namespace-agnostic initial placement a conventional
-    /// system would use before semantic reorganization.
-    pub fn round_robin_placement(&self, n_units: usize) -> Vec<Vec<u64>> {
-        assert!(n_units > 0);
-        let mut units = vec![Vec::new(); n_units];
-        for f in &self.files {
-            units[(f.file_id as usize) % n_units].push(f.file_id);
-        }
-        units
-    }
-
     /// Per-dimension `[min, max]` bounds of the projected attribute
     /// space — used to construct query workloads inside the domain.
     pub fn attr_bounds(&self) -> (Vec<f64>, Vec<f64>) {
@@ -381,19 +369,6 @@ mod tests {
                 "atime before mtime"
             );
         }
-    }
-
-    #[test]
-    fn round_robin_covers_all_files() {
-        let pop = small_pop();
-        let units = pop.round_robin_placement(7);
-        assert_eq!(units.len(), 7);
-        let total: usize = units.iter().map(|u| u.len()).sum();
-        assert_eq!(total, pop.len());
-        // Balanced within one file.
-        let min = units.iter().map(|u| u.len()).min().unwrap();
-        let max = units.iter().map(|u| u.len()).max().unwrap();
-        assert!(max - min <= 1);
     }
 
     #[test]

@@ -123,23 +123,9 @@ impl FileMetadata {
         ]
     }
 
-    /// A single attribute's projected value.
-    pub fn attr(&self, kind: AttributeKind) -> f64 {
-        self.attr_vector()[kind.index()]
-    }
-
-    /// Projects onto a subset of dimensions (used by the automatic
-    /// configuration of §2.4, which builds R-trees over attribute
-    /// subsets).
-    pub fn attr_subset(&self, dims: &[AttributeKind]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(dims.len());
-        self.attr_subset_into(dims, &mut out);
-        out
-    }
-
-    /// Appends the subset projection to `out` — the allocation-free
-    /// form of [`Self::attr_subset`] for building whole-population
-    /// tables (see [`attr_subset_table`]).
+    /// Appends the projection onto a subset of dimensions to `out`
+    /// (the automatic configuration of §2.4 builds R-trees over
+    /// attribute subsets; see [`attr_subset_table`]).
     pub fn attr_subset_into(&self, dims: &[AttributeKind], out: &mut Vec<f64>) {
         let full = self.attr_vector();
         out.extend(dims.iter().map(|&k| full[k.index()]));
@@ -216,10 +202,14 @@ mod tests {
     #[test]
     fn subset_projection_selects_dims() {
         let m = sample();
-        let s = m.attr_subset(&[AttributeKind::ModificationTime, AttributeKind::Size]);
+        let mut s = Vec::new();
+        m.attr_subset_into(
+            &[AttributeKind::ModificationTime, AttributeKind::Size],
+            &mut s,
+        );
         assert_eq!(s.len(), 2);
         assert!((s[0] - 250.0 / 3600.0).abs() < 1e-12);
-        assert_eq!(s[1], m.attr(AttributeKind::Size));
+        assert_eq!(s[1], m.attr_vector()[AttributeKind::Size.index()]);
     }
 
     #[test]
@@ -235,7 +225,9 @@ mod tests {
         let table = attr_subset_table(&files, &dims);
         assert_eq!(table.len(), files.len() * dims.len());
         for (row, f) in table.chunks_exact(dims.len()).zip(&files) {
-            assert_eq!(row, f.attr_subset(&dims).as_slice());
+            let v = f.attr_vector();
+            let want: Vec<f64> = dims.iter().map(|k| v[k.index()]).collect();
+            assert_eq!(row, want.as_slice());
         }
         let full = attr_table(&files);
         assert_eq!(full.len(), files.len() * ATTR_DIMS);

@@ -167,46 +167,6 @@ impl RequestStream {
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
-
-    /// `(reads, writes, meta)` operation counts.
-    pub fn op_mix(&self) -> (usize, usize, usize) {
-        let mut r = 0;
-        let mut w = 0;
-        let mut m = 0;
-        for q in &self.requests {
-            match q.op {
-                OpKind::Read => r += 1,
-                OpKind::Write => w += 1,
-                OpKind::Meta => m += 1,
-            }
-        }
-        (r, w, m)
-    }
-
-    /// Fraction of consecutive request pairs that target the same
-    /// semantic cluster (the measured inter-file correlation).
-    pub fn cluster_stickiness(&self, pop: &MetadataPopulation) -> f64 {
-        if self.requests.len() < 2 {
-            return 0.0;
-        }
-        let cluster_of = |id: u64| pop.files[id as usize].truth_cluster;
-        let mut same = 0usize;
-        let mut pairs = 0usize;
-        for w in self.requests.windows(2) {
-            let (a, b) = (cluster_of(w[0].file_id), cluster_of(w[1].file_id));
-            if let (Some(a), Some(b)) = (a, b) {
-                pairs += 1;
-                if a == b {
-                    same += 1;
-                }
-            }
-        }
-        if pairs == 0 {
-            0.0
-        } else {
-            same as f64 / pairs as f64
-        }
-    }
 }
 
 fn weighted_pick(cumulative: &[f64], total: f64, rng: &mut StdRng) -> usize {
@@ -220,6 +180,34 @@ fn weighted_pick(cumulative: &[f64], total: f64, rng: &mut StdRng) -> usize {
 mod tests {
     use super::*;
     use crate::generator::GeneratorConfig;
+
+    /// `(reads, writes, meta)` operation counts.
+    fn op_mix(s: &RequestStream) -> (usize, usize, usize) {
+        let mut mix = (0, 0, 0);
+        for q in &s.requests {
+            match q.op {
+                OpKind::Read => mix.0 += 1,
+                OpKind::Write => mix.1 += 1,
+                OpKind::Meta => mix.2 += 1,
+            }
+        }
+        mix
+    }
+
+    /// Fraction of consecutive request pairs that target the same
+    /// semantic cluster (the measured inter-file correlation).
+    fn cluster_stickiness(s: &RequestStream, pop: &MetadataPopulation) -> f64 {
+        let cluster_of = |id: u64| pop.files[id as usize].truth_cluster;
+        let mut same = 0usize;
+        let mut pairs = 0usize;
+        for w in s.requests.windows(2) {
+            if let (Some(a), Some(b)) = (cluster_of(w[0].file_id), cluster_of(w[1].file_id)) {
+                pairs += 1;
+                same += usize::from(a == b);
+            }
+        }
+        same as f64 / pairs.max(1) as f64
+    }
 
     fn pop() -> MetadataPopulation {
         MetadataPopulation::generate(GeneratorConfig {
@@ -253,7 +241,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (_, _, m) = s.op_mix();
+        let (_, _, m) = op_mix(&s);
         let frac = m as f64 / s.len() as f64;
         assert!(
             (frac - 0.5).abs() < 0.02,
@@ -280,8 +268,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let hs = sticky.cluster_stickiness(&p);
-        let hl = loose.cluster_stickiness(&p);
+        let hs = cluster_stickiness(&sticky, &p);
+        let hl = cluster_stickiness(&loose, &p);
         assert!(
             hs > 0.7,
             "80% locality should yield ~0.8 stickiness, got {hs}"
@@ -326,7 +314,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (r, w, m) = s.op_mix();
+        let (r, w, m) = op_mix(&s);
         assert_eq!(m, 0);
         assert!(
             r > 0 && w > 0,
