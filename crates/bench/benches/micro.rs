@@ -1,0 +1,248 @@
+//! Micro-benchmarks for the two rows nothing else measures: the point
+//! path by Bloom hash family, and the parallel hot path by thread count.
+//! Serving numbers come from the repository benchmark (`benchmark/`),
+//! paper artifacts from `repro`.
+//!
+//! 1. `point_family` — the same corpus indexed under the paper's MD5
+//!    hash family and under the fast family the system defaults to, the
+//!    full point path timed on both. Answers are checked **identical**
+//!    between the families before timing (routing false positives never
+//!    change answers — exact name matching sits behind the filters), and
+//!    the speedup is gated at 50k files.
+//! 2. `scaling` — the shim-rayon pool at 1/2/4/8 threads over the four
+//!    parallel kernels: `partition_tiled` (LSI fit + sort-tile
+//!    placement), `partition_balanced` (LSI fit + K-means),
+//!    `group_level` (the O(n²) kernel-similarity grouping, on a
+//!    subsample sized so the quadratic term dominates) and
+//!    `encode_snapshot` (per-unit record encode + CRC). Every run is
+//!    checked **bit-identical** against the 1-thread reference before
+//!    its time is reported.
+//!
+//! Both tables are printed; nothing is written to disk.
+//!
+//! Run with `cargo bench -p smartstore-bench --bench micro`: 4k and 50k
+//! files for `point_family`, 10k files at 1/2/4/8 threads for `scaling`.
+//! `-- --quick` is the CI smoke: 4k files only, and 2k files at 1 and 2
+//! threads.
+
+use rayon::ThreadPoolBuilder;
+use smartstore::grouping::{group_level, partition_balanced, partition_tiled, LevelGrouping};
+use smartstore::system::SystemParts;
+use smartstore::{HashFamily, SmartStoreConfig, SmartStoreSystem};
+use smartstore_bench::fixture::{population, system, system_with_family, workload};
+use smartstore_bench::Report;
+use smartstore_persist::snapshot::encode_snapshot;
+use smartstore_trace::{QueryDistribution, TraceKind};
+use std::time::Instant;
+
+/// The full-path point-query speedup of the fast hash family over the
+/// MD5 family at the 50k-file scale must exceed this. The property it
+/// protects is that the default family is not slower than the paper's:
+/// a lookup prepares its key once per tree and probes every filter with
+/// that one hash, so the family decides the cost of one hash per
+/// lookup, not one per probe, and the measured gain (1.3–1.4×) is too
+/// small for any tighter bound to stay clear of host noise.
+const FAMILY_GATE: f64 = 1.0;
+
+const LSI_RANK: usize = 3;
+const UNITS: usize = 60;
+
+/// Best-round ns/query of `f` over `rounds` passes of a
+/// `queries`-query workload. Min-over-rounds filters scheduler
+/// preemptions — on a shared 1-core host a single 10 ms tick landing
+/// inside a ~ms timing loop would otherwise swamp the mean.
+fn time_ns(rounds: usize, queries: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds.max(1) {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_nanos() as f64 / queries as f64);
+    }
+    best
+}
+
+/// Times one `point_family` row and returns the fast family's speedup.
+fn point_family(n_files: usize, rounds: usize, report: &mut Report) -> f64 {
+    let n_units = (n_files / 100).max(4);
+    println!("== point_family: {n_files} files, {n_units} units, {rounds} rounds ==");
+    let pop = population(TraceKind::Msn, n_files, 1);
+    // Version chains are empty here; disable the overlay so the rows
+    // time routing plus unit lookups and nothing else.
+    let mut fast_sys = system(&pop, n_units, 1);
+    fast_sys.set_versioning(false);
+    let mut md5_sys = system_with_family(&pop, n_units, 1, HashFamily::Md5);
+    md5_sys.set_versioning(false);
+    let (fast, md5) = (fast_sys.query(), md5_sys.query());
+    let w = workload(&pop, QueryDistribution::Zipf, 48, 2);
+    for q in &w.points {
+        assert_eq!(
+            md5.point(&q.name).file_ids,
+            fast.point(&q.name).file_ids,
+            "point answers diverged between hash families"
+        );
+    }
+    let before = time_ns(rounds, w.points.len(), || {
+        for q in &w.points {
+            std::hint::black_box(md5.point(&q.name));
+        }
+    });
+    let after = time_ns(rounds, w.points.len(), || {
+        for q in &w.points {
+            std::hint::black_box(fast.point(&q.name));
+        }
+    });
+
+    let speedup = before / after.max(1e-9);
+    report.row(&[
+        n_files.to_string(),
+        format!("{before:.0}"),
+        format!("{after:.0}"),
+        format!("{speedup:.2}"),
+    ]);
+    speedup
+}
+
+struct Run {
+    tiled: Vec<usize>,
+    balanced: Vec<usize>,
+    grouping: LevelGrouping,
+    snapshot: Vec<u8>,
+    /// Milliseconds per phase: tiled, balanced, kernel, encode.
+    ms: [f64; 4],
+}
+
+fn run_kernels(vectors: &[Vec<f64>], kernel_sub: &[Vec<f64>], parts: &SystemParts) -> Run {
+    let mut ms = [0.0; 4];
+    let mut timed = |phase: usize, t: Instant| ms[phase] = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let tiled = partition_tiled(vectors, UNITS, LSI_RANK);
+    timed(0, t);
+    let t = Instant::now();
+    let balanced = partition_balanced(vectors, UNITS, LSI_RANK, 7);
+    timed(1, t);
+    let t = Instant::now();
+    let grouping = group_level(kernel_sub, 0.9, LSI_RANK, 10);
+    timed(2, t);
+    let t = Instant::now();
+    let (snapshot, _) = encode_snapshot(parts);
+    timed(3, t);
+    Run {
+        tiled,
+        balanced,
+        grouping,
+        snapshot,
+        ms,
+    }
+}
+
+fn assert_bit_identical(reference: &Run, run: &Run, threads: usize) {
+    assert_eq!(
+        reference.tiled, run.tiled,
+        "partition_tiled diverged at {threads} threads"
+    );
+    assert_eq!(
+        reference.balanced, run.balanced,
+        "partition_balanced diverged at {threads} threads"
+    );
+    assert_eq!(
+        reference.grouping.groups, run.grouping.groups,
+        "group_level groups diverged at {threads} threads"
+    );
+    let bits = |g: &LevelGrouping| -> Vec<u64> {
+        g.centroids.iter().flatten().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&reference.grouping),
+        bits(&run.grouping),
+        "group_level centroid bits diverged at {threads} threads"
+    );
+    assert_eq!(
+        reference.snapshot, run.snapshot,
+        "snapshot bytes diverged at {threads} threads"
+    );
+}
+
+fn scaling(n_files: usize, thread_counts: &[usize]) -> Report {
+    println!("== scaling: {n_files} files, threads {thread_counts:?} ==");
+    let pop = population(TraceKind::Msn, n_files, 7);
+    let vectors: Vec<Vec<f64>> = pop.files.iter().map(|f| f.attr_vector().to_vec()).collect();
+    // Subsample for the O(n²) kernel so its cost stays comparable to
+    // the linear phases.
+    let kernel_n = (n_files / 10).clamp(100, 1_500);
+    let kernel_sub = &vectors[..kernel_n];
+    let parts = SmartStoreSystem::build(pop.files.clone(), UNITS, SmartStoreConfig::default(), 7)
+        .to_parts();
+
+    let mut report = Report::new(
+        "scaling",
+        &format!("Thread scaling of the grouping/LSI/persist hot path, {n_files} files"),
+        &[
+            "threads",
+            "tiled_ms",
+            "kmeans_ms",
+            "kernel_ms",
+            "encode_ms",
+            "total_ms",
+            "speedup_vs_1t",
+        ],
+    );
+    let mut reference: Option<Run> = None;
+    for &threads in thread_counts {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        let run = pool.install(|| run_kernels(&vectors, kernel_sub, &parts));
+        let total: f64 = run.ms.iter().sum();
+        let one_thread: f64 = reference.as_ref().map_or(total, |r| r.ms.iter().sum());
+        let mut row: Vec<String> = vec![threads.to_string()];
+        row.extend(run.ms.iter().chain([&total]).map(|ms| format!("{ms:.1}")));
+        row.push(format!("{:.2}", one_thread / total.max(1e-9)));
+        report.row(&row);
+        match &reference {
+            None => reference = Some(run),
+            Some(r) => assert_bit_identical(r, &run, threads),
+        }
+    }
+
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    report.note(format!(
+        "host has {host} hardware thread(s); speedups are bounded by physical cores, \
+         not pool size"
+    ));
+    report.note(format!(
+        "kernel phase runs group_level on a {kernel_n}-item subsample (O(n²) term)"
+    ));
+    report.note("all multi-thread runs verified bit-identical to the 1-thread reference");
+    report
+}
+
+fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
+
+    let mut family = Report::new(
+        "point_family",
+        "Point path by Bloom hash family: MD5 (before) vs fast (after), ns/query, best of R rounds",
+        &["files", "before_ns", "after_ns", "speedup"],
+    );
+    point_family(4_000, if quick { 5 } else { 12 }, &mut family);
+    let gated = (!quick).then(|| point_family(50_000, 4, &mut family));
+    family.note(format!(
+        "answers checked identical between families before timing; the speedup is gated \
+         at >{FAMILY_GATE:.1}x at 50k files. Single-thread, valid on a 1-core host"
+    ));
+    print!("{}", family.render());
+    if let Some(speedup) = gated {
+        assert!(
+            speedup > FAMILY_GATE,
+            "point_family at 50000 files: speedup {speedup:.2}x not above the {FAMILY_GATE:.1}x gate"
+        );
+    }
+
+    let report = if quick {
+        scaling(2_000, &[1, 2])
+    } else {
+        scaling(10_000, &[1, 2, 4, 8])
+    };
+    print!("{}", report.render());
+}

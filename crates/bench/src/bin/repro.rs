@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Each report prints as an aligned table and is also written to
-//! `results/<id>.json`.
+//! `results/<id>.json`. Exits nonzero on an unknown experiment or a
+//! report that could not be written, so a `git diff` over `results/`
+//! only passes when every report was regenerated.
 
 use smartstore_bench::experiments as ex;
 use smartstore_bench::Report;
@@ -88,10 +90,11 @@ fn main() {
                     println!("{}", r.render());
                     if let Err(e) = r.write_json(&out_dir) {
                         eprintln!(
-                            "warning: could not write {}/{}.json: {e}",
+                            "error: could not write {}/{}.json: {e}",
                             out_dir.display(),
                             r.id
                         );
+                        failed = true;
                     }
                 }
             }

@@ -114,21 +114,6 @@ impl Report {
     }
 }
 
-/// Directory for machine-readable benchmark reports:
-/// `$BENCH_REPORT_DIR` if set, otherwise `target/bench-reports` at the
-/// workspace root (benches run with the package dir as cwd, so the
-/// default is anchored on this crate's manifest, not on cwd).
-pub fn default_report_dir() -> std::path::PathBuf {
-    std::env::var("BENCH_REPORT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| {
-            std::path::PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/bench-reports"
-            ))
-        })
-}
-
 /// Escapes a string into a JSON string literal.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -3,11 +3,6 @@
 
 use crate::hash::{HashFamily, PreparedKey};
 
-/// Filter size used throughout the paper's evaluation (§5.1).
-pub const PAPER_BITS: usize = 1024;
-/// Hash-function count used throughout the paper's evaluation (§5.1).
-pub const PAPER_HASHES: usize = 7;
-
 /// A Bloom filter over byte-string keys.
 ///
 /// Bit indexes come from the filter's [`HashFamily`]: either the
@@ -49,11 +44,6 @@ impl BloomFilter {
             inserted: 0,
             family,
         }
-    }
-
-    /// The paper's configuration: 1024 bits, 7 hashes, MD5 indexes.
-    pub fn paper_default() -> Self {
-        Self::with_family(PAPER_BITS, PAPER_HASHES, HashFamily::Md5)
     }
 
     /// Number of bits.
@@ -191,6 +181,11 @@ impl BloomFilter {
 mod tests {
     use super::*;
 
+    /// Filter size used throughout the paper's evaluation (§5.1).
+    const PAPER_BITS: usize = 1024;
+    /// Hash-function count used throughout the paper's evaluation (§5.1).
+    const PAPER_HASHES: usize = 7;
+
     /// Theoretical false-positive probability for `n` inserted keys:
     /// `(1 − e^(−k·n/m))^k`.
     fn theoretical_fpp(n_bits: usize, n_hashes: usize, n_keys: usize) -> f64 {
@@ -224,7 +219,7 @@ mod tests {
 
     #[test]
     fn empty_filter_contains_nothing() {
-        let f = BloomFilter::paper_default();
+        let f = BloomFilter::with_family(PAPER_BITS, PAPER_HASHES, HashFamily::Md5);
         assert!(!f.contains(b"anything"));
         assert_eq!(popcount(&f), 0);
         assert_eq!(f.family(), HashFamily::Md5);

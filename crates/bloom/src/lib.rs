@@ -32,5 +32,5 @@ pub mod filter;
 pub mod hash;
 pub mod md5;
 
-pub use filter::{BloomFilter, PAPER_BITS, PAPER_HASHES};
+pub use filter::BloomFilter;
 pub use hash::{HashFamily, PreparedKey};

@@ -29,8 +29,7 @@ pub const PANIC_FREE_CRATES: &[&str] = &[
 /// socket front end (latency accounting, load generation) legitimately
 /// measure time; everything else must stay a pure function of its
 /// inputs so replays and parity gates stay bit-identical.
-pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] =
-    &["smartstore-bench", "smartstore-net", "shim-criterion"];
+pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["smartstore-bench", "smartstore-net"];
 
 /// Crates carrying wire-protocol constants (W001–W002): request and
 /// response tags, file magics, and the format version.

@@ -14,6 +14,14 @@
 //!
 //! Like the wire check this is workspace-global: names are collected
 //! across every file, then resolved once at the end.
+//!
+//! Known blind spot: the own-file test counts every production mention,
+//! so a type's own `impl Type { .. }` block is a second mention and keeps
+//! it alive, and the items that type's methods name stay alive with it.
+//! A whole module that nothing outside names (a struct, its `impl`, and
+//! the config and enum its constructor takes) therefore passes. Such
+//! dead modules are still found by hand, by grepping the module's type
+//! names across the tree.
 
 use super::{is_ident, is_punct};
 use crate::context::FileContext;

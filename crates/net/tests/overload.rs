@@ -193,5 +193,12 @@ fn tiny_budget_under_open_loop_load_sheds_but_answers_admitted_fast() {
         "4 connections racing one permit must shed: {report:?}"
     );
     assert!(report.answered > 0, "the budget still admits work");
+    // Shedding at the door is what keeps admitted requests fast: an
+    // unbounded queue would push their tail out with the backlog.
+    let p99_admitted = report.latency_ms(0.99);
+    assert!(
+        p99_admitted < 1_500.0,
+        "p99 of admitted requests must stay bounded under overload, got {p99_admitted:.1}ms"
+    );
     handle.shutdown().expect("clean shutdown");
 }

@@ -2,8 +2,9 @@
 //! **bit-identical** to the in-process wire path — same request bytes
 //! in, same response bytes out — including mutations, stats probes, and
 //! degraded-mode serving with a quarantined shard. A throughput number
-//! from a front end that changes answers is worthless, so this gate is
-//! what the serving bench runs before it times anything.
+//! from a front end that changes answers is worthless, so this gate
+//! runs on every test pass; the repository benchmark times the socket
+//! path only with every reply checked against the unsharded reference.
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 

@@ -160,8 +160,8 @@ proptest! {
 
 /// ≥1k journaled changes through snapshot + WAL + compaction, then a
 /// full query battery — the deterministic heavyweight version of the
-/// property above (the ISSUE's acceptance scenario at test scale; the
-/// persistence benchmark runs it at 50k files).
+/// property above (the acceptance scenario at test scale; the
+/// repository benchmark's `recover_ms` times a cold open at 50k files).
 #[test]
 fn thousand_changes_then_reopen_matches() {
     let dir = tmpdir("thousand");

@@ -703,8 +703,8 @@ impl MetadataServer {
     ///   whose order-preserving `collect` keeps shard order.
     ///
     /// Either way the merged answer is bit-identical to the sequential
-    /// dispatch at every thread count (the serving bench gates on
-    /// exactly that before timing).
+    /// dispatch at every thread count (`tests/point_inline.rs` pins it
+    /// for point reads at every pool size).
     ///
     /// With part of the fleet quarantined, the fan-out covers only the
     /// healthy shards and the merged answer is wrapped in

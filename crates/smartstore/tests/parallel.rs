@@ -3,8 +3,9 @@
 //!
 //! The shim-rayon pool guarantees length-only chunking and in-order
 //! partial combination; these tests pin the property where it matters
-//! — the O(n²) similarity kernel, one-level grouping, and balanced
-//! partitioning — by running the same input under a 1-thread pool
+//! — the O(n²) similarity kernel, one-level grouping, balanced
+//! partitioning and the sort-tile placement the system builds with — by
+//! running the same input under a 1-thread pool
 //! (sequential execution) and multi-thread pools and requiring exact
 //! `f64` equality.
 
@@ -12,7 +13,9 @@
 
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
-use smartstore::grouping::{group_level, kernel_similarities, partition_balanced, wcss};
+use smartstore::grouping::{
+    group_level, kernel_similarities, partition_balanced, partition_tiled, wcss,
+};
 
 fn vec_strategy(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(
@@ -83,5 +86,18 @@ proptest! {
         let seq = with_threads(1, || partition_balanced(&vectors, parts, 3, seed));
         let par = with_threads(4, || partition_balanced(&vectors, parts, 3, seed));
         prop_assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn partition_tiled_parallel_matches_sequential_exactly(
+        vectors in vec_strategy(8..80),
+        parts in 1usize..9,
+        rank in 1usize..4,
+    ) {
+        let seq = with_threads(1, || partition_tiled(&vectors, parts, rank));
+        for threads in [2usize, 4, 8] {
+            let par = with_threads(threads, || partition_tiled(&vectors, parts, rank));
+            prop_assert_eq!(&seq, &par, "partition_tiled diverged at {} threads", threads);
+        }
     }
 }

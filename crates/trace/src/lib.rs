@@ -21,8 +21,6 @@
 //!   statistics for Tables 1–3;
 //! * [`scaleup`] — TIF scale-up (sub-trace decomposition + concurrent
 //!   replay, §5.1);
-//! * [`requests`] — timestamped request-stream expansion with the
-//!   paper's inter-file access correlation (§1.1);
 //! * [`query_gen`] — point / range / top-k query workload generation;
 //! * [`arrivals`] — open-loop arrival schedules (Poisson or bursty)
 //!   for driving a server at a fixed request rate.
@@ -32,7 +30,6 @@ pub mod distributions;
 pub mod generator;
 pub mod metadata;
 pub mod query_gen;
-pub mod requests;
 pub mod scaleup;
 pub mod workloads;
 
@@ -40,6 +37,5 @@ pub use arrivals::{ArrivalConfig, ArrivalSchedule};
 pub use generator::{GeneratorConfig, MetadataPopulation};
 pub use metadata::{attr_subset_table, attr_table, AttributeKind, FileMetadata, ATTR_DIMS};
 pub use query_gen::{PointQuery, QueryDistribution, QueryWorkload, RangeQuery, TopKQuery};
-pub use requests::{OpKind, Request, RequestGenConfig, RequestStream};
 pub use scaleup::{scale_up, ScaledTrace};
 pub use workloads::{TraceKind, WorkloadModel};
