@@ -372,7 +372,7 @@ impl SmartStoreSystem {
             if lower_bound > top.max_d() {
                 break; // MaxD pruning: no better result can exist here.
             }
-            let (unit_top, w) = self.units[u].topk_query(point, k);
+            let (unit_top, w) = self.units[u].topk_within(point, k, top.max_d());
             trace.add_unit(w);
             for (id, d) in unit_top {
                 top.push(id, d);

@@ -19,70 +19,324 @@
 //! * `ids` — the `file_id` column, so a scan touches the (large,
 //!   string-carrying) records only for actual hits;
 //! * `name_slots` — filename → slot positions, so a point lookup behind
-//!   the Bloom probe is a hash probe instead of a prefix scan.
+//!   the Bloom probe is a hash probe instead of a prefix scan;
+//! * `zones` — a zone map: the slots re-ordered along a Z-order curve
+//!   over the unit's own column bounds, cut into runs of `ZONE` (32)
+//!   rows, each with a min/max box over the 8 coordinates.
+//!   This is the paper's grouping of correlated files (§3) applied one
+//!   level down, to the rows inside a unit. A range scan skips a zone
+//!   whose box is disjoint from the query and emits a zone whose box
+//!   lies inside it without reading its rows. A top-k scan visits zones
+//!   nearest box first and stops at the first box farther than both
+//!   its own k-th best and the cross-unit k-th best it is handed —
+//!   MaxD (§3.3.2) inside the unit.
 //!
-//! The projection is *derived state*: it is maintained by every
-//! mutation path and rebuilt deterministically from `files` in
-//! [`StorageUnit::from_parts`], so persisted snapshot images carry no
-//! trace of it and need no format change. Scan results are
-//! bit-identical to the pre-columnar record walk because `attr_vector`
-//! is a pure function of the record and the scan visits rows in the
-//! same order.
+//! Store order never changes: `files`, `coords`, `ids` and
+//! `name_slots` stay in insertion order, so snapshot bytes, the
+//! centroid's summation order and the duplicate-name "first slot" rule
+//! are what they were before the zone map existed; only `zones.order`
+//! is clustered. The projection is *derived state*: it is maintained
+//! by every mutation path and rebuilt deterministically from `files`
+//! in [`StorageUnit::from_parts`], so persisted snapshot images carry
+//! no trace of it and need no format change. Scan answers are
+//! bit-identical to the record walk because `attr_vector` is a pure
+//! function of the record, range hits are returned in ascending slot
+//! order, and top-k is ordered by `(distance, id)`, not by visit order.
 
 use smartstore_bloom::{BloomFilter, HashFamily, PreparedKey};
 use smartstore_rtree::Rect;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
 
-/// How many rows a range scan processes per mask pass. Small enough
-/// for the mask to live in registers/L1, large enough that the
-/// per-dimension inner loops are straight-line code the compiler can
-/// unroll and vectorize.
-const SCAN_CHUNK: usize = 64;
+/// Rows per zone of a [`ZoneMap`]. Smaller zones prune more rows but
+/// cost one box test and, for top-k, one sort entry each. On the
+/// `scan_50k` workload (≈ 830-row units) 16-row zones read the fewest
+/// rows, but their top-k was ≈ 15 % slower than at 32 or 64 because of
+/// the larger zone sort; range time was flat from 16 to 64, so 32.
+const ZONE: usize = 32;
 
-/// Conservative per-dimension bounds of the columnar coordinate table.
+/// One zone of a [`ZoneMap`]: the exclusive end of its run in
+/// `ZoneMap::order` and a conservative min/max box over its rows.
 ///
-/// Invariant: every value in column `d` lies in `[lo[d], hi[d]]` (NaN
-/// values poison the dimension to an un-coverable `NaN` bound). The
-/// bounds are grow-only supersets under in-place mutation and exact
-/// after a rebuild — unlike the unit MBR they are *never stale*, so a
-/// range scan may skip checking any dimension whose query interval
-/// covers them without changing a single answer.
-#[derive(Clone, Copy, Debug)]
-struct ColBounds {
+/// Invariant: for every row of the zone and every dimension `d`,
+/// either the box is *poisoned* in `d` (`lo[d]` and `hi[d]` are NaN)
+/// or the value is finite and lies in `[lo[d], hi[d]]`. A non-finite
+/// value poisons its dimension, which can then neither cover a query
+/// interval, nor be disjoint from one, nor bound a distance: a NaN or
+/// infinite coordinate never lets a zone be skipped.
+#[derive(Clone, Debug)]
+struct Zone {
+    end: u32,
     lo: [f64; ATTR_DIMS],
     hi: [f64; ATTR_DIMS],
 }
 
-impl ColBounds {
-    fn empty() -> Self {
+impl Zone {
+    fn empty(end: u32) -> Self {
         Self {
+            end,
             lo: [f64::INFINITY; ATTR_DIMS],
             hi: [f64::NEG_INFINITY; ATTR_DIMS],
         }
     }
 
-    /// Widens the bounds to cover one coordinate row.
-    fn grow(&mut self, row: &[f64]) {
-        for (d, &x) in row.iter().enumerate().take(ATTR_DIMS) {
-            if self.lo[d].is_nan() {
-                continue; // already poisoned — stays un-coverable
+    /// The exact box over `rows`, poisoned in every dimension where a
+    /// value is non-finite.
+    fn covering<'a>(end: u32, rows: impl Iterator<Item = &'a [f64; ATTR_DIMS]>) -> Self {
+        let mut zone = Self::empty(end);
+        let mut poisoned = [false; ATTR_DIMS];
+        for row in rows {
+            for d in 0..ATTR_DIMS {
+                let x = row[d];
+                zone.lo[d] = if x < zone.lo[d] { x } else { zone.lo[d] };
+                zone.hi[d] = if x > zone.hi[d] { x } else { zone.hi[d] };
+                poisoned[d] |= !x.is_finite();
             }
-            if x.is_nan() {
-                // A NaN coordinate fails every interval check, so the
-                // dimension must never be skipped: poison the bounds so
-                // no query interval can cover them.
-                self.lo[d] = f64::NAN;
-                self.hi[d] = f64::NAN;
+        }
+        for (d, _) in poisoned.iter().enumerate().filter(|(_, &p)| p) {
+            zone.lo[d] = f64::NAN;
+            zone.hi[d] = f64::NAN;
+        }
+        zone
+    }
+
+    /// Widens the box to cover one coordinate row.
+    fn grow(&mut self, row: &[f64]) {
+        for ((l, h), &x) in self.lo.iter_mut().zip(&mut self.hi).zip(row) {
+            if x.is_finite() && !l.is_nan() {
+                *l = l.min(x);
+                *h = h.max(x);
             } else {
-                if x < self.lo[d] {
-                    self.lo[d] = x;
-                }
-                if x > self.hi[d] {
-                    self.hi[d] = x;
+                *l = f64::NAN;
+                *h = f64::NAN;
+            }
+        }
+    }
+
+    /// A lower bound on the squared distance from `point` to any row of
+    /// the zone, exact in floating point: each per-dimension gap is no
+    /// larger than the row's `|a − q|`, and the squares are summed in
+    /// the row distance's own order. Zero — never skippable — when the
+    /// point or the box is non-finite in a dimension.
+    fn min_dist(&self, point: &[f64]) -> f64 {
+        let mut s = 0.0;
+        for ((&l, &h), &q) in self.lo.iter().zip(&self.hi).zip(point) {
+            if !(q.is_finite() && l <= h) {
+                return 0.0;
+            }
+            let gap = if q < l {
+                l - q
+            } else if q > h {
+                q - h
+            } else {
+                0.0
+            };
+            s += gap * gap;
+        }
+        s
+    }
+}
+
+/// Zone map over a unit's columnar table: the store slots in clustered
+/// (Z-order) sequence, cut into runs of at most [`ZONE`] with a
+/// conservative box per run, so range and top-k scans skip whole runs.
+///
+/// Derived state, like the rest of the projection: never persisted,
+/// rebuilt (reclustered) at build, on load, after bulk removal and at
+/// every summary refresh. In between, mutations keep each box a
+/// superset of its rows: an insert appends to the tail zone, a modify
+/// grows its zone's box, a removal drops the slot from `order` and
+/// leaves the box as it was.
+#[derive(Clone, Debug, Default)]
+struct ZoneMap {
+    /// Store slots in clustered order; zone `z` owns one run of it.
+    order: Vec<u32>,
+    zones: Vec<Zone>,
+}
+
+/// The row of `slot` in a flat `n × ATTR_DIMS` table.
+fn row_of(coords: &[f64], slot: usize) -> &[f64] {
+    &coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS]
+}
+
+/// Z-order key of one row: each of the eight coordinates quantized to
+/// one byte as `(x − lo) × scale` (`as` saturates and maps NaN to 0),
+/// then bit-interleaved so that key byte `b` holds bit `b` of every
+/// dimension — the most significant bits of all dimensions lead.
+fn morton_key(row: &[f64; ATTR_DIMS], lo: &[f64; ATTR_DIMS], scale: &[f64; ATTR_DIMS]) -> u64 {
+    let mut packed = 0u64;
+    for d in 0..ATTR_DIMS {
+        let q = ((row[d] - lo[d]) * scale[d]) as u8;
+        packed |= u64::from(q) << (8 * d);
+    }
+    transpose_bits(packed)
+}
+
+/// Transposes the 8 × 8 bit matrix held in a `u64` (byte = row, bit =
+/// column): bit `8r + c` moves to `8c + r` (Hacker's Delight §7-3).
+fn transpose_bits(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x
+}
+
+impl ZoneMap {
+    /// Clusters the rows of `coords` by Z-order and cuts them into
+    /// [`ZONE`]-row zones with exact boxes. The slot rides in the low
+    /// bits of its key, so one `u64` sort orders the rows by Z-order
+    /// prefix with ties in slot order. The loops are written as selects
+    /// over fixed-size rows so they vectorize: this runs at every
+    /// summary refresh and on every snapshot load.
+    fn build(coords: &[f64]) -> Self {
+        let (rows, _) = coords.as_chunks::<ATTR_DIMS>();
+        // Column bounds over the finite values.
+        let mut lo = [f64::INFINITY; ATTR_DIMS];
+        let mut hi = [f64::NEG_INFINITY; ATTR_DIMS];
+        for row in rows {
+            for d in 0..ATTR_DIMS {
+                let (x, finite) = (row[d], row[d].is_finite());
+                lo[d] = if finite && x < lo[d] { x } else { lo[d] };
+                hi[d] = if finite && x > hi[d] { x } else { hi[d] };
+            }
+        }
+        // A flat or empty column quantizes to 0.
+        let scale: [f64; ATTR_DIMS] = std::array::from_fn(|d| {
+            let span = hi[d] - lo[d];
+            if span > 0.0 && span.is_finite() {
+                255.0 / span
+            } else {
+                0.0
+            }
+        });
+        let slot_bits = usize::BITS - rows.len().saturating_sub(1).leading_zeros();
+        let slot_mask = (1u64 << slot_bits) - 1;
+        let mut keys: Vec<u64> = rows
+            .iter()
+            .enumerate()
+            .map(|(slot, row)| (morton_key(row, &lo, &scale) & !slot_mask) | slot as u64)
+            .collect();
+        keys.sort_unstable();
+        let order: Vec<u32> = keys.iter().map(|&k| (k & slot_mask) as u32).collect();
+        let zones = order
+            .chunks(ZONE)
+            .enumerate()
+            .map(|(z, run)| {
+                let end = (z * ZONE + run.len()) as u32;
+                Zone::covering(end, run.iter().map(|&slot| &rows[slot as usize]))
+            })
+            .collect();
+        Self { order, zones }
+    }
+
+    /// The zone owning position `pos` of `order`.
+    fn zone_at(&self, pos: usize) -> usize {
+        self.zones.partition_point(|zone| zone.end as usize <= pos)
+    }
+
+    /// The store slots of zone `z`.
+    fn rows(&self, z: usize) -> &[u32] {
+        let start = if z == 0 { 0 } else { self.zones[z - 1].end };
+        &self.order[start as usize..self.zones[z].end as usize]
+    }
+
+    /// Appends the next store slot to the tail zone, opening a new zone
+    /// when the tail is full.
+    fn push(&mut self, row: &[f64]) {
+        let start = self
+            .zones
+            .len()
+            .checked_sub(2)
+            .map_or(0, |z| self.zones[z].end);
+        let tail_full = self
+            .zones
+            .last()
+            .is_none_or(|tail| (tail.end - start) as usize >= ZONE);
+        self.order.push(self.order.len() as u32);
+        let end = self.order.len() as u32;
+        if tail_full {
+            self.zones.push(Zone::empty(end));
+        }
+        if let Some(tail) = self.zones.last_mut() {
+            tail.end = end;
+            tail.grow(row);
+        }
+    }
+
+    /// Grows the box of the zone holding `slot` to cover `row`. O(n),
+    /// like the id-column search that found the slot.
+    fn grow(&mut self, slot: usize, row: &[f64]) {
+        if let Some(pos) = self.order.iter().position(|&s| s as usize == slot) {
+            let z = self.zone_at(pos);
+            self.zones[z].grow(row);
+        }
+    }
+
+    /// Drops `slot` from `order` and renumbers the later slots, like the
+    /// column `drain` it accompanies; the boxes are left as they are.
+    fn remove(&mut self, slot: usize) {
+        // One pass finds the slot and renumbers the later ones, in
+        // select form so that it vectorizes.
+        let slot = slot as u32;
+        let mut found = None;
+        for (i, s) in self.order.iter_mut().enumerate() {
+            found = if *s == slot { Some(i) } else { found };
+            *s -= u32::from(*s > slot);
+        }
+        let Some(pos) = found else {
+            return;
+        };
+        let z = self.zone_at(pos);
+        self.order.remove(pos);
+        for zone in &mut self.zones[z..] {
+            zone.end -= 1;
+        }
+    }
+
+    /// Verifies the zone map over `coords`: every slot exactly once in
+    /// `order`, zones tiling `order`
+    /// with at most [`ZONE`] rows each, and every row inside its zone's
+    /// box.
+    fn check(&self, coords: &[f64]) -> Result<(), String> {
+        let n = coords.len() / ATTR_DIMS;
+        if self.order.len() != n {
+            return Err(format!(
+                "order holds {} slots for {n} rows",
+                self.order.len()
+            ));
+        }
+        let mut seen = vec![false; n];
+        for &s in &self.order {
+            match seen.get_mut(s as usize) {
+                Some(hit) if !*hit => *hit = true,
+                _ => return Err(format!("slot {s} out of range or repeated in order")),
+            }
+        }
+        if self.zones.last().map_or(0, |z| z.end as usize) != n {
+            return Err(format!("zones do not end at {n}"));
+        }
+        let mut start = 0u32;
+        for (z, zone) in self.zones.iter().enumerate() {
+            if zone.end < start || (zone.end - start) as usize > ZONE {
+                return Err(format!("zone {z} spans {start}..{}", zone.end));
+            }
+            start = zone.end;
+            for &slot in self.rows(z) {
+                let row = row_of(coords, slot as usize);
+                for (d, &x) in row.iter().enumerate() {
+                    let (l, h) = (zone.lo[d], zone.hi[d]);
+                    if !(l.is_nan() || (x.is_finite() && l <= x && x <= h)) {
+                        return Err(format!(
+                            "slot {slot} dim {d} = {x} outside zone {z} box [{l}, {h}]"
+                        ));
+                    }
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -194,7 +448,6 @@ fn push_row(
     coords: &mut Vec<f64>,
     ids: &mut Vec<u64>,
     name_slots: &mut HashMap<String, Vec<usize>>,
-    bounds: &mut ColBounds,
     row: &[f64],
     id: u64,
     name: &str,
@@ -202,7 +455,6 @@ fn push_row(
     let slot = ids.len();
     coords.extend_from_slice(row);
     ids.push(id);
-    bounds.grow(row);
     name_slots.entry(name.to_owned()).or_default().push(slot);
 }
 
@@ -239,9 +491,9 @@ pub struct StorageUnit {
     /// queries resolve to the first slot, matching the pre-columnar
     /// first-match-in-store-order scan).
     name_slots: HashMap<String, Vec<usize>>,
-    /// Conservative per-dimension bounds over `coords` (see
-    /// [`ColBounds`]); drives dimension pruning in range scans.
-    bounds: ColBounds,
+    /// Clustered slot order and per-zone boxes over `coords` (see
+    /// [`ZoneMap`]); drives zone skipping in range and top-k scans.
+    zones: ZoneMap,
 }
 
 impl StorageUnit {
@@ -273,11 +525,12 @@ impl StorageUnit {
             coords: Vec::new(),
             ids: Vec::new(),
             name_slots: HashMap::new(),
-            bounds: ColBounds::empty(),
+            zones: ZoneMap::default(),
         };
         for f in files {
             unit.insert_file(f);
         }
+        unit.zones = ZoneMap::build(&unit.coords);
         unit
     }
 
@@ -305,7 +558,7 @@ impl StorageUnit {
             coords: Vec::new(),
             ids: Vec::new(),
             name_slots: HashMap::new(),
-            bounds: ColBounds::empty(),
+            zones: ZoneMap::default(),
         };
         unit.rebuild_columns();
         unit
@@ -318,29 +571,29 @@ impl StorageUnit {
         self.ids.clear();
         self.ids.reserve(self.files.len());
         self.name_slots.clear();
-        self.bounds = ColBounds::empty();
         for f in &self.files {
             push_row(
                 &mut self.coords,
                 &mut self.ids,
                 &mut self.name_slots,
-                &mut self.bounds,
                 &f.attr_vector(),
                 f.file_id,
                 &f.name,
             );
         }
+        self.zones = ZoneMap::build(&self.coords);
     }
 
-    /// Appends a file's columnar projection (call immediately before
-    /// pushing the record onto `files`).
-    fn append_columns(&mut self, file: &FileMetadata) {
+    /// Appends a file's columnar projection, `row` being its
+    /// `attr_vector()`, to the columns and the zone map's tail (call
+    /// immediately before pushing the record onto `files`).
+    fn append_columns(&mut self, row: &[f64], file: &FileMetadata) {
+        self.zones.push(row);
         push_row(
             &mut self.coords,
             &mut self.ids,
             &mut self.name_slots,
-            &mut self.bounds,
-            &file.attr_vector(),
+            row,
             file.file_id,
             &file.name,
         );
@@ -355,6 +608,7 @@ impl StorageUnit {
         unlink_name_slot(&mut self.name_slots, &self.files[pos].name, pos);
         self.coords.drain(pos * ATTR_DIMS..(pos + 1) * ATTR_DIMS);
         self.ids.remove(pos);
+        self.zones.remove(pos);
         // lint:allow(D002) -- each slot list is shifted independently; order-insensitive
         for slots in self.name_slots.values_mut() {
             for s in slots.iter_mut() {
@@ -462,7 +716,7 @@ impl StorageUnit {
                 None => return Err(format!("name {name:?} missing from name_slots")),
             }
         }
-        Ok(())
+        self.zones.check(&self.coords)
     }
 
     /// Adds a file, updating Bloom filter, centroid, MBR and the
@@ -479,15 +733,7 @@ impl StorageUnit {
             Some(m) => m.union(&point),
             None => point,
         });
-        push_row(
-            &mut self.coords,
-            &mut self.ids,
-            &mut self.name_slots,
-            &mut self.bounds,
-            &v,
-            file.file_id,
-            &file.name,
-        );
+        self.append_columns(&v, &file);
         self.files.push(file);
     }
 
@@ -525,7 +771,6 @@ impl StorageUnit {
         let old_coords = std::mem::take(&mut self.coords);
         let old_ids = std::mem::take(&mut self.ids);
         self.name_slots.clear();
-        self.bounds = ColBounds::empty();
         self.files = Vec::with_capacity(old_files.len());
         self.coords = Vec::with_capacity(old_coords.len());
         self.ids = Vec::with_capacity(old_ids.len());
@@ -545,7 +790,6 @@ impl StorageUnit {
                     &mut self.coords,
                     &mut self.ids,
                     &mut self.name_slots,
-                    &mut self.bounds,
                     &old_coords[row * ATTR_DIMS..(row + 1) * ATTR_DIMS],
                     old_ids[row],
                     &f.name,
@@ -563,7 +807,7 @@ impl StorageUnit {
     /// ([`Self::recompute_summaries`]) fires, per §3.4/§4.4. The
     /// columnar projection (data, not index) is maintained eagerly.
     pub fn insert_file_raw(&mut self, file: FileMetadata) {
-        self.append_columns(&file);
+        self.append_columns(&file.attr_vector(), &file);
         self.files.push(file);
     }
 
@@ -588,8 +832,8 @@ impl StorageUnit {
             Some(slot) => {
                 let row = file.attr_vector();
                 self.coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS].copy_from_slice(&row);
-                // The old row's extent is kept (bounds stay a superset).
-                self.bounds.grow(&row);
+                // The old row's extent is kept (the box stays a superset).
+                self.zones.grow(slot, &row);
                 if self.files[slot].name != file.name {
                     unlink_name_slot(&mut self.name_slots, &self.files[slot].name, slot);
                     let slots = self.name_slots.entry(file.name.clone()).or_default();
@@ -603,11 +847,12 @@ impl StorageUnit {
     }
 
     /// Rebuilds centroid, MBR and Bloom filter from current contents
-    /// (used after bulk changes and version flushes). Reads the
-    /// columnar table instead of re-projecting every record — same
-    /// values summed in the same store order, so the recomputed
-    /// summaries are bit-identical to the pre-columnar walk.
+    /// (used after bulk changes and version flushes), and reclusters the
+    /// zone map. Reads the columnar table instead of re-projecting every
+    /// record — same values summed in the same store order, so the
+    /// recomputed summaries are bit-identical to the pre-columnar walk.
     pub fn recompute_summaries(&mut self) {
+        self.zones = ZoneMap::build(&self.coords);
         let n = self.files.len();
         self.centroid = vec![0.0; ATTR_DIMS];
         self.mbr = None;
@@ -615,16 +860,22 @@ impl StorageUnit {
         if n == 0 {
             return;
         }
+        // The MBR folds each row in with the `min`/`max` that
+        // `Rect::union` applies, in store order, without a `Rect` per row.
+        let (mut lo, mut hi) = (
+            self.coords[..ATTR_DIMS].to_vec(),
+            self.coords[..ATTR_DIMS].to_vec(),
+        );
         for row in self.coords.chunks_exact(ATTR_DIMS) {
             for (c, &x) in self.centroid.iter_mut().zip(row) {
                 *c += x;
             }
-            let p = Rect::point(row);
-            self.mbr = Some(match self.mbr.take() {
-                Some(m) => m.union(&p),
-                None => p,
-            });
+            for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(row) {
+                *l = l.min(x);
+                *h = h.max(x);
+            }
         }
+        self.mbr = Some(Rect::new(lo, hi));
         for c in &mut self.centroid {
             *c /= n as f64;
         }
@@ -694,109 +945,127 @@ impl StorageUnit {
             .map(|&slot| &self.files[slot])
     }
 
-    /// Local range query over the projected attribute space:
-    /// dimension-pruned, chunk-processed passes over the flat
-    /// coordinate table (no per-record projection, records touched only
-    /// through the id column).
+    /// Local range query over the projected attribute space, zone by
+    /// zone over the unit's zone map (no per-record projection, records
+    /// touched only through the id column). For each zone, looking only
+    /// at the dimensions the query constrains:
     ///
-    /// Two layers of work avoidance, both answer-preserving:
+    /// * a box disjoint from the query in any dimension skips the zone;
+    /// * a box inside the query in every dimension emits all its slots;
+    /// * otherwise a mask pass over the zone's rows checks, column at a
+    ///   time, only the dimensions the box does not already cover.
     ///
-    /// * **dimension pruning** — a dimension whose query interval
-    ///   covers the column's `ColBounds` cannot reject any row, so
-    ///   its column is never read (the bounds are conservative
-    ///   supersets of the column values, unlike the possibly-stale unit
-    ///   MBR);
-    /// * **chunked mask scan** — the remaining dimensions are evaluated
-    ///   column-at-a-time over `SCAN_CHUNK`-row blocks: each pass is
-    ///   a branch-free strided sweep the compiler can vectorize, and a
-    ///   chunk whose mask empties skips its remaining dimensions.
-    ///
-    /// Output order (ascending slot) and the full-scan cost accounting
-    /// (`records = len()`, pricing the guaranteed column pass) are
-    /// unchanged, so answers and cost-model decisions stay bit-identical
-    /// to the plain row walk.
+    /// The boxes are conservative supersets of their rows (unlike the
+    /// possibly-stale unit MBR), so every decision is answer-preserving.
+    /// Matching slots are sorted before the id lookup, so the output
+    /// keeps ascending slot order; the full-scan cost accounting
+    /// (`records = len()`) is unchanged.
     pub fn range_query(&self, lo: &[f64], hi: &[f64]) -> (Vec<u64>, LocalWork) {
-        let mut out = Vec::new();
         let mut work = LocalWork::default();
         // MBR pre-check: disjoint units do no record work.
         if let Some(m) = &self.mbr {
             let q = Rect::new(lo.to_vec(), hi.to_vec());
             if !m.intersects(&q) {
-                return (out, work);
+                return (Vec::new(), work);
             }
         }
         // The row walk this replaces zipped `lo`/`hi` against each row,
         // so only the first `min(lo, hi, ATTR_DIMS)` dimensions ever
         // constrained; dims beyond that stay unconstrained here too.
         let checked_dims = lo.len().min(hi.len()).min(ATTR_DIMS);
-        let mut active = [false; ATTR_DIMS];
-        let mut n_active = 0usize;
-        for d in 0..checked_dims {
-            // `!(covers)` rather than `excludes`: a NaN query bound or
-            // poisoned column bound must keep the dimension active.
-            let covers = lo[d] <= self.bounds.lo[d] && self.bounds.hi[d] <= hi[d];
-            if !covers {
-                active[d] = true;
-                n_active += 1;
-            }
-        }
-        let n = self.ids.len();
-        if n_active == 0 {
-            // Every surviving dimension is covered: all rows match.
-            out.extend_from_slice(&self.ids);
-            work.records = self.files.len();
-            return (out, work);
-        }
-        let mut mask = [false; SCAN_CHUNK];
-        let mut base = 0usize;
-        while base < n {
-            let len = SCAN_CHUNK.min(n - base);
-            mask[..len].fill(true);
-            let mut any = true;
+        let mut hits: Vec<u32> = Vec::new();
+        let mut mask = [false; ZONE];
+        'zones: for (z, zone) in self.zones.zones.iter().enumerate() {
+            let rows = self.zones.rows(z);
+            let mut active = [false; ATTR_DIMS];
             for d in 0..checked_dims {
-                if !active[d] {
-                    continue;
+                // Comparisons with a NaN query bound or a poisoned box
+                // are false: the zone is neither skipped nor covered.
+                if zone.hi[d] < lo[d] || hi[d] < zone.lo[d] {
+                    continue 'zones;
                 }
+                active[d] = !(lo[d] <= zone.lo[d] && zone.hi[d] <= hi[d]);
+            }
+            if !active.contains(&true) {
+                hits.extend_from_slice(rows);
+                continue;
+            }
+            let mask = &mut mask[..rows.len()];
+            mask.fill(true);
+            for d in (0..checked_dims).filter(|&d| active[d]) {
                 let (l, h) = (lo[d], hi[d]);
                 let mut keep_any = false;
-                for (j, m) in mask.iter_mut().enumerate().take(len) {
-                    let x = self.coords[(base + j) * ATTR_DIMS + d];
+                for (m, &slot) in mask.iter_mut().zip(rows) {
+                    let x = self.coords[slot as usize * ATTR_DIMS + d];
                     *m = *m && l <= x && x <= h;
                     keep_any |= *m;
                 }
                 if !keep_any {
-                    any = false;
-                    break; // chunk fully rejected — skip remaining dims
+                    continue 'zones; // zone fully rejected — skip remaining dims
                 }
             }
-            if any {
-                for (j, &m) in mask.iter().enumerate().take(len) {
-                    if m {
-                        out.push(self.ids[base + j]);
-                    }
-                }
-            }
-            base += len;
+            hits.extend(
+                rows.iter()
+                    .zip(mask.iter())
+                    .filter(|(_, &m)| m)
+                    .map(|(&s, _)| s),
+            );
         }
+        hits.sort_unstable();
+        let out = hits.iter().map(|&slot| self.ids[slot as usize]).collect();
         work.records = self.files.len();
         (out, work)
     }
 
     /// Local top-k: the unit's k nearest files to `point`, with squared
-    /// distances (for cross-unit merge). A bounded-heap pass over the
-    /// coordinate table — O(n log k) instead of the previous full
-    /// O(n log n) sort, `total_cmp` ordered (no NaN panic path), and
-    /// bit-identical to sort-then-truncate output.
+    /// distances (for cross-unit merge), `total_cmp` ordered (no NaN
+    /// panic path) and bit-identical to sort-then-truncate output.
     pub fn topk_query(&self, point: &[f64], k: usize) -> (Vec<(u64, f64)>, LocalWork) {
+        self.topk_within(point, k, f64::INFINITY)
+    }
+
+    /// [`Self::topk_query`] for a caller that already holds k candidates
+    /// no farther than `bound` — the cross-unit MaxD of §3.3.2 carried
+    /// inside the unit. Zones are visited nearest box first, and the
+    /// walk stops at the first zone whose box is *strictly* farther than
+    /// `min(local k-th best, bound)`: no row there can enter either
+    /// heap, while a row at exactly that distance (a tie broken by a
+    /// smaller id) still can. The returned list may therefore omit rows
+    /// farther than `bound`, which the caller would reject anyway.
+    pub(crate) fn topk_within(
+        &self,
+        point: &[f64],
+        k: usize,
+        bound: f64,
+    ) -> (Vec<(u64, f64)>, LocalWork) {
         let mut top = TopK::new(k);
-        for (slot, row) in self.coords.chunks_exact(ATTR_DIMS).enumerate() {
-            let mut d = 0.0;
-            for (&a, &q) in row.iter().zip(point) {
-                d += (a - q) * (a - q);
+        if k > 0 {
+            let mut near: Vec<(f64, usize)> = self
+                .zones
+                .zones
+                .iter()
+                .map(|zone| zone.min_dist(point))
+                .zip(0..)
+                .collect();
+            near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for (lower, z) in near {
+                // `f64::min` ignores a NaN k-th best; either bound alone
+                // is a valid stopping threshold.
+                if lower > top.max_d().min(bound) {
+                    break;
+                }
+                for &slot in self.zones.rows(z) {
+                    let slot = slot as usize;
+                    let mut d = 0.0;
+                    for (&a, &q) in row_of(&self.coords, slot).iter().zip(point) {
+                        d += (a - q) * (a - q);
+                    }
+                    // Full (distance, id) comparison inside push — an
+                    // equal distance with a smaller id still displaces
+                    // the worst.
+                    top.push(self.ids[slot], d);
+                }
             }
-            // Full (distance, id) comparison inside push — an equal
-            // distance with a smaller id still displaces the worst.
-            top.push(self.ids[slot], d);
         }
         let work = LocalWork {
             records: self.files.len(),
@@ -1067,8 +1336,35 @@ mod tests {
         assert_eq!(top.iter().map(|&(id, _)| id).collect::<Vec<_>>(), [10, 20]);
     }
 
-    /// The pre-pruning row walk, kept as the reference the chunked
-    /// dimension-pruned scan must match bit for bit.
+    #[test]
+    fn topk_within_keeps_rows_tied_with_the_bound() {
+        // A caller already holding a candidate at distance 0 passes
+        // bound 0: the tied rows' zone must still be read (strict `>`
+        // stop), so the smaller ids can displace the caller's.
+        let mut u = unit_with(3 * ZONE);
+        let base = u.files()[7].clone();
+        for id in [9040u64, 9010, 9030] {
+            let mut f = base.clone();
+            f.file_id = id;
+            f.name = format!("tie_{id}");
+            u.insert_file(f);
+        }
+        u.recompute_summaries();
+        let q = base.attr_vector();
+        let (top, _) = u.topk_within(&q, 2, 0.0);
+        let (full, _) = u.topk_query(&q, 2);
+        assert_eq!(top, full);
+        assert!(top.iter().all(|&(_, d)| d == 0.0));
+        // Rows farther than the bound may be left out, but every row
+        // at distance 0 is returned, in (distance, id) order.
+        let (near, _) = u.topk_within(&q, ZONE, 0.0);
+        let (full, _) = u.topk_query(&q, ZONE);
+        assert_eq!(near[..4], full[..4]);
+        assert!(near[..4].iter().all(|&(_, d)| d == 0.0));
+    }
+
+    /// The pre-pruning row walk, kept as the reference the zone-map
+    /// scan must match bit for bit.
     fn range_reference(u: &StorageUnit, lo: &[f64], hi: &[f64]) -> Vec<u64> {
         let mut out = Vec::new();
         for (slot, row) in u.coords().chunks_exact(ATTR_DIMS).enumerate() {
@@ -1085,9 +1381,9 @@ mod tests {
 
     #[test]
     fn pruned_scan_matches_row_walk() {
-        // Sizes straddling the chunk width, boxes from fully-covering
+        // Sizes straddling the zone width, boxes from fully-covering
         // (zero active dims) to single-dimension slivers.
-        for n in [1usize, 63, 64, 65, 130, 200] {
+        for n in [1usize, ZONE - 1, ZONE, ZONE + 1, 130, 200] {
             let u = unit_with(n);
             let m = u.mbr().unwrap().clone();
             let (mlo, mhi) = (m.lo().to_vec(), m.hi().to_vec());
@@ -1125,9 +1421,9 @@ mod tests {
 
     #[test]
     fn pruned_scan_stays_exact_under_mutation() {
-        // Bounds grow through raw inserts/modifies and stay supersets
-        // after removals; every intermediate state must answer like the
-        // reference walk.
+        // Zone boxes grow through raw inserts/modifies and stay
+        // supersets after removals; every intermediate state must
+        // answer like the reference walk.
         let mut u = unit_with(40);
         let m = u.mbr().unwrap().clone();
         let (mlo, mhi) = (m.lo().to_vec(), m.hi().to_vec());

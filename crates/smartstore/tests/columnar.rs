@@ -16,6 +16,11 @@
 //!    route modes) must also be bit-identical between a live mutated
 //!    system and its `from_parts(to_parts())` reopen, which rebuilds
 //!    every unit's projection from serialized records.
+//!
+//! Coherence includes the unit's zone map (every slot once in the
+//! clustered order, every row inside its zone's box), so the streams
+//! below also drive the zone-skipping range and top-k scans, NaN rows
+//! included, and the cross-unit bound the top-k walk passes down.
 
 use proptest::prelude::*;
 use smartstore::config::SmartStoreConfig;
@@ -193,7 +198,7 @@ proptest! {
     /// raw/non-raw mutation streams.
     #[test]
     fn columnar_projection_stays_coherent(
-        n_seed in 0usize..30,
+        n_seed in 0usize..130,
         ops in prop::collection::vec(op_strategy(), 0..60),
         probe in any::<u16>(),
     ) {
@@ -226,12 +231,16 @@ proptest! {
         } else {
             u.files()[probe as usize % u.len()].attr_vector()
         };
-        let lo: Vec<f64> = v.iter().map(|x| x - 0.7).collect();
-        let hi: Vec<f64> = v.iter().map(|x| x + 0.7).collect();
-        let (ids, work) = u.range_query(&lo, &hi);
-        let (want_ids, want_records) = ref_range(&u, &lo, &hi);
-        prop_assert_eq!(ids, want_ids);
-        prop_assert_eq!(work.records, want_records);
+        // A wide box and a tight one: zones get covered, cut and
+        // skipped.
+        for half in [0.7, 0.2] {
+            let lo: Vec<f64> = v.iter().map(|x| x - half).collect();
+            let hi: Vec<f64> = v.iter().map(|x| x + half).collect();
+            let (ids, work) = u.range_query(&lo, &hi);
+            let (want_ids, want_records) = ref_range(&u, &lo, &hi);
+            prop_assert_eq!(ids, want_ids);
+            prop_assert_eq!(work.records, want_records);
+        }
 
         for k in [0usize, 1, 4, 1000] {
             let (top, work) = u.topk_query(&v, k);
@@ -349,4 +358,169 @@ fn topk_with_nan_point_does_not_panic() {
     let (top, work) = u.topk_query(&q, 5);
     assert_eq!(top.len(), 5);
     assert_eq!(work.records, 20);
+}
+
+/// Asserts a unit's range and top-k answers equal the record walk's,
+/// distance bits included.
+fn assert_matches_reference(u: &StorageUnit, lo: &[f64], hi: &[f64], point: &[f64]) {
+    assert_eq!(u.range_query(lo, hi).0, ref_range(u, lo, hi).0);
+    for k in [1usize, 5, 40] {
+        let got = u.topk_query(point, k).0;
+        let want = ref_topk(u, point, k);
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(&want) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "distance bits of id {}", a.0);
+        }
+    }
+}
+
+/// Non-finite coordinates poison their zone's box, so no zone holding
+/// one is ever skipped or wholly emitted: every answer matches the
+/// record walk. NaN rows reach a unit only through the raw mutation
+/// paths and a reopen (an MBR cannot hold NaN), and with no MBR yet a
+/// NaN query bound reaches the zone scan too.
+#[test]
+fn zone_scans_with_nan_rows_match_reference() {
+    let mut raw = StorageUnit::new(0, 512, 5, Vec::new());
+    for i in 0..150u64 {
+        let mut f = make_file(i, 4);
+        match i % 17 {
+            0 => f.ctime = f64::NAN,
+            5 => f.atime = f64::INFINITY,
+            _ => {}
+        }
+        raw.insert_file_raw(f);
+    }
+    // Reopened: the zone map is clustered with the NaN rows in it.
+    let mut reopened = StorageUnit::from_parts(
+        0,
+        raw.files().to_vec(),
+        raw.bloom().clone(),
+        raw.centroid().to_vec(),
+        None,
+    );
+    let probe = raw.files()[3].attr_vector();
+    let mut boxes: Vec<(Vec<f64>, Vec<f64>)> = [0.3, 1.0, 1e9]
+        .iter()
+        .map(|&half| {
+            (
+                probe.iter().map(|x| x - half).collect(),
+                probe.iter().map(|x| x + half).collect(),
+            )
+        })
+        .collect();
+    let mut nan_lo = boxes[1].0.clone();
+    nan_lo[0] = f64::NAN;
+    boxes.push((nan_lo, boxes[1].1.clone()));
+    let mut nan_point = probe;
+    nan_point[1] = f64::NAN;
+    let mut inf_point = probe;
+    inf_point[3] = f64::INFINITY;
+    let check = |u: &StorageUnit| {
+        assert_eq!(u.check_columnar_coherence(), Ok(()));
+        for (lo, hi) in &boxes {
+            for point in [&probe, &nan_point, &inf_point] {
+                assert_matches_reference(u, lo, hi, point);
+            }
+        }
+    };
+    check(&raw);
+    check(&reopened);
+    // In place: a clean zone turns NaN, and a NaN row lands in the tail.
+    let mut f = reopened.files()[4].clone();
+    f.mtime = f64::NAN;
+    reopened.modify_file_raw(f);
+    let mut g = make_file(9_000, 4);
+    g.ctime = f64::NAN;
+    reopened.insert_file_raw(g);
+    check(&reopened);
+}
+
+/// Records whose attributes take few distinct values, so squared
+/// distances tie often — across units and at the k-th place.
+fn tie_file(id: u64, salt: u64) -> FileMetadata {
+    let mut f = make_file(id, salt);
+    f.size = [100, 1_000][(id % 2) as usize];
+    f.ctime = 3600.0 * ((id / 2) % 3) as f64;
+    f.mtime = f.ctime;
+    f.atime = 3600.0 * (salt % 2) as f64;
+    f.read_bytes = 0;
+    f.write_bytes = 0;
+    f.access_count = 0;
+    f.proc_id = ((id + salt) % 4) as u32;
+    f
+}
+
+/// The system's top-k walk passes its running cross-unit k-th best into
+/// every unit scan. Its `(id, distance)` pairs must equal, bit for bit,
+/// the same MaxD walk over unbounded unit scans, on a system taken
+/// through a mutation stream, including queries where the distance at
+/// the k-th place is tied.
+#[test]
+fn bounded_topk_walk_matches_unbounded_walk() {
+    let base: Vec<FileMetadata> = (0..600u64).map(|i| tie_file(i, i % 5)).collect();
+    let mut sys = SmartStoreSystem::build(base, 8, SmartStoreConfig::default(), 3);
+    for i in 0..300u64 {
+        let files = sys.current_files();
+        let change = match i % 3 {
+            0 => Change::Insert(tie_file(1_000 + i, i % 7)),
+            1 => Change::Delete(files[(i as usize * 31) % files.len()].file_id),
+            _ => {
+                let mut f = files[(i as usize * 17) % files.len()].clone();
+                f.proc_id = (f.proc_id + 1) % 4;
+                Change::Modify(f)
+            }
+        };
+        sys.apply_change(change);
+    }
+    // Compare the merged unit answers themselves, not the version
+    // overlay applied after them.
+    sys.set_versioning(false);
+    let files = sys.current_files();
+    let mut ties_at_k = 0;
+    for (qi, f) in files.iter().step_by(37).enumerate() {
+        let point = f.attr_vector();
+        for k in [1usize, 3, 10, 50] {
+            let opts = QueryOptions::default().with_k(k);
+            let (got, _) = sys.query().topk_scored(&point, &opts);
+            let want = unbounded_walk(&sys, &point, k);
+            assert_eq!(got.len(), want.len(), "query {qi}, k={k}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.0, b.0, "query {qi}, k={k}");
+                assert_eq!(a.1.to_bits(), b.1.to_bits(), "query {qi}, k={k}");
+            }
+            let mut all: Vec<f64> = sys
+                .units()
+                .iter()
+                .flat_map(|u| u.topk_query(&point, k + 1).0)
+                .map(|(_, d)| d)
+                .collect();
+            all.sort_by(f64::total_cmp);
+            if all.len() > k && all[k - 1] == all[k] {
+                ties_at_k += 1;
+            }
+        }
+    }
+    assert!(ties_at_k > 0, "no query tied at the k-th place");
+}
+
+/// `eval_topk_scored`'s MaxD walk with every unit scanned unbounded.
+fn unbounded_walk(sys: &SmartStoreSystem, point: &[f64], k: usize) -> Vec<(u64, f64)> {
+    let by_distance = |a: &(u64, f64), b: &(u64, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+    let mut best: Vec<(u64, f64)> = Vec::new();
+    for (u, lower_bound) in sys.tree().route_topk(point).0 {
+        let max_d = if best.len() == k {
+            best[k - 1].1
+        } else {
+            f64::INFINITY
+        };
+        if lower_bound > max_d {
+            break;
+        }
+        best.extend(sys.units()[u].topk_query(point, k).0);
+        best.sort_by(by_distance);
+        best.truncate(k);
+    }
+    best
 }
