@@ -17,22 +17,35 @@
 //!    `encode_snapshot` (per-unit record encode + CRC). Every run is
 //!    checked **bit-identical** against the 1-thread reference before
 //!    its time is reported.
+//! 3. `versioned_reads` — the version-chain overlay (§4.4) by itself.
+//!    One system is driven through the serving benchmark's mutation mix
+//!    until its chains hold hundreds of records; a twin built from the
+//!    same parts with every chain emptied answers the same reads with
+//!    no overlay. Point hits, point misses (the fallback every shard
+//!    that lacks a name runs), range and top-k reads are timed on both,
+//!    and so is the per-chain effective walk.
 //!
-//! Both tables are printed; nothing is written to disk.
+//! The tables are printed; nothing is written to disk.
 //!
 //! Run with `cargo bench -p smartstore-bench --bench micro`: 4k and 50k
-//! files for `point_family`, 10k files at 1/2/4/8 threads for `scaling`.
-//! `-- --quick` is the CI smoke: 4k files only, and 2k files at 1 and 2
-//! threads.
+//! files for `point_family`, 10k files at 1/2/4/8 threads for `scaling`,
+//! one serving-benchmark shard (12.5k files in 15 units) and 6k
+//! mutations for `versioned_reads`. `-- --quick` is the CI smoke: 4k
+//! files only, 2k files at 1 and 2 threads, and 6k files in 8 units with
+//! 1.5k mutations.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayon::ThreadPoolBuilder;
 use smartstore::grouping::{group_level, partition_balanced, partition_tiled, LevelGrouping};
 use smartstore::system::SystemParts;
-use smartstore::{HashFamily, SmartStoreConfig, SmartStoreSystem};
+use smartstore::tree::NodeId;
+use smartstore::versioning::{Change, VersionStore};
+use smartstore::{HashFamily, QueryOptions, SmartStoreConfig, SmartStoreSystem};
 use smartstore_bench::fixture::{population, system, system_with_family, workload};
 use smartstore_bench::Report;
 use smartstore_persist::snapshot::encode_snapshot;
-use smartstore_trace::{QueryDistribution, TraceKind};
+use smartstore_trace::{MetadataPopulation, QueryDistribution, TraceKind};
 use std::time::Instant;
 
 /// The full-path point-query speedup of the fast hash family over the
@@ -217,6 +230,132 @@ fn scaling(n_files: usize, thread_counts: &[usize]) -> Report {
     report
 }
 
+/// Applies `n` changes of the serving benchmark's mix to `sys`: half
+/// modifies of a hot file, a quarter inserts, a quarter deletes of an
+/// earlier insert (an insert while none is live).
+fn mutate(sys: &mut SmartStoreSystem, pop: &MetadataPopulation, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut hot: Vec<_> = pop.files.iter().take(2_000).cloned().collect();
+    let mut inserted: Vec<u64> = Vec::new();
+    let mut next_id = 1u64 << 40;
+    for _ in 0..n {
+        let slot = rng.gen_range(0..hot.len());
+        let change = match rng.gen_range(0..4) {
+            0 if !inserted.is_empty() => {
+                Change::Delete(inserted.swap_remove(rng.gen_range(0..inserted.len())))
+            }
+            0 | 1 => {
+                let mut f = hot[slot].clone();
+                f.file_id = next_id;
+                f.name = format!("mb_ins_{next_id}");
+                inserted.push(next_id);
+                next_id += 1;
+                Change::Insert(f)
+            }
+            _ => {
+                let f = &mut hot[slot];
+                f.mtime += 1.0;
+                f.write_bytes += 4096;
+                f.access_count += 1;
+                Change::Modify(f.clone())
+            }
+        };
+        sys.apply_change(change);
+    }
+}
+
+/// Times reads against live version chains and against the same system
+/// with every chain emptied.
+fn versioned_reads(n_files: usize, n_units: usize, mutations: usize, rounds: usize) -> Report {
+    println!("== versioned_reads: {n_files} files, {n_units} units, {mutations} mutations ==");
+    let pop = population(TraceKind::Msn, n_files, 5);
+    let mut live = system(&pop, n_units, 5);
+    mutate(&mut live, &pop, mutations, 5);
+    let mut parts = live.to_parts();
+    let live_chains = parts.versions.clone();
+    for (_, vs) in &mut parts.versions {
+        *vs = VersionStore::new(vs.ratio());
+    }
+    let empty_chains = parts.versions.clone();
+    let empty = SmartStoreSystem::from_parts(parts);
+    let w = workload(&pop, QueryDistribution::Zipf, 48, 6);
+    let misses: Vec<String> = (0..48).map(|i| format!("mb_ghost_{i}")).collect();
+    let opts = QueryOptions::offline();
+
+    let mut report = Report::new(
+        "versioned_reads",
+        &format!(
+            "Reads on live version chains vs the same system with empty chains, \
+             {n_files} files, ns/op, best of {rounds} rounds"
+        ),
+        &["read", "live_ns", "empty_ns", "overlay_ns"],
+    );
+    let mut row = |name: &str, on_live: f64, on_empty: f64| {
+        report.row(&[
+            name.to_string(),
+            format!("{on_live:.0}"),
+            format!("{on_empty:.0}"),
+            format!("{:.0}", on_live - on_empty),
+        ]);
+    };
+    let reads = |ops: usize, f: &dyn Fn(&SmartStoreSystem)| {
+        (
+            time_ns(rounds, ops, || f(&live)),
+            time_ns(rounds, ops, || f(&empty)),
+        )
+    };
+    let (on_live, on_empty) = reads(w.points.len(), &|sys| {
+        for q in &w.points {
+            std::hint::black_box(sys.query().point(&q.name));
+        }
+    });
+    row("point_hit", on_live, on_empty);
+    let (on_live, on_empty) = reads(misses.len(), &|sys| {
+        for name in &misses {
+            std::hint::black_box(sys.query().point(name));
+        }
+    });
+    row("point_miss", on_live, on_empty);
+    let (on_live, on_empty) = reads(w.ranges.len(), &|sys| {
+        for q in &w.ranges {
+            std::hint::black_box(sys.query().range(&q.lo, &q.hi, &opts));
+        }
+    });
+    row("range", on_live, on_empty);
+    let (on_live, on_empty) = reads(w.topks.len(), &|sys| {
+        for q in &w.topks {
+            std::hint::black_box(sys.query().topk(&q.point, &opts.with_k(q.k)));
+        }
+    });
+    row("topk", on_live, on_empty);
+    let walk = |chains: &[(NodeId, VersionStore)]| {
+        time_ns(rounds, chains.len().max(1), || {
+            for (_, vs) in chains {
+                std::hint::black_box(vs.effective().count());
+            }
+        })
+    };
+    row("walk_per_chain", walk(&live_chains), walk(&empty_chains));
+
+    let records: Vec<usize> = live_chains
+        .iter()
+        .map(|(_, vs)| vs.change_count())
+        .collect();
+    let total: usize = records.iter().sum();
+    let max = records.iter().copied().max().unwrap_or(0);
+    report.note(format!(
+        "{} chains hold {total} records after {mutations} mutations: {} per chain on \
+         average, {max} at most",
+        records.len(),
+        total / records.len().max(1)
+    ));
+    report.note(
+        "point_miss names no file, so every query walks every chain: the fallback each \
+         shard that lacks a name runs",
+    );
+    report
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
@@ -245,4 +384,11 @@ fn main() {
         scaling(10_000, &[1, 2, 4, 8])
     };
     print!("{}", report.render());
+
+    let versioned = if quick {
+        versioned_reads(6_000, 8, 1_500, 5)
+    } else {
+        versioned_reads(12_500, 15, 6_000, 10)
+    };
+    print!("{}", versioned.render());
 }

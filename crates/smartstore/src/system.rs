@@ -422,18 +422,18 @@ impl SmartStoreSystem {
         trace.bearing_group_hops = descent.group_hops;
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
-            // refresh is found in the version chains.
+            // refresh is found in the version chains. Each chain's
+            // effective walk is read in place, nothing collected; the
+            // trace charges every record the walk crosses.
             trace.version_chains = self.versions.len();
             // lint:allow(D002) -- results are sorted and deduped below
             for vs in self.versions.values() {
-                let (effective, scanned) = vs.effective_changes();
-                trace.version_records += scanned;
-                for ch in effective {
-                    match ch {
-                        Change::Insert(f) | Change::Modify(f) if f.name == name => {
+                trace.version_records += vs.change_count();
+                for (ch, _) in vs.effective() {
+                    if let Change::Insert(f) | Change::Modify(f) = ch {
+                        if f.name == name {
                             results.push(f.file_id);
                         }
-                        _ => {}
                     }
                 }
             }
@@ -598,11 +598,11 @@ impl SmartStoreSystem {
         }
         // Replica multicast to every storage unit (§3.4).
         self.maintenance_messages += self.units.len() as u64;
-        // Version chains covered by the refreshed index are folded in.
+        // Version chains covered by the refreshed index are folded in:
+        // the units already hold every change, so the chain is dropped,
+        // not replayed.
         if let Some(vs) = self.versions.get_mut(&group) {
-            let mut scratch = Vec::new();
-            let bytes = vs.flush_into(&mut scratch);
-            let _ = bytes;
+            vs.clear();
             // Multicast of the flushed versions to remote replicas.
             self.maintenance_messages += self.units.len() as u64;
         }
@@ -697,69 +697,95 @@ impl SmartStoreSystem {
         self.pending.clear();
     }
 
-    fn apply_versions_to_range(&self, lo: &[f64], hi: &[f64], results: &mut Vec<u64>) -> usize {
-        let mut scanned = 0;
-        // Push/retain below is order-sensitive across version chains, so
-        // walk the groups in id order.
+    /// The version chains in ascending group id. Each overlay applies
+    /// one chain as one batch, which is exact because a chain's
+    /// effective records have distinct file ids (its drops and adds
+    /// commute); across chains the order still matters, since the last
+    /// chain to touch an id decides it.
+    fn chains_in_group_order(&self) -> Vec<&VersionStore> {
         let mut group_ids: Vec<NodeId> = self.versions.keys().copied().collect(); // lint:allow(D002) -- sorted next line
         group_ids.sort_unstable();
-        for g in group_ids {
-            let Some(vs) = self.versions.get(&g) else {
-                continue;
-            };
-            let (effective, s) = vs.effective_changes();
-            scanned += s;
-            for ch in effective {
+        group_ids
+            .iter()
+            .filter_map(|g| self.versions.get(g))
+            .collect()
+    }
+
+    /// Range overlay (§4.4): per chain, one `retain` of `results`
+    /// against the sorted ids the chain deletes or moves out of the box,
+    /// then the ids it upserts inside the box. `results` is left
+    /// unsorted with possible duplicates; the caller sorts and dedups.
+    /// Returns the chain records crossed.
+    fn apply_versions_to_range(&self, lo: &[f64], hi: &[f64], results: &mut Vec<u64>) -> usize {
+        let mut scanned = 0;
+        let (mut drop, mut add) = (Vec::new(), Vec::new());
+        for vs in self.chains_in_group_order() {
+            scanned += vs.change_count();
+            drop.clear();
+            add.clear();
+            for (ch, row) in vs.effective() {
                 match ch {
                     Change::Insert(f) | Change::Modify(f) => {
-                        let v = f.attr_vector();
-                        let inside = v
+                        let inside = row
                             .iter()
                             .zip(lo.iter().zip(hi))
                             .all(|(&x, (&l, &h))| l <= x && x <= h);
                         if inside {
-                            results.push(f.file_id);
+                            add.push(f.file_id);
                         } else {
-                            results.retain(|&id| id != f.file_id);
+                            drop.push(f.file_id);
                         }
                     }
-                    Change::Delete(id) => results.retain(|&x| x != *id),
+                    Change::Delete(id) => drop.push(*id),
                 }
             }
+            if !drop.is_empty() {
+                drop.sort_unstable();
+                results.retain(|id| drop.binary_search(id).is_err());
+            }
+            results.extend_from_slice(&add);
         }
         scanned
     }
 
+    /// Top-k overlay (§4.4): per chain, drop every id the chain touches,
+    /// then push its upserts with their squared distances; finally keep
+    /// the `k` smallest by `(distance, id)`, sorted. Returns the chain
+    /// records crossed.
     fn apply_versions_to_topk(&self, point: &[f64], k: usize, best: &mut Vec<(u64, f64)>) -> usize {
         let mut scanned = 0;
-        // Retain/push below is order-sensitive across version chains, so
-        // walk the groups in id order.
-        let mut group_ids: Vec<NodeId> = self.versions.keys().copied().collect(); // lint:allow(D002) -- sorted next line
-        group_ids.sort_unstable();
-        for g in group_ids {
-            let Some(vs) = self.versions.get(&g) else {
-                continue;
-            };
-            let (effective, s) = vs.effective_changes();
-            scanned += s;
-            for ch in effective {
-                match ch {
-                    Change::Insert(f) | Change::Modify(f) => {
-                        let d = f
-                            .attr_vector()
-                            .iter()
-                            .zip(point)
-                            .map(|(&a, &q)| (a - q) * (a - q))
-                            .sum::<f64>();
-                        best.retain(|&(id, _)| id != f.file_id);
-                        best.push((f.file_id, d));
-                    }
-                    Change::Delete(id) => best.retain(|&(x, _)| x != *id),
+        let (mut touched, mut add) = (Vec::new(), Vec::new());
+        for vs in self.chains_in_group_order() {
+            scanned += vs.change_count();
+            touched.clear();
+            add.clear();
+            for (ch, row) in vs.effective() {
+                touched.push(ch.file_id());
+                if let Change::Insert(f) | Change::Modify(f) = ch {
+                    let d = row
+                        .iter()
+                        .zip(point)
+                        .map(|(&a, &q)| (a - q) * (a - q))
+                        .sum::<f64>();
+                    add.push((f.file_id, d));
                 }
             }
+            if !touched.is_empty() {
+                touched.sort_unstable();
+                best.retain(|(id, _)| touched.binary_search(id).is_err());
+            }
+            best.extend_from_slice(&add);
         }
-        best.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        best.truncate(k);
+        // Entries that compare equal by `(distance, id)` under
+        // `total_cmp` are bit-identical, so selecting the k smallest
+        // before sorting leaves the same k in the same order as sorting
+        // everything, without sorting every upsert.
+        let order = |a: &(u64, f64), b: &(u64, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+        if best.len() > k {
+            best.select_nth_unstable_by(k, order);
+            best.truncate(k);
+        }
+        best.sort_by(order);
         scanned
     }
 

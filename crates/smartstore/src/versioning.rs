@@ -13,9 +13,27 @@
 //! The *version ratio* (file modifications per version, Fig. 14)
 //! controls aggregation: ratio 1 is comprehensive versioning (every
 //! change is its own version, maximum space), larger ratios aggregate.
+//!
+//! # The effective walk
+//!
+//! A query consumes only each file's *newest* change. A chain answers
+//! that with [`VersionStore::effective`], a newest-first walk that
+//! yields one record per file id together with the record's cached
+//! [`FileMetadata::attr_vector`]. The walk reads one flag per record
+//! and skips the shadowed ones: no hashing, no allocation and no `ln()`
+//! per read. Its cost is linear in the records the chain holds, and the
+//! lazy update (§3.4) bounds that at about 5 % of the group's files.
+//!
+//! The flags, the file id → newest record map and the cached rows are
+//! derived state. [`VersionStore::record`] maintains them at write time
+//! (one map insert and one `attr_vector` per change), and
+//! [`VersionStore::from_parts`] rebuilds them by replaying the records
+//! in arrival order. They are never persisted: a chain serializes as
+//! its ratio, its sealed versions and its open version, and nothing
+//! else.
 
-use smartstore_trace::FileMetadata;
-use std::collections::HashSet;
+use smartstore_trace::{FileMetadata, ATTR_DIMS};
+use std::collections::HashMap;
 
 /// One aggregated metadata change.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,11 +84,22 @@ impl Version {
 }
 
 /// The version chain attached to one (first-level) index unit.
+///
+/// Records are numbered in arrival order: the sealed versions oldest
+/// first, then the open one. The three derived fields are indexed by
+/// that number.
 #[derive(Clone, Debug)]
 pub struct VersionStore {
     version_ratio: u32,
     open: Version,
     sealed: Vec<Version>,
+    /// Per record: a newer record of the same file id exists.
+    shadowed: Vec<bool>,
+    /// File id → arrival number of its newest record.
+    newest: HashMap<u64, usize>,
+    /// Per record: the upserted file's attribute vector (zeros for a
+    /// delete, which no reader looks at).
+    rows: Vec<[f64; ATTR_DIMS]>,
 }
 
 impl VersionStore {
@@ -80,27 +109,36 @@ impl VersionStore {
     /// # Panics
     /// If `version_ratio == 0`.
     pub fn new(version_ratio: u32) -> Self {
-        assert!(version_ratio > 0, "VersionStore: ratio must be positive");
-        Self {
-            version_ratio,
-            open: Version::default(),
-            sealed: Vec::new(),
-        }
+        Self::from_parts(version_ratio, Vec::new(), Version::default())
     }
 
     /// Reassembles a chain from serialized state — the inverse of the
     /// [`Self::ratio`] / [`Self::sealed_versions`] / [`Self::open_version`]
-    /// accessors.
+    /// accessors. The derived walk state is rebuilt by replaying the
+    /// records in arrival order.
     ///
     /// # Panics
     /// If `version_ratio == 0`.
     pub fn from_parts(version_ratio: u32, sealed: Vec<Version>, open: Version) -> Self {
         assert!(version_ratio > 0, "VersionStore: ratio must be positive");
-        Self {
+        let mut vs = Self {
             version_ratio,
-            open,
-            sealed,
+            open: Version::default(),
+            sealed: Vec::new(),
+            shadowed: Vec::new(),
+            newest: HashMap::new(),
+            rows: Vec::new(),
+        };
+        for ch in sealed
+            .iter()
+            .chain(std::iter::once(&open))
+            .flat_map(|v| &v.changes)
+        {
+            vs.track(ch);
         }
+        vs.sealed = sealed;
+        vs.open = open;
+        vs
     }
 
     /// The modification-to-version ratio.
@@ -121,6 +159,7 @@ impl VersionStore {
     /// Records a change; seals the open version when it reaches the
     /// ratio.
     pub fn record(&mut self, change: Change) {
+        self.track(&change);
         self.open.changes.push(change);
         if self.open.changes.len() >= self.version_ratio as usize {
             self.sealed.push(std::mem::take(&mut self.open));
@@ -134,7 +173,7 @@ impl VersionStore {
 
     /// Total recorded changes (sealed + open).
     pub fn change_count(&self) -> usize {
-        self.sealed.iter().map(|v| v.changes.len()).sum::<usize>() + self.open.changes.len()
+        self.shadowed.len()
     }
 
     /// Memory footprint of the chain (Fig. 14(a)).
@@ -147,56 +186,46 @@ impl VersionStore {
         self.sealed.iter().map(Version::size_bytes).sum::<usize>() + open
     }
 
-    /// Rolls the chain *backwards* (newest change first) and returns the
-    /// effective latest state per file: the first occurrence of each
-    /// file id wins ("version tᵢ usually contains newer information than
-    /// version tᵢ₋₁"). Also returns the number of change records
-    /// scanned, which the cost model converts into the extra latency of
-    /// Fig. 14(b).
-    pub fn effective_changes(&self) -> (Vec<&Change>, usize) {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut out = Vec::new();
-        let mut scanned = 0;
+    /// Rolls the chain *backwards* (newest change first) and yields the
+    /// effective latest state per file: only the newest record of each
+    /// file id ("version tᵢ usually contains newer information than
+    /// version tᵢ₋₁"), each with its cached attribute vector. The walk
+    /// still crosses every record, which is the extra latency of
+    /// Fig. 14(b): callers charge [`Self::change_count`] for it.
+    pub fn effective(&self) -> impl Iterator<Item = (&Change, &[f64; ATTR_DIMS])> {
         let newest_first = std::iter::once(&self.open)
             .chain(self.sealed.iter().rev())
             .flat_map(|v| v.changes.iter().rev());
-        for ch in newest_first {
-            scanned += 1;
-            if seen.insert(ch.file_id()) {
-                out.push(ch);
-            }
-        }
-        (out, scanned)
+        newest_first
+            .zip(self.shadowed.iter().rev().zip(self.rows.iter().rev()))
+            .filter(|&(_, (&shadowed, _))| !shadowed)
+            .map(|(ch, (_, row))| (ch, row))
     }
 
-    /// Applies all changes to a base set of files and clears the chain —
-    /// the reconfiguration step ("We first apply the changes of a
-    /// version into its attached original index unit"). Returns the
-    /// aggregate bytes that would be multicast to remote replicas.
-    pub fn flush_into(&mut self, files: &mut Vec<FileMetadata>) -> usize {
-        let bytes = self.size_bytes();
-        let (effective, _) = self.effective_changes();
-        // Clone the decisions out before mutating self.
-        let decisions: Vec<Change> = effective.into_iter().cloned().collect();
-        for ch in decisions {
-            match ch {
-                // Insert and Modify both upsert: the backward roll keeps
-                // only the *newest* change per file, so an Insert that
-                // follows a (shadowed) Delete must still replace the
-                // base record — it carries the newest state.
-                Change::Insert(f) | Change::Modify(f) => {
-                    if let Some(slot) = files.iter_mut().find(|x| x.file_id == f.file_id) {
-                        *slot = f;
-                    } else {
-                        files.push(f);
-                    }
-                }
-                Change::Delete(id) => files.retain(|x| x.file_id != id),
-            }
-        }
+    /// Drops every record — the reconfiguration step, once the changes
+    /// are in the refreshed index ("We first apply the changes of a
+    /// version into its attached original index unit"). The storage
+    /// units already hold them, so nothing is replayed.
+    pub fn clear(&mut self) {
         self.sealed.clear();
         self.open = Version::default();
-        bytes
+        self.shadowed.clear();
+        self.newest.clear();
+        self.rows.clear();
+    }
+
+    /// Appends `change` to the derived walk state: flags the file's
+    /// previous newest record and caches an upsert's attribute vector.
+    fn track(&mut self, change: &Change) {
+        let at = self.shadowed.len();
+        if let Some(prev) = self.newest.insert(change.file_id(), at) {
+            self.shadowed[prev] = true;
+        }
+        self.shadowed.push(false);
+        self.rows.push(match change {
+            Change::Insert(f) | Change::Modify(f) => f.attr_vector(),
+            Change::Delete(_) => [0.0; ATTR_DIMS],
+        });
     }
 }
 
@@ -259,19 +288,64 @@ mod tests {
         );
     }
 
+    /// The effective walk as ids and attribute-vector bits.
+    fn walk(vs: &VersionStore) -> Vec<(Change, Vec<u64>)> {
+        vs.effective()
+            .map(|(ch, row)| (ch.clone(), row.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    /// The walk by its definition: every record newest first, the first
+    /// of each file id kept, its row recomputed.
+    fn walk_by_definition(vs: &VersionStore) -> Vec<(Change, Vec<u64>)> {
+        let mut seen = std::collections::BTreeSet::new();
+        std::iter::once(vs.open_version())
+            .chain(vs.sealed_versions().iter().rev())
+            .flat_map(|v| v.changes.iter().rev())
+            .filter(|ch| seen.insert(ch.file_id()))
+            .map(|ch| {
+                let row = match ch {
+                    Change::Insert(f) | Change::Modify(f) => f.attr_vector(),
+                    Change::Delete(_) => [0.0; ATTR_DIMS],
+                };
+                (ch.clone(), row.iter().map(|x| x.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    /// Applies the effective walk to a base set of files, the way a
+    /// reader sees it: upserts replace or add, deletes remove.
+    fn apply(vs: &VersionStore, files: &mut Vec<FileMetadata>) {
+        for (ch, _) in vs.effective() {
+            match ch {
+                Change::Insert(f) | Change::Modify(f) => {
+                    if let Some(slot) = files.iter_mut().find(|x| x.file_id == f.file_id) {
+                        *slot = f.clone();
+                    } else {
+                        files.push(f.clone());
+                    }
+                }
+                Change::Delete(id) => files.retain(|x| x.file_id != *id),
+            }
+        }
+    }
+
     #[test]
     fn backward_roll_newest_wins() {
         let mut vs = VersionStore::new(2);
         vs.record(Change::Modify(meta(7, 100)));
         vs.record(Change::Modify(meta(7, 200)));
         vs.record(Change::Modify(meta(7, 300)));
-        let (eff, scanned) = vs.effective_changes();
+        let eff: Vec<_> = vs.effective().collect();
         assert_eq!(eff.len(), 1);
         match eff[0] {
-            Change::Modify(f) => assert_eq!(f.size, 300, "newest modification wins"),
+            (Change::Modify(f), row) => {
+                assert_eq!(f.size, 300, "newest modification wins");
+                assert_eq!(*row, f.attr_vector(), "row cached from the newest record");
+            }
             _ => panic!("unexpected change kind"),
         }
-        assert_eq!(scanned, 3);
+        assert_eq!(vs.change_count(), 3);
     }
 
     #[test]
@@ -279,33 +353,94 @@ mod tests {
         let mut vs = VersionStore::new(8);
         vs.record(Change::Insert(meta(3, 10)));
         vs.record(Change::Delete(3));
-        let (eff, _) = vs.effective_changes();
+        let eff: Vec<_> = vs.effective().map(|(ch, _)| ch).collect();
         assert_eq!(eff.len(), 1);
         assert!(matches!(eff[0], Change::Delete(3)));
     }
 
     #[test]
-    fn flush_applies_and_clears() {
+    fn flags_cross_sealing_boundaries() {
+        for ratio in [1, 2, 16] {
+            let mut vs = VersionStore::new(ratio);
+            // Ids repeat at strides that straddle every version boundary
+            // of the three ratios; deletes and re-inserts included.
+            for step in 0..40u64 {
+                let id = step % 7;
+                let change = match step % 5 {
+                    0 => Change::Delete(id),
+                    1 => Change::Insert(meta(id, step)),
+                    _ => Change::Modify(meta(id, 1000 + step)),
+                };
+                vs.record(change);
+                assert_eq!(
+                    walk(&vs),
+                    walk_by_definition(&vs),
+                    "ratio {ratio} step {step}"
+                );
+            }
+            assert!(vs.sealed_versions().len() >= 2, "ratio {ratio} sealed");
+            assert_eq!(vs.change_count(), 40);
+            assert_eq!(walk(&vs).len(), 7, "one record per id");
+        }
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_walk() {
+        for ratio in [1, 3, 16] {
+            let mut vs = VersionStore::new(ratio);
+            for step in 0..23u64 {
+                let id = step % 5;
+                vs.record(if step % 4 == 3 {
+                    Change::Delete(id)
+                } else {
+                    Change::Modify(meta(id, step))
+                });
+            }
+            let mut back = VersionStore::from_parts(
+                vs.ratio(),
+                vs.sealed_versions().to_vec(),
+                vs.open_version().clone(),
+            );
+            assert_eq!(walk(&back), walk(&vs), "ratio {ratio}");
+            assert_eq!(back.change_count(), vs.change_count());
+            // The rebuilt state keeps tracking: a newer record of a file
+            // the parts already hold shadows the persisted one.
+            vs.record(Change::Modify(meta(2, 777)));
+            back.record(Change::Modify(meta(2, 777)));
+            assert_eq!(walk(&back), walk(&vs), "ratio {ratio} after a record");
+            assert_eq!(walk(&back), walk_by_definition(&back));
+        }
+    }
+
+    #[test]
+    fn walk_applies_and_clear_empties() {
         let mut vs = VersionStore::new(4);
         let mut files = vec![meta(1, 10), meta(2, 20)];
         vs.record(Change::Modify(meta(1, 111)));
         vs.record(Change::Delete(2));
         vs.record(Change::Insert(meta(3, 30)));
-        let bytes = vs.flush_into(&mut files);
-        assert!(bytes > 0);
-        assert_eq!(vs.version_count(), 0);
-        assert_eq!(vs.change_count(), 0);
+        apply(&vs, &mut files);
         let ids: Vec<u64> = files.iter().map(|f| f.file_id).collect();
         assert!(ids.contains(&1) && ids.contains(&3) && !ids.contains(&2));
         assert_eq!(files.iter().find(|f| f.file_id == 1).unwrap().size, 111);
+        assert!(vs.size_bytes() > 0);
+        vs.clear();
+        assert_eq!(vs.version_count(), 0);
+        assert_eq!(vs.change_count(), 0);
+        assert_eq!(vs.size_bytes(), 0);
+        assert_eq!(vs.effective().count(), 0);
+        // A cleared chain tracks afresh: no stale newest record is
+        // flagged by the next change of the same file.
+        vs.record(Change::Modify(meta(1, 5)));
+        assert_eq!(walk(&vs), walk_by_definition(&vs));
     }
 
     #[test]
-    fn flush_modify_of_unknown_file_inserts() {
+    fn walk_modify_of_unknown_file_upserts() {
         let mut vs = VersionStore::new(4);
         let mut files = Vec::new();
         vs.record(Change::Modify(meta(9, 99)));
-        vs.flush_into(&mut files);
+        apply(&vs, &mut files);
         assert_eq!(files.len(), 1);
         assert_eq!(files[0].size, 99);
     }
@@ -315,9 +450,8 @@ mod tests {
         let vs = VersionStore::new(4);
         assert_eq!(vs.size_bytes(), 0);
         assert_eq!(vs.version_count(), 0);
-        let (eff, scanned) = vs.effective_changes();
-        assert!(eff.is_empty());
-        assert_eq!(scanned, 0);
+        assert_eq!(vs.change_count(), 0);
+        assert_eq!(vs.effective().count(), 0);
     }
 
     #[test]

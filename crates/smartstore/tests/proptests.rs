@@ -226,7 +226,7 @@ proptest! {
                 1 => Change::Delete(id),
                 _ => Change::Modify(meta(id, size, size as f64)),
             };
-            // Eager model semantics mirror VersionStore::flush_into.
+            // Eager model: every change applied as it arrives.
             match &change {
                 Change::Insert(f) => {
                     if !eager.iter().any(|x| x.file_id == f.file_id) {
@@ -244,7 +244,19 @@ proptest! {
             }
             vs.record(change);
         }
-        vs.flush_into(&mut base);
+        // Deferred: the chain's effective walk applied to the base.
+        for (ch, _) in vs.effective() {
+            match ch {
+                Change::Insert(f) | Change::Modify(f) => {
+                    if let Some(slot) = base.iter_mut().find(|x| x.file_id == f.file_id) {
+                        *slot = f.clone();
+                    } else {
+                        base.push(f.clone());
+                    }
+                }
+                Change::Delete(id) => base.retain(|x| x.file_id != *id),
+            }
+        }
         let key = |v: &Vec<FileMetadata>| {
             let mut ids: Vec<(u64, u64)> = v.iter().map(|f| (f.file_id, f.size)).collect();
             ids.sort_unstable();
