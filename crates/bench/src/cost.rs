@@ -5,7 +5,9 @@
 //! and a critical-path latency under a [`CostModel`] — for Table 4 and
 //! Figs. 8, 13 and 14. Parallel branches (multicast fan-out) overlap,
 //! serial steps add. This is the only place the formulas live: the
-//! serving crates link no simulator.
+//! serving crates link no simulator. A point lookup is served from a
+//! name index, so its paper-route trace is rebuilt here too
+//! ([`paper_point`]).
 //!
 //! Three inputs are properties of the *system*, not of a query, and are
 //! read from the system the caller hands in (which must be in the state
@@ -13,7 +15,8 @@
 //! root's unit count, and the version headers a roll-back crosses.
 
 use smartstore::routing::{RouteMode, RouteTrace};
-use smartstore::SmartStoreSystem;
+use smartstore::unit::LocalWork;
+use smartstore::{QueryOutcome, SmartStoreSystem};
 use smartstore_simnet::CostModel;
 
 /// Cost of one routed query.
@@ -132,16 +135,51 @@ pub fn complex_query_cost(
     }
 }
 
+/// A point query along the paper's route (§3.3.3): the live answer,
+/// with the trace of the Bloom descent the §5 simulation prices. The
+/// live path asks only the units that hold the name and gives the same
+/// answer; this rebuilds what the descent counts:
+///
+/// * the counts and target units of `SemanticRTree::route_point` — every
+///   Bloom-positive path, walked from the root;
+/// * per routed unit, one filter probe, and one record examined only
+///   when the unit's own filter holds the name and the unit holds a
+///   file of that name — a Bloom false positive examines none;
+/// * the live outcome's version-chain counts.
+pub fn paper_point(sys: &SmartStoreSystem, name: &str) -> QueryOutcome {
+    let live = sys.query().point(name);
+    let route = sys.tree().route_point(name);
+    let holding = sys.units_holding(name);
+    let mut trace = RouteTrace::routed(&route);
+    // Every Bloom-positive unit is where a point answer is looked for,
+    // so all routed groups count as bearing.
+    trace.bearing_group_hops = route.group_hops;
+    for &u in &route.target_units {
+        let hit =
+            holding.binary_search(&u).is_ok() && sys.units()[u].bloom().contains(name.as_bytes());
+        trace.add_unit(LocalWork {
+            records: usize::from(hit),
+            filters: 1,
+        });
+    }
+    trace.version_chains = live.trace.version_chains;
+    trace.version_records = live.trace.version_records;
+    QueryOutcome {
+        file_ids: live.file_ids,
+        trace,
+    }
+}
+
 /// Cost of a filename point query: Bloom-guided descent, then exact
-/// lookup at the positive units. Routing is identical in both modes.
+/// lookup at the positive units — the trace of [`paper_point`].
+/// Routing is identical in both modes.
 ///
 /// Record accounting follows the *indexed-lookup* rule (see
 /// [`smartstore::unit::LocalWork`]): each positive unit resolves the
-/// name through its name→slot map, so `records` is 1 at a unit that
-/// holds the file and 0 at a Bloom-false-positive unit — not the
-/// prefix-scan length the pre-columnar store paid. Simulated point
-/// latencies are accordingly lower than pre-columnar reports for the
-/// same trace.
+/// name through a name index, so `records` is 1 at a unit that holds
+/// the file and 0 at a Bloom-false-positive unit — not the prefix-scan
+/// length the pre-columnar store paid. Simulated point latencies are
+/// accordingly lower than pre-columnar reports for the same trace.
 pub fn point_query_cost(trace: &RouteTrace, sys: &SmartStoreSystem, cost: &CostModel) -> QueryCost {
     let hop = cost.wire_ns(QUERY_BYTES);
     let reply = cost.wire_ns(RESULT_BYTES);
@@ -226,7 +264,7 @@ mod tests {
     fn point_query_cost_counts_filters() {
         let (sys, _) = fixture(10);
         let name = sys.units()[2].files()[0].name.clone();
-        let trace = sys.query().point(&name).trace;
+        let trace = paper_point(&sys, &name).trace;
         let qc = point_query_cost(&trace, &sys, &CostModel::default());
         assert!(qc.latency_ns > 0);
         assert!(qc.messages >= 2);

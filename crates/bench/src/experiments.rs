@@ -7,7 +7,7 @@
 //! EXPERIMENTS.md can record paper-vs-measured comparisons of *shape*.
 
 use crate::baselines::{DbmsBaseline, RTreeBaseline};
-use crate::cost::{complex_query_cost, point_query_cost, QueryCost};
+use crate::cost::{complex_query_cost, paper_point, point_query_cost, QueryCost};
 use crate::fixture::{population, system, workload};
 use crate::replay::replay_complex_queries;
 use crate::report::{ms, pct, Report};
@@ -208,7 +208,7 @@ fn batch_point(
         .points
         .iter()
         .map(|q| {
-            let out = sys.query().point(&q.name);
+            let out = paper_point(sys, &q.name);
             (
                 rng.gen_range(0..n_units),
                 point_query_cost(&out.trace, sys, cost),
@@ -384,14 +384,14 @@ pub fn fig9() -> Report {
         let mut total = 0usize;
         for f in pop.files.iter().step_by(9) {
             total += 1;
-            let out = sys.query().point(&f.name);
+            let out = paper_point(&sys, &f.name);
             if out.file_ids.contains(&f.file_id) && out.trace.units_probed <= 1 {
                 hits += 1;
             }
         }
         for (name, id) in &fresh_names {
             total += 1;
-            let out = sys.query().point(name);
+            let out = paper_point(&sys, name);
             if out.file_ids.contains(id) && out.trace.units_probed <= 1 {
                 hits += 1;
             }
@@ -888,7 +888,7 @@ pub fn ablation_bloom() -> Report {
         // Ghost probes: absent names.
         let mut probed = 0usize;
         for i in 0..100 {
-            let out = sys.query().point(&format!("ghost_{i}"));
+            let out = paper_point(&sys, &format!("ghost_{i}"));
             probed += out.trace.units_probed;
         }
         // Real probes: existing names.

@@ -51,6 +51,7 @@ pub mod autoconfig;
 pub mod config;
 pub mod grouping;
 pub mod mapping;
+mod names;
 pub mod query;
 pub mod routing;
 pub mod system;

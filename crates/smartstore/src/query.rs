@@ -25,10 +25,10 @@
 //! `smartstore-bench` prices a trace for the paper's Fig. 13.
 //!
 //! Evaluation itself runs on the storage units' *columnar* read path
-//! (flat SoA coordinate scans, bounded-heap top-k, indexed point
-//! lookups — see [`crate::unit`]); the engine, the semantic cache's
-//! prefetch queries, and the service layer's shard fan-out all inherit
-//! it through these entry points.
+//! (flat SoA coordinate scans, bounded-heap top-k — see
+//! [`crate::unit`]) and, for point lookups, on the system's name index;
+//! the engine and the service layer's shard fan-out inherit both
+//! through these entry points.
 
 use crate::routing::RouteMode;
 use crate::system::{QueryOutcome, SmartStoreSystem};
@@ -121,9 +121,14 @@ impl<'a> QueryEngine<'a> {
         self.sys
     }
 
-    /// Filename point query via the Bloom-filter hierarchy (§3.3.3).
-    /// Routing is Bloom-guided and identical in both modes, so point
-    /// queries take no options.
+    /// Filename point query. The system's name index names the units
+    /// holding the file, and each answers when the Bloom filters on its
+    /// path and its own filter hold the name — the units the paper's
+    /// Bloom-guided descent (§3.3.3) would reach, found without walking
+    /// the tree's false-positive branches. The answer is the descent's;
+    /// the trace counts the filters and units this path touched (the
+    /// descent's own counts are `smartstore-bench`'s `paper_point`).
+    /// Identical in both modes, so point queries take no options.
     pub fn point(&self, name: &str) -> QueryOutcome {
         self.sys.eval_point(name)
     }

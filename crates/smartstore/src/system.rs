@@ -15,9 +15,10 @@
 use crate::config::SmartStoreConfig;
 use crate::grouping::partition_tiled_flat;
 use crate::mapping::{map_index_units, IndexMapping};
+use crate::names::{first_in_store_order, NameIndex};
 use crate::routing::RouteTrace;
 use crate::tree::{NodeId, SemanticRTree};
-use crate::unit::StorageUnit;
+use crate::unit::{LocalWork, StorageUnit};
 use crate::versioning::{Change, VersionStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,8 +66,10 @@ pub trait Journal {
 }
 
 /// The complete mutable state of a [`SmartStoreSystem`], exported for
-/// serialization. The `owner` map is intentionally absent: it is always
-/// exactly "file → unit that stores it" and is rebuilt from the units.
+/// serialization. The `owner` map and the name index are intentionally
+/// absent: they are always exactly "file → unit that stores it" and
+/// "name → the units and ids holding it", and are rebuilt from the
+/// units.
 #[derive(Clone, Debug)]
 pub struct SystemParts {
     /// Configuration in force.
@@ -100,6 +103,9 @@ pub struct SmartStoreSystem {
     mapping: IndexMapping,
     /// file id → owning unit.
     owner: HashMap<u64, usize>,
+    /// filename → the `(unit, file id)` pairs holding it; answers point
+    /// lookups. Maintained beside `owner`.
+    names: NameIndex,
     /// Per-group version chains (keyed by first-level index node id).
     versions: HashMap<NodeId, VersionStore>,
     /// Changes since the last lazy replica update, per group.
@@ -161,6 +167,7 @@ impl SmartStoreSystem {
                 StorageUnit::with_family(i, cfg.bloom_bits, cfg.bloom_hashes, cfg.bloom_family, fs)
             })
             .collect();
+        let names = NameIndex::build(&units);
         let tree = SemanticRTree::build(&units, &cfg);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5afe);
         let mapping = map_index_units(&tree, &mut rng);
@@ -174,6 +181,7 @@ impl SmartStoreSystem {
             tree,
             mapping,
             owner,
+            names,
             versions,
             pending: HashMap::new(),
             versioning_enabled: true,
@@ -239,6 +247,7 @@ impl SmartStoreSystem {
                 owner.insert(id, u.id);
             }
         }
+        let names = NameIndex::build(&parts.units);
         let tree = SemanticRTree::from_parts(parts.tree, &parts.cfg);
         Self {
             cfg: parts.cfg,
@@ -246,6 +255,7 @@ impl SmartStoreSystem {
             tree,
             mapping: parts.mapping,
             owner,
+            names,
             versions: parts.versions.into_iter().collect(), // lint:allow(D002) -- parts.versions/pending are Vecs, not the maps of the same name
             pending: parts.pending.into_iter().collect(),
             versioning_enabled: parts.versioning_enabled,
@@ -400,26 +410,50 @@ impl SmartStoreSystem {
     }
 
     /// Point-query evaluation (see [`crate::query::QueryEngine::point`]).
+    ///
+    /// The name index says which units hold the name, and only those
+    /// are asked. A holding unit answers exactly when the paper's Bloom
+    /// descent (§3.3.3, [`SemanticRTree::route_point`]) would reach it
+    /// and its own filter would pass: every filter from its leaf to the
+    /// root holds the name ([`SemanticRTree::reaches`]), and so does the
+    /// unit's. Stale summaries (§3.4) therefore hide a fresh name just
+    /// as they hide it from the descent, and the version chains find it.
+    /// The trace counts what this path touched: the filters on the
+    /// holders' paths and the holding units reached.
     pub(crate) fn eval_point(&self, name: &str) -> QueryOutcome {
-        // The name is hashed here, once; the descent and every unit it
-        // reaches probe with the same prepared key.
-        let key = self.tree.prepare_point(name);
         let mut trace = RouteTrace::default();
         let mut results = Vec::new();
-        let descent = self.tree.descend_point(&key, |u| {
-            trace.units_routed += 1;
-            let (hit, w) = self.units[u].point_query_prepared(name, &key);
-            if let Some(f) = hit {
-                results.push(f.file_id);
+        let holders = self.names.holders(name);
+        if !holders.is_empty() {
+            // The name is hashed here, once; every filter on the
+            // holders' paths probes with the same prepared key.
+            let key = self.tree.prepare_point(name);
+            let mut routed = Vec::new();
+            for run in holders.chunk_by(|a, b| a.unit == b.unit) {
+                let u = run[0].unit;
+                let (reached, probed) = self.tree.reaches(u, &key);
+                trace.nodes_visited += probed;
+                trace.filters_probed += probed;
+                if !reached {
+                    continue;
+                }
+                routed.push(u);
+                let unit = &self.units[u];
+                let hit = unit.bloom().contains_prepared(&key);
+                trace.add_unit(LocalWork {
+                    records: usize::from(hit),
+                    filters: 1,
+                });
+                if hit {
+                    results.extend(first_in_store_order(unit, name, run));
+                }
             }
-            trace.add_unit(w);
-        });
-        trace.nodes_visited = descent.nodes_visited;
-        trace.filters_probed = descent.filters_probed;
-        trace.group_hops = descent.group_hops;
-        // Every Bloom-positive unit is where a point answer is looked
-        // for, so all routed groups count as bearing.
-        trace.bearing_group_hops = descent.group_hops;
+            trace.units_routed = routed.len();
+            trace.group_hops = self.tree.group_hops(routed);
+            // Every reached unit is where a point answer is looked for,
+            // so all routed groups count as bearing.
+            trace.bearing_group_hops = trace.group_hops;
+        }
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
             // refresh is found in the version chains. Each chain's
@@ -444,6 +478,23 @@ impl SmartStoreSystem {
             file_ids: results,
             trace,
         }
+    }
+
+    /// The units holding a file named `name`, ascending — whether or not
+    /// their (possibly stale) filters know it yet.
+    pub fn units_holding(&self, name: &str) -> Vec<usize> {
+        self.names
+            .holders(name)
+            .chunk_by(|a, b| a.unit == b.unit)
+            .map(|run| run[0].unit)
+            .collect()
+    }
+
+    /// Verifies the name index against a rebuild from the units
+    /// (test/diagnostic hook, beside
+    /// [`StorageUnit::check_columnar_coherence`]).
+    pub fn check_name_index(&self) -> Result<(), String> {
+        self.names.check(&self.units)
     }
 
     /// Versions held across all chains, sealed and open. Rolling the
@@ -554,15 +605,23 @@ impl SmartStoreSystem {
         match &change {
             Change::Insert(f) => {
                 self.owner.insert(f.file_id, unit);
+                self.names.insert(&f.name, unit, f.file_id);
                 self.units[unit].insert_file_raw(f.clone());
             }
             Change::Delete(id) => {
                 self.owner.remove(id);
-                self.units[unit].remove_file_raw(*id);
+                if let Some(old) = self.units[unit].remove_file_raw(*id) {
+                    self.names.remove(&old.name, unit, *id);
+                }
             }
-            Change::Modify(f) => {
-                self.units[unit].modify_file_raw(f.clone());
-            }
+            Change::Modify(f) => match self.units[unit].modify_file_raw(f.clone()) {
+                Some(old) if old.name == f.name => {}
+                Some(old) => {
+                    self.names.remove(&old.name, unit, f.file_id);
+                    self.names.insert(&f.name, unit, f.file_id);
+                }
+                None => self.names.insert(&f.name, unit, f.file_id),
+            },
         }
         let group = self.group_of_unit(unit);
         if self.versioning_enabled {
@@ -639,6 +698,7 @@ impl SmartStoreSystem {
             let group = self.group_of_unit(u);
             for f in &removed {
                 self.owner.remove(&f.file_id);
+                self.names.remove(&f.name, u, f.file_id);
                 if self.versioning_enabled {
                     self.versions
                         .entry(group)
@@ -802,6 +862,7 @@ impl SmartStoreSystem {
             self.cfg.bloom_family,
             files,
         );
+        self.names.add_unit(&unit);
         self.tree.insert_unit(&unit);
         self.units.push(unit);
         // Group membership may have changed: make sure every group has a

@@ -90,18 +90,6 @@ pub struct Route {
     pub group_hops: usize,
 }
 
-/// What one Bloom-guided point descent counted (the units it reached
-/// go to the caller's visitor, see [`SemanticRTree::descend_point`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PointDescent {
-    /// Tree nodes examined.
-    pub nodes_visited: usize,
-    /// Bloom filters probed — one per node examined.
-    pub filters_probed: usize,
-    /// First-level groups the reached units span beyond the first.
-    pub group_hops: usize,
-}
-
 /// The semantic R-tree over a set of storage units.
 #[derive(Clone, Debug)]
 pub struct SemanticRTree {
@@ -570,50 +558,28 @@ impl SemanticRTree {
     }
 
     /// Routes a filename point query down Bloom-filter positive paths
-    /// (§3.3.3).
+    /// (§3.3.3): depth-first from the root, probing each node's filter
+    /// with the name hashed once and following only the positive ones;
+    /// every positive leaf's unit is a target, in visit order. This is
+    /// the paper's route, which `smartstore-bench` prices; serving asks
+    /// `reaches` of the units that hold the name instead.
     pub fn route_point(&self, name: &str) -> Route {
-        let mut target_units = Vec::new();
-        let descent = self.descend_point(&self.prepare_point(name), |unit| {
-            target_units.push(unit);
-        });
-        Route {
-            target_units,
-            nodes_visited: descent.nodes_visited,
-            filters_probed: descent.filters_probed,
-            group_hops: descent.group_hops,
-        }
-    }
-
-    /// Hashes a filename once for [`Self::descend_point`], in the hash
-    /// family and hash count of this tree's filters.
-    pub(crate) fn prepare_point<'k>(&self, name: &'k str) -> PreparedKey<'k> {
-        self.nodes[self.root].bloom.prepare(name.as_bytes())
-    }
-
-    /// The point descent (§3.3.3): depth-first from the root, probing
-    /// each node's filter with the prepared `key` and following only
-    /// the positive ones; `visit` is called with the storage-unit id of
-    /// every positive leaf, in visit order.
-    pub(crate) fn descend_point(
-        &self,
-        key: &PreparedKey<'_>,
-        mut visit: impl FnMut(usize),
-    ) -> PointDescent {
-        let mut descent = PointDescent::default();
+        let key = self.prepare_point(name);
+        let mut route = Route::default();
         let mut groups = GroupSpan::new();
         let mut stack = SpillVec::<64>::new();
         stack.push(self.root);
         while let Some(n) = stack.pop() {
-            descent.nodes_visited += 1;
-            descent.filters_probed += 1;
+            route.nodes_visited += 1;
+            route.filters_probed += 1;
             let node = &self.nodes[n];
-            if !node.bloom.contains_prepared(key) {
+            if !node.bloom.contains_prepared(&key) {
                 continue;
             }
             if node.level == 0 {
                 if let Some(unit) = node.unit {
                     groups.note(self.group_of_leaf(n));
-                    visit(unit);
+                    route.target_units.push(unit);
                 }
             } else {
                 for &c in &node.children {
@@ -621,8 +587,37 @@ impl SemanticRTree {
                 }
             }
         }
-        descent.group_hops = groups.extra_groups();
-        descent
+        route.group_hops = groups.extra_groups();
+        route
+    }
+
+    /// Hashes a filename once, in the hash family and hash count of
+    /// this tree's filters.
+    pub(crate) fn prepare_point<'k>(&self, name: &'k str) -> PreparedKey<'k> {
+        self.nodes[self.root].bloom.prepare(name.as_bytes())
+    }
+
+    /// Whether [`Self::route_point`]'s descent reaches storage unit
+    /// `unit` with `key`: every filter on the path from the unit's leaf
+    /// up to the root holds the key. Walks that path leaf first and
+    /// stops at the first negative filter; also returns the filters it
+    /// probed. A unit with no leaf, or a leaf that does not hang under
+    /// the root, is not reached — the descent would not find it either.
+    pub(crate) fn reaches(&self, unit: usize, key: &PreparedKey<'_>) -> (bool, usize) {
+        let mut probed = 0;
+        let mut cur = self.leaf_of_unit(unit);
+        while let Some(n) = cur {
+            probed += 1;
+            let node = &self.nodes[n];
+            if !node.bloom.contains_prepared(key) {
+                return (false, probed);
+            }
+            if node.parent.is_none() {
+                return (n == self.root, probed);
+            }
+            cur = node.parent;
+        }
+        (false, probed)
     }
 
     /// Number of *extra* first-level groups a set of units spans (0

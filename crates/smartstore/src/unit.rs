@@ -18,8 +18,6 @@
 //!   transcendental-bound, not memory-bound);
 //! * `ids` — the `file_id` column, so a scan touches the (large,
 //!   string-carrying) records only for actual hits;
-//! * `name_slots` — filename → slot positions, so a point lookup behind
-//!   the Bloom probe is a hash probe instead of a prefix scan;
 //! * `zones` — a zone map: the slots re-ordered along a Z-order curve
 //!   over the unit's own column bounds, cut into runs of `ZONE` (32)
 //!   rows, each with a min/max box over the 8 coordinates.
@@ -31,11 +29,16 @@
 //!   its own k-th best and the cross-unit k-th best it is handed —
 //!   MaxD (§3.3.2) inside the unit.
 //!
-//! Store order never changes: `files`, `coords`, `ids` and
-//! `name_slots` stay in insertion order, so snapshot bytes, the
-//! centroid's summation order and the duplicate-name "first slot" rule
-//! are what they were before the zone map existed; only `zones.order`
-//! is clustered. The projection is *derived state*: it is maintained
+//! Filenames are not indexed here: each system keeps one name index
+//! over all its units (`SmartStoreSystem`'s `names`), which answers
+//! point lookups. [`StorageUnit::point_query`] stays as the unit-local
+//! reference — a Bloom probe, then the first match in store order.
+//!
+//! Store order never changes: `files`, `coords` and `ids` stay in
+//! insertion order, so snapshot bytes, the centroid's summation order
+//! and the duplicate-name "first in store order" rule are what they
+//! were before the zone map existed; only `zones.order` is clustered.
+//! The projection is *derived state*: it is maintained
 //! by every mutation path and rebuilt deterministically from `files`
 //! in [`StorageUnit::from_parts`], so persisted snapshot images carry
 //! no trace of it and need no format change. Scan answers are
@@ -43,7 +46,7 @@
 //! function of the record, range hits are returned in ascending slot
 //! order, and top-k is ordered by `(distance, id)`, not by visit order.
 
-use smartstore_bloom::{BloomFilter, HashFamily, PreparedKey};
+use smartstore_bloom::{BloomFilter, HashFamily};
 use smartstore_rtree::Rect;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
@@ -344,10 +347,11 @@ impl ZoneMap {
 /// ([`crate::routing::RouteTrace`] aggregates them per query).
 ///
 /// Counting rule for `records`: scan-evaluated queries (range,
-/// top-k) examine every record of the unit; the *indexed* point lookup
-/// examines exactly one record on a hit and none on a miss — the
-/// name→slot map resolves the filename behind the Bloom probe, so a
-/// Bloom false positive costs a hash probe, not a prefix scan.
+/// top-k) examine every record of the unit; a point lookup is charged
+/// one record on a hit and none on a miss — the *indexed* rule of the
+/// cost model, in which a name index resolves the filename behind the
+/// Bloom probe, so a Bloom false positive costs a hash probe, not a
+/// prefix scan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LocalWork {
     /// Metadata records examined.
@@ -439,40 +443,6 @@ impl TopK {
     }
 }
 
-/// Appends one row to the columnar projection: coordinate row, id, and
-/// the name→slot entry for the next slot (`ids.len()`). Free-standing
-/// over the three columns so callers iterating `files` can borrow it
-/// disjointly; the single append path shared by the insert, rebuild
-/// and compaction sites.
-fn push_row(
-    coords: &mut Vec<f64>,
-    ids: &mut Vec<u64>,
-    name_slots: &mut HashMap<String, Vec<usize>>,
-    row: &[f64],
-    id: u64,
-    name: &str,
-) {
-    let slot = ids.len();
-    coords.extend_from_slice(row);
-    ids.push(id);
-    name_slots.entry(name.to_owned()).or_default().push(slot);
-}
-
-/// Unlinks `slot` from `name`'s slot list, dropping the entry when it
-/// empties — shared by the removal and rename paths.
-fn unlink_name_slot(name_slots: &mut HashMap<String, Vec<usize>>, name: &str, slot: usize) {
-    let drop_entry = match name_slots.get_mut(name) {
-        Some(slots) => {
-            slots.retain(|&s| s != slot);
-            slots.is_empty()
-        }
-        None => false,
-    };
-    if drop_entry {
-        name_slots.remove(name);
-    }
-}
-
 /// One metadata server's local state.
 #[derive(Clone, Debug)]
 pub struct StorageUnit {
@@ -487,10 +457,6 @@ pub struct StorageUnit {
     coords: Vec<f64>,
     /// `file_id` column; `ids[i] == files[i].file_id`.
     ids: Vec<u64>,
-    /// filename → slots holding a file of that name, ascending (point
-    /// queries resolve to the first slot, matching the pre-columnar
-    /// first-match-in-store-order scan).
-    name_slots: HashMap<String, Vec<usize>>,
     /// Clustered slot order and per-zone boxes over `coords` (see
     /// [`ZoneMap`]); drives zone skipping in range and top-k scans.
     zones: ZoneMap,
@@ -524,7 +490,6 @@ impl StorageUnit {
             mbr: None,
             coords: Vec::new(),
             ids: Vec::new(),
-            name_slots: HashMap::new(),
             zones: ZoneMap::default(),
         };
         for f in files {
@@ -557,7 +522,6 @@ impl StorageUnit {
             mbr,
             coords: Vec::new(),
             ids: Vec::new(),
-            name_slots: HashMap::new(),
             zones: ZoneMap::default(),
         };
         unit.rebuild_columns();
@@ -570,16 +534,9 @@ impl StorageUnit {
         self.coords.reserve(self.files.len() * ATTR_DIMS);
         self.ids.clear();
         self.ids.reserve(self.files.len());
-        self.name_slots.clear();
         for f in &self.files {
-            push_row(
-                &mut self.coords,
-                &mut self.ids,
-                &mut self.name_slots,
-                &f.attr_vector(),
-                f.file_id,
-                &f.name,
-            );
+            self.coords.extend_from_slice(&f.attr_vector());
+            self.ids.push(f.file_id);
         }
         self.zones = ZoneMap::build(&self.coords);
     }
@@ -587,36 +544,20 @@ impl StorageUnit {
     /// Appends a file's columnar projection, `row` being its
     /// `attr_vector()`, to the columns and the zone map's tail (call
     /// immediately before pushing the record onto `files`).
-    fn append_columns(&mut self, row: &[f64], file: &FileMetadata) {
+    fn append_columns(&mut self, row: &[f64], file_id: u64) {
         self.zones.push(row);
-        push_row(
-            &mut self.coords,
-            &mut self.ids,
-            &mut self.name_slots,
-            row,
-            file.file_id,
-            &file.name,
-        );
+        self.coords.extend_from_slice(row);
+        self.ids.push(file_id);
     }
 
     /// Drops slot `pos` from the columnar projection, shifting later
-    /// slots down by one (call *before* `files.remove(pos)`, while the
-    /// record is still present). O(n), matching the `Vec::remove`
-    /// memmove it accompanies; store order is preserved so summary
-    /// recomputation stays bit-identical to the pre-columnar path.
+    /// slots down by one. O(n), matching the `files.remove(pos)` memmove
+    /// it accompanies; store order is preserved so summary recomputation
+    /// stays bit-identical to the pre-columnar path.
     fn remove_column_slot(&mut self, pos: usize) {
-        unlink_name_slot(&mut self.name_slots, &self.files[pos].name, pos);
         self.coords.drain(pos * ATTR_DIMS..(pos + 1) * ATTR_DIMS);
         self.ids.remove(pos);
         self.zones.remove(pos);
-        // lint:allow(D002) -- each slot list is shifted independently; order-insensitive
-        for slots in self.name_slots.values_mut() {
-            for s in slots.iter_mut() {
-                if *s > pos {
-                    *s -= 1;
-                }
-            }
-        }
     }
 
     /// Number of files stored.
@@ -680,7 +621,6 @@ impl StorageUnit {
                 self.files.len()
             ));
         }
-        let mut expected_slots: HashMap<&str, Vec<usize>> = HashMap::new();
         for (slot, f) in self.files.iter().enumerate() {
             if self.ids[slot] != f.file_id {
                 return Err(format!(
@@ -696,24 +636,6 @@ impl StorageUnit {
                 .any(|(a, b)| a.to_bits() != b.to_bits())
             {
                 return Err(format!("coords row {slot} diverges from attr_vector"));
-            }
-            expected_slots.entry(&f.name).or_default().push(slot);
-        }
-        if self.name_slots.len() != expected_slots.len() {
-            return Err(format!(
-                "name_slots holds {} names, files hold {}",
-                self.name_slots.len(),
-                expected_slots.len()
-            ));
-        }
-        // lint:allow(D002) -- invariant check; only which corruption is reported first varies
-        for (name, slots) in &expected_slots {
-            match self.name_slots.get(*name) {
-                Some(got) if got == slots => {}
-                Some(got) => {
-                    return Err(format!("name {name:?}: slots {got:?}, expected {slots:?}"))
-                }
-                None => return Err(format!("name {name:?} missing from name_slots")),
             }
         }
         self.zones.check(&self.coords)
@@ -733,7 +655,7 @@ impl StorageUnit {
             Some(m) => m.union(&point),
             None => point,
         });
-        self.append_columns(&v, &file);
+        self.append_columns(&v, file.file_id);
         self.files.push(file);
     }
 
@@ -770,7 +692,6 @@ impl StorageUnit {
         let old_files = std::mem::take(&mut self.files);
         let old_coords = std::mem::take(&mut self.coords);
         let old_ids = std::mem::take(&mut self.ids);
-        self.name_slots.clear();
         self.files = Vec::with_capacity(old_files.len());
         self.coords = Vec::with_capacity(old_coords.len());
         self.ids = Vec::with_capacity(old_ids.len());
@@ -786,14 +707,9 @@ impl StorageUnit {
             if take {
                 removed.push(f);
             } else {
-                push_row(
-                    &mut self.coords,
-                    &mut self.ids,
-                    &mut self.name_slots,
-                    &old_coords[row * ATTR_DIMS..(row + 1) * ATTR_DIMS],
-                    old_ids[row],
-                    &f.name,
-                );
+                self.coords
+                    .extend_from_slice(&old_coords[row * ATTR_DIMS..(row + 1) * ATTR_DIMS]);
+                self.ids.push(old_ids[row]);
                 self.files.push(f);
             }
         }
@@ -807,7 +723,7 @@ impl StorageUnit {
     /// ([`Self::recompute_summaries`]) fires, per §3.4/§4.4. The
     /// columnar projection (data, not index) is maintained eagerly.
     pub fn insert_file_raw(&mut self, file: FileMetadata) {
-        self.append_columns(&file.attr_vector(), &file);
+        self.append_columns(&file.attr_vector(), file.file_id);
         self.files.push(file);
     }
 
@@ -826,23 +742,21 @@ impl StorageUnit {
     }
 
     /// Replaces a file's metadata in place without refreshing summaries;
-    /// inserts if absent.
-    pub fn modify_file_raw(&mut self, file: FileMetadata) {
+    /// inserts if absent. Returns the record it replaced (`None` when it
+    /// inserted), so a caller indexing names can re-key a rename.
+    pub fn modify_file_raw(&mut self, file: FileMetadata) -> Option<FileMetadata> {
         match self.slot_of(file.file_id) {
             Some(slot) => {
                 let row = file.attr_vector();
                 self.coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS].copy_from_slice(&row);
                 // The old row's extent is kept (the box stays a superset).
                 self.zones.grow(slot, &row);
-                if self.files[slot].name != file.name {
-                    unlink_name_slot(&mut self.name_slots, &self.files[slot].name, slot);
-                    let slots = self.name_slots.entry(file.name.clone()).or_default();
-                    let at = slots.partition_point(|&s| s < slot);
-                    slots.insert(at, slot);
-                }
-                self.files[slot] = file;
+                Some(std::mem::replace(&mut self.files[slot], file))
             }
-            None => self.insert_file_raw(file),
+            None => {
+                self.insert_file_raw(file);
+                None
+            }
         }
     }
 
@@ -886,7 +800,7 @@ impl StorageUnit {
 
     /// Rebuilds the Bloom filter alone, in the given hash family, from
     /// the unit's current file names — the persisted-image migration
-    /// path (`name_slots` already proves names are authoritative).
+    /// path (the records are the authority on names).
     /// Centroid and MBR are deliberately untouched: they may be stale,
     /// and staleness is answer-relevant (§3.4), so migration must not
     /// refresh them.
@@ -899,50 +813,22 @@ impl StorageUnit {
         self.bloom = bloom;
     }
 
-    /// Local point query: probe the Bloom filter, and on a positive hit
-    /// resolve the filename through the name→slot index — one record
-    /// examined on a hit, none on a Bloom false positive (see
-    /// [`LocalWork`] for the cost-accounting rule). With duplicate
-    /// names the first slot in store order answers, matching the
-    /// pre-columnar prefix scan.
+    /// Unit-local point query, the reference the system's name index
+    /// must agree with: probe the Bloom filter, and on a positive hit
+    /// return the first file of that name in store order. A linear
+    /// scan — serving never calls it — charged by the indexed rule of
+    /// [`LocalWork`]: one record on a hit, none on a miss.
     pub fn point_query(&self, name: &str) -> (Option<&FileMetadata>, LocalWork) {
-        self.point_query_prepared(name, &self.bloom.prepare(name.as_bytes()))
-    }
-
-    /// [`Self::point_query`] with `name` already hashed into `key` —
-    /// the form a routed point query uses, so the units it reaches
-    /// share the hash its tree descent made.
-    pub(crate) fn point_query_prepared(
-        &self,
-        name: &str,
-        key: &PreparedKey<'_>,
-    ) -> (Option<&FileMetadata>, LocalWork) {
-        debug_assert_eq!(key.key(), name.as_bytes(), "key prepared from another name");
         let mut work = LocalWork {
             records: 0,
             filters: 1,
         };
-        if !self.bloom.contains_prepared(key) {
+        if !self.bloom.contains(name.as_bytes()) {
             return (None, work);
         }
-        match self.lookup_name(name) {
-            Some(f) => {
-                work.records = 1;
-                (Some(f), work)
-            }
-            None => (None, work),
-        }
-    }
-
-    /// Resolves an exact filename through the name→slot index, skipping
-    /// the Bloom probe — the raw indexed lookup behind
-    /// [`Self::point_query`]. With duplicate names the first slot in
-    /// store order answers.
-    pub fn lookup_name(&self, name: &str) -> Option<&FileMetadata> {
-        self.name_slots
-            .get(name)
-            .and_then(|slots| slots.first())
-            .map(|&slot| &self.files[slot])
+        let hit = self.files.iter().find(|f| f.name == name);
+        work.records = usize::from(hit.is_some());
+        (hit, work)
     }
 
     /// Local range query over the projected attribute space, zone by

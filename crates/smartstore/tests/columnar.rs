@@ -1,13 +1,14 @@
 //! Columnar-projection coherence and bit-identity tests.
 //!
 //! The storage unit keeps a derived SoA projection (flat coords table,
-//! id column, name→slot map) next to the record vec. These properties
-//! pin the two invariants the columnar read path rests on:
+//! id column, zone map) next to the record vec, and the system keeps a
+//! derived name index over all its units. These properties pin the two
+//! invariants the columnar read path rests on:
 //!
 //! 1. **Coherence** — after *any* interleaving of raw and non-raw
 //!    mutations (inserts, removals, bulk removal, in-place modifies,
 //!    summary recomputes), the projection equals a from-scratch rebuild
-//!    from the record vec.
+//!    from the record vec, and the name index a rebuild from the units.
 //! 2. **Bit-identity** — the columnar query path answers exactly like
 //!    the pre-columnar record walk, kept here as a reference
 //!    implementation: per-record `attr_vector()` scans, a full
@@ -213,14 +214,14 @@ proptest! {
         }
 
         // Point: every live name plus a ghost answers identically to
-        // the prefix scan (the indexed lookup must find the *first*
-        // slot in store order even with duplicate names).
+        // the prefix scan (the *first* file in store order, even with
+        // duplicate names), charged by the indexed rule.
         for name in ["f0", "f3", "f6", "ghost_name"] {
             let (got, work) = u.point_query(name);
             let (want, _) = ref_point(&u, name);
             prop_assert_eq!(got.map(|f| f.file_id), want.map(|f| f.file_id));
             if got.is_some() {
-                prop_assert_eq!(work.records, 1, "indexed lookup examines one record");
+                prop_assert_eq!(work.records, 1, "a hit is charged one record");
             }
         }
 
@@ -287,11 +288,13 @@ proptest! {
                 }
             };
             sys.apply_change(change);
+            prop_assert_eq!(sys.check_name_index(), Ok(()));
         }
         let reopened = SmartStoreSystem::from_parts(sys.to_parts());
         for u in reopened.units() {
             prop_assert!(u.check_columnar_coherence().is_ok());
         }
+        prop_assert_eq!(reopened.check_name_index(), Ok(()));
 
         let files = sys.current_files();
         prop_assume!(!files.is_empty());

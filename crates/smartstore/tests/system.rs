@@ -135,11 +135,13 @@ fn point_query_finds_files_and_rejects_ghosts() {
 
 #[test]
 fn point_trace_is_the_public_route_plus_the_routed_units_probes() {
-    // `eval_point` walks the tree and probes the units in one pass over
-    // one prepared key. What it reports must be what the public pieces
-    // report when called one after another, each hashing for itself:
-    // `route_point`, then `point_query` at every routed unit.
+    // Serving answers a point lookup from the name index; the paper's
+    // route survives as `paper_point`, which `repro` prices. Its trace
+    // must be what the public pieces report when called one after
+    // another: `route_point`, then `point_query` at every routed unit.
+    // Its answer, and the live one, must be theirs too.
     use smartstore::routing::RouteTrace;
+    use smartstore_bench::cost::paper_point;
     let (mut sys, pop) = system(6000, 40, 23);
     // Version chains answer only after the units have; off, the trace
     // is the tree's and the units' alone.
@@ -167,9 +169,14 @@ fn point_trace_is_the_public_route_plus_the_routed_units_probes() {
         }
         ids.sort_unstable();
         ids.dedup();
-        let got = sys.query().point(&name);
-        assert_eq!(got.trace, want, "trace of {name:?}");
-        assert_eq!(got.file_ids, ids, "answer of {name:?}");
+        let paper = paper_point(&sys, &name);
+        assert_eq!(paper.trace, want, "trace of {name:?}");
+        assert_eq!(paper.file_ids, ids, "answer of {name:?}");
+        assert_eq!(
+            sys.query().point(&name).file_ids,
+            ids,
+            "live answer of {name:?}"
+        );
         checked += 1;
     }
     assert_eq!(checked, 1000);
@@ -577,6 +584,7 @@ fn bulk_removal_matches_change_stream_answers() {
     for u in bulk.units() {
         u.check_columnar_coherence().unwrap();
     }
+    bulk.check_name_index().unwrap();
     assert_eq!(
         bulk.current_files().len(),
         pop.files.len() - removed,
