@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the rows nothing else measures: the point path
 //! by Bloom hash family and by route, the parallel hot path by thread
-//! count, and the version-chain overlay. Serving numbers come from the
-//! repository benchmark (`benchmark/`), paper artifacts from `repro`.
+//! count, the version-chain overlay, and the scan paths inside one
+//! shard. Serving numbers come from the repository benchmark
+//! (`benchmark/`), paper artifacts from `repro`.
 //!
 //! 1. `point_family` — the same corpus indexed under the paper's MD5
 //!    hash family and under the fast family the system defaults to, the
@@ -28,15 +29,26 @@
 //!    no overlay. Point hits, point misses (the fallback every shard
 //!    that lacks a name runs), range and top-k reads are timed on both,
 //!    and so is the per-chain effective walk.
+//! 4. `scan_family` — range and top-k evaluated by one system, in
+//!    units of about the serving benchmark's size (≈ 830 files): the
+//!    serving path (one top-k heap per query lent to every unit, range
+//!    hits appended straight to the query's result, rows in zone order)
+//!    against the per-unit composition it replaced, kept as the
+//!    reference of `crates/smartstore/tests/scan_kernels.rs` (a heap per
+//!    unit merged after it, slot-ordered unit answers sorted back
+//!    together) over the same units. Answers and traces are checked
+//!    **identical** before timing; µs per query and the rows whose
+//!    coordinates the unit scans read per query are printed for both.
 //!
 //! The tables are printed; nothing is written to disk.
 //!
 //! Run with `cargo bench -p smartstore-bench --bench micro`: 4k and 50k
 //! files for `point_family`, 10k files at 1/2/4/8 threads for `scaling`,
 //! one serving-benchmark shard (12.5k files in 15 units) and 6k
-//! mutations for `versioned_reads`. `-- --quick` is the CI smoke: 4k
-//! files only, 2k files at 1 and 2 threads, and 6k files in 8 units with
-//! 1.5k mutations.
+//! mutations for `versioned_reads`, 50k files in 60 units for
+//! `scan_family`. `-- --quick` is the CI smoke: 4k files only, 2k files
+//! at 1 and 2 threads, 6k files in 8 units with 1.5k mutations, and 4k
+//! files in 5 units.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,6 +64,9 @@ use smartstore_bench::Report;
 use smartstore_persist::snapshot::encode_snapshot;
 use smartstore_trace::{MetadataPopulation, QueryDistribution, TraceKind};
 use std::time::Instant;
+
+#[path = "../../smartstore/tests/scan_reference/mod.rs"]
+mod scan_reference;
 
 /// The live point-query speedup of the fast hash family over the MD5
 /// family at the 50k-file scale must exceed this. The property it
@@ -376,6 +391,100 @@ fn versioned_reads(n_files: usize, n_units: usize, mutations: usize, rounds: usi
     report
 }
 
+/// Times the serving path's range and top-k against the per-unit
+/// reference on one system of `n_files` files.
+fn scan_family(n_files: usize, rounds: usize) -> Report {
+    let n_units = (n_files / 830).max(4);
+    println!("== scan_family: {n_files} files, {n_units} units, {rounds} rounds ==");
+    let pop = population(TraceKind::Msn, n_files, 7);
+    let mut sys = system(&pop, n_units, 7);
+    // Empty chains: time the unit scans, merge included, and no overlay.
+    sys.set_versioning(false);
+    let shadow = scan_reference::Shadow::of(&sys);
+    let reference = &scan_reference::PER_UNIT;
+    let w = workload(&pop, QueryDistribution::Zipf, 64, 8);
+    let opts = QueryOptions::offline();
+    let engine = sys.query();
+
+    let (mut rows, mut rows_ref) = ([0usize; 2], [0usize; 2]);
+    for q in &w.ranges {
+        let got = engine.range(&q.lo, &q.hi, &opts);
+        let want = scan_reference::range(&sys, &shadow, reference, &q.lo, &q.hi);
+        assert_eq!(got, want, "range answers or traces diverged");
+        rows[0] += got.trace.rows_read;
+        rows_ref[0] += want.trace.rows_read;
+    }
+    for q in &w.topks {
+        let (got, out) = engine.topk_scored(&q.point, &opts.with_k(q.k));
+        let (want, want_out) = scan_reference::topk(&sys, &shadow, reference, &q.point, q.k);
+        assert_eq!(got, want, "top-k answers diverged");
+        let mut trace = want_out.trace;
+        trace.rows_read = out.trace.rows_read;
+        assert_eq!(out.trace, trace, "top-k traces diverged beyond rows_read");
+        rows[1] += out.trace.rows_read;
+        rows_ref[1] += want_out.trace.rows_read;
+    }
+    let range_ref = time_ns(rounds, w.ranges.len(), || {
+        for q in &w.ranges {
+            std::hint::black_box(scan_reference::range(
+                &sys, &shadow, reference, &q.lo, &q.hi,
+            ));
+        }
+    });
+    let range = time_ns(rounds, w.ranges.len(), || {
+        for q in &w.ranges {
+            std::hint::black_box(engine.range(&q.lo, &q.hi, &opts));
+        }
+    });
+    let topk_ref = time_ns(rounds, w.topks.len(), || {
+        for q in &w.topks {
+            std::hint::black_box(scan_reference::topk(
+                &sys, &shadow, reference, &q.point, q.k,
+            ));
+        }
+    });
+    let topk = time_ns(rounds, w.topks.len(), || {
+        for q in &w.topks {
+            std::hint::black_box(engine.topk_scored(&q.point, &opts.with_k(q.k)));
+        }
+    });
+
+    let mut report = Report::new(
+        "scan_family",
+        &format!(
+            "Range and top-k in one system of {n_files} files: per-unit reference vs serving \
+             path. us/query, best of {rounds} rounds; rows read per query"
+        ),
+        &[
+            "query",
+            "reference_us",
+            "serving_us",
+            "speedup",
+            "reference_rows",
+            "serving_rows",
+        ],
+    );
+    let lines = [
+        ("range", range_ref, range, w.ranges.len()),
+        ("topk", topk_ref, topk, w.topks.len()),
+    ];
+    for (i, (name, before, after, n)) in lines.into_iter().enumerate() {
+        report.row(&[
+            name.to_string(),
+            format!("{:.1}", before / 1e3),
+            format!("{:.1}", after / 1e3),
+            format!("{:.2}", before / after.max(1e-9)),
+            format!("{:.0}", rows_ref[i] as f64 / n as f64),
+            format!("{:.0}", rows[i] as f64 / n as f64),
+        ]);
+    }
+    report.note(
+        "answers and traces checked identical before timing (rows_read aside for top-k, \
+         where the reference's per-unit heaps prune less)",
+    );
+    report
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
 
@@ -419,4 +528,11 @@ fn main() {
         versioned_reads(12_500, 15, 6_000, 10)
     };
     print!("{}", versioned.render());
+
+    let scans = if quick {
+        scan_family(4_000, 5)
+    } else {
+        scan_family(50_000, 10)
+    };
+    print!("{}", scans.render());
 }

@@ -160,6 +160,7 @@ pub fn paper_point(sys: &SmartStoreSystem, name: &str) -> QueryOutcome {
         trace.add_unit(LocalWork {
             records: usize::from(hit),
             filters: 1,
+            rows_read: 0,
         });
     }
     trace.version_chains = live.trace.version_chains;

@@ -191,8 +191,11 @@ impl Response {
 /// Merges per-shard point/range replies: union of id sets, ascending
 /// and deduplicated — exactly how a single system normalizes its own
 /// answer, so the merged reply is bit-identical to the unsharded one.
-pub fn merge_query_replies(replies: &[QueryReply]) -> QueryReply {
-    let mut file_ids: Vec<u64> = replies.iter().flat_map(|r| r.file_ids.clone()).collect();
+pub fn merge_query_replies(replies: Vec<QueryReply>) -> QueryReply {
+    let mut file_ids = Vec::with_capacity(replies.iter().map(|r| r.file_ids.len()).sum());
+    for r in replies {
+        file_ids.extend(r.file_ids);
+    }
     file_ids.sort_unstable();
     file_ids.dedup();
     QueryReply { file_ids }
@@ -205,8 +208,11 @@ pub fn merge_query_replies(replies: &[QueryReply]) -> QueryReply {
 /// removing the panic path a NaN from a malformed reply would hit with
 /// `partial_cmp(..).unwrap()`; reply *validation* (NaN ⇒ error, not a
 /// silently ranked hit) happens in [`merge_responses`].
-pub fn merge_topk_replies(replies: &[TopKReply], k: usize) -> TopKReply {
-    let mut hits: Vec<(u64, f64)> = replies.iter().flat_map(|r| r.hits.clone()).collect();
+pub fn merge_topk_replies(replies: Vec<TopKReply>, k: usize) -> TopKReply {
+    let mut hits = Vec::with_capacity(replies.iter().map(|r| r.hits.len()).sum());
+    for r in replies {
+        hits.extend(r.hits);
+    }
     hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     hits.truncate(k);
     TopKReply { hits }
@@ -251,7 +257,7 @@ pub fn merge_responses(req: &Request, replies: Vec<Response>) -> Response {
                     other => return mismatched(req, &other),
                 }
             }
-            Response::Query(merge_query_replies(&qs))
+            Response::Query(merge_query_replies(qs))
         }
         Request::TopK { opts, .. } => {
             let mut ts = Vec::with_capacity(replies.len());
@@ -271,7 +277,7 @@ pub fn merge_responses(req: &Request, replies: Vec<Response>) -> Response {
                     other => return mismatched(req, &other),
                 }
             }
-            Response::TopK(merge_topk_replies(&ts, opts.k))
+            Response::TopK(merge_topk_replies(ts, opts.k))
         }
         Request::Stats => {
             let mut per_shard = Vec::with_capacity(replies.len());
@@ -310,7 +316,7 @@ mod tests {
 
     #[test]
     fn query_merge_unions_and_sorts() {
-        let merged = merge_query_replies(&[q(&[5, 9]), q(&[1, 5])]);
+        let merged = merge_query_replies(vec![q(&[5, 9]), q(&[1, 5])]);
         assert_eq!(merged.file_ids, vec![1, 5, 9]);
     }
 
@@ -322,7 +328,7 @@ mod tests {
         let b = TopKReply {
             hits: vec![(7, 1.0), (12, 2.0)],
         };
-        let merged = merge_topk_replies(&[a, b], 3);
+        let merged = merge_topk_replies(vec![a, b], 3);
         assert_eq!(merged.hits, vec![(7, 1.0), (10, 1.0), (12, 2.0)]);
     }
 
@@ -387,7 +393,7 @@ mod tests {
         let r = TopKReply {
             hits: vec![(1, f64::NAN), (2, 0.25)],
         };
-        let merged = merge_topk_replies(&[r], 2);
+        let merged = merge_topk_replies(vec![r], 2);
         assert_eq!(merged.hits[0], (2, 0.25), "finite hits rank first");
     }
 }

@@ -456,26 +456,9 @@ impl MetadataServer {
             .collect()
     }
 
-    /// The shards a request must visit. Queries scatter to every shard
-    /// (each shard's own index prunes locally); mutations route to
-    /// exactly one — inserts to the most semantically correlated shard,
-    /// deletes/modifies to the owner. An empty vector means the request
-    /// is a no-op (mutation of an unknown file).
-    pub fn route(&self, req: &Request) -> Vec<usize> {
-        match req {
-            Request::Point { .. }
-            | Request::Range { .. }
-            | Request::TopK { .. }
-            | Request::Stats => (0..self.shards.len()).collect(),
-            Request::ApplyChange { change } => self.mutation_target(change).into_iter().collect(),
-        }
-    }
-
-    /// The single mutation-placement rule, shared by [`Self::route`]
-    /// (what a directory service would report) and [`Self::apply`]
-    /// (what actually happens) so the two can never diverge: inserts go
-    /// to the most semantically correlated shard, deletes/modifies to
-    /// the owner; `None` for mutations of unknown files.
+    /// The single mutation-placement rule: inserts go to the most
+    /// semantically correlated shard, deletes/modifies to the owner;
+    /// `None` for mutations of unknown files.
     fn mutation_target(&self, change: &Change) -> Option<usize> {
         match change {
             Change::Insert(f) => self.most_correlated_shard(&f.attr_vector()),

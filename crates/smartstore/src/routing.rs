@@ -84,6 +84,10 @@ pub struct RouteTrace {
     pub version_chains: usize,
     /// Change records scanned in those chains.
     pub version_records: usize,
+    /// Rows whose coordinates the unit scans read, summed over the
+    /// probed units ([`LocalWork::rows_read`]). A measure of the zone
+    /// maps, not of the paper: the §5 cost model does not read it.
+    pub rows_read: usize,
 }
 
 impl RouteTrace {
@@ -115,6 +119,7 @@ impl RouteTrace {
         );
         self.units_probed += 1;
         self.records_examined += work.records;
+        self.rows_read += work.rows_read;
         self.max_unit_records = self.max_unit_records.max(work.records);
     }
 }
@@ -130,12 +135,14 @@ mod tests {
             t.add_unit(LocalWork {
                 records,
                 filters: 1,
+                rows_read: records / 2,
             });
         }
         assert_eq!(t.units_probed, 3);
         assert_eq!(t.records_examined, 16);
         assert_eq!(t.max_unit_records, 9);
         assert_eq!(t.unit_filters, 1);
+        assert_eq!(t.rows_read, 1 + 4 + 2);
     }
 
     #[test]
@@ -144,11 +151,12 @@ mod tests {
         let mut t = RouteTrace::default();
         t.add_unit(LocalWork {
             records: 1,
-            filters: 0,
+            ..LocalWork::default()
         });
         t.add_unit(LocalWork {
             records: 1,
             filters: 1,
+            ..LocalWork::default()
         });
     }
 }

@@ -331,11 +331,11 @@ impl SmartStoreSystem {
         let mut results = Vec::new();
         let mut bearing_units = Vec::new();
         for &u in &route.target_units {
-            let (ids, w) = self.units[u].range_query(lo, hi);
-            if !ids.is_empty() {
+            let before = results.len();
+            let w = self.units[u].range_into(lo, hi, &mut results);
+            if results.len() > before {
                 bearing_units.push(u);
             }
-            results.extend(ids);
             trace.add_unit(w);
         }
         // Fig. 8's routing distance counts the groups where results were
@@ -371,22 +371,17 @@ impl SmartStoreSystem {
             units_routed: order.len(),
             ..RouteTrace::default()
         };
-        // Cross-unit merge through the same bounded heap the units use:
-        // O(log k) per candidate instead of re-sorting the merged list
-        // after every unit, with the heap's k-th best doubling as the
-        // MaxD bound. total_cmp ordering — identical order for the
-        // non-negative squared distances that arise here, and no panic
-        // path on a NaN.
+        // One bounded heap for the whole query, lent to every unit,
+        // which offers its rows straight to it; its k-th best is the
+        // MaxD bound both between units and inside each one. total_cmp
+        // ordering — identical order for the non-negative squared
+        // distances that arise here, and no panic path on a NaN.
         let mut top = crate::unit::TopK::new(k);
         for &(u, lower_bound) in &order {
             if lower_bound > top.max_d() {
                 break; // MaxD pruning: no better result can exist here.
             }
-            let (unit_top, w) = self.units[u].topk_within(point, k, top.max_d());
-            trace.add_unit(w);
-            for (id, d) in unit_top {
-                top.push(id, d);
-            }
+            trace.add_unit(self.units[u].topk_into(point, &mut top));
         }
         let mut best = top.into_sorted();
         let probed = &order[..trace.units_probed];
@@ -443,6 +438,7 @@ impl SmartStoreSystem {
                 trace.add_unit(LocalWork {
                     records: usize::from(hit),
                     filters: 1,
+                    rows_read: 0,
                 });
                 if hit {
                     results.extend(first_in_store_order(unit, name, run));

@@ -11,40 +11,50 @@
 //! Queries never walk the record structs. Alongside the row store
 //! (`files`), every unit maintains a *columnar projection*:
 //!
-//! * `coords` — a flat row-major `n × ATTR_DIMS` table; row `i` is
-//!   `files[i].attr_vector()`, computed **once** at mutation time
-//!   instead of on every scan (the projection does four `ln()` calls
-//!   per record — recomputing it per query made scans
-//!   transcendental-bound, not memory-bound);
+//! * `coords` — a flat row-major `n × ATTR_DIMS` table of each file's
+//!   `attr_vector()`, computed **once** at mutation time instead of on
+//!   every scan (the projection does four `ln()` calls per record —
+//!   recomputing it per query made scans transcendental-bound, not
+//!   memory-bound);
 //! * `ids` — the `file_id` column, so a scan touches the (large,
 //!   string-carrying) records only for actual hits;
-//! * `zones` — a zone map: the slots re-ordered along a Z-order curve
-//!   over the unit's own column bounds, cut into runs of `ZONE` (32)
-//!   rows, each with a min/max box over the 8 coordinates.
+//! * `zones` — a zone map: the rows ordered along a Z-order curve over
+//!   the unit's own column bounds, cut into runs of `ZONE` (32) rows,
+//!   each with a min/max box over the 8 coordinates.
 //!   This is the paper's grouping of correlated files (§3) applied one
 //!   level down, to the rows inside a unit. A range scan skips a zone
 //!   whose box is disjoint from the query and emits a zone whose box
-//!   lies inside it without reading its rows. A top-k scan visits zones
-//!   nearest box first and stops at the first box farther than both
-//!   its own k-th best and the cross-unit k-th best it is handed —
-//!   MaxD (§3.3.2) inside the unit.
+//!   lies inside it without reading its rows. A top-k scan drops the
+//!   zones whose box is farther than the caller's k-th best, visits the
+//!   rest nearest box first and stops at the first box farther than the
+//!   k-th best so far — MaxD (§3.3.2) inside the unit, carried across
+//!   units by the one heap the caller lends to every unit.
 //!
 //! Filenames are not indexed here: each system keeps one name index
 //! over all its units (`SmartStoreSystem`'s `names`), which answers
 //! point lookups. [`StorageUnit::point_query`] stays as the unit-local
 //! reference — a Bloom probe, then the first match in store order.
 //!
-//! Store order never changes: `files`, `coords` and `ids` stay in
-//! insertion order, so snapshot bytes, the centroid's summation order
-//! and the duplicate-name "first in store order" rule are what they
-//! were before the zone map existed; only `zones.order` is clustered.
-//! The projection is *derived state*: it is maintained
-//! by every mutation path and rebuilt deterministically from `files`
-//! in [`StorageUnit::from_parts`], so persisted snapshot images carry
-//! no trace of it and need no format change. Scan answers are
+//! Two orders coexist. *Store order* is the order of `files`: snapshot
+//! bytes, the centroid's summation order and the duplicate-name "first
+//! in store order" rule are defined by it, and it changes only by
+//! appending and removing. *Row order* is the order of `coords` and
+//! `ids`, and it is zone order: zone `z` is the contiguous row range
+//! `[start, end)`, so a scan reads each zone's rows and ids as one
+//! slice. Every rebuild of the zone map permutes the two columns into
+//! the new clustered order in the same pass; between rebuilds an insert
+//! appends a row to the tail zone and a removal drains one. Two maps
+//! link the orders: `slot_of_row` (the store slot each row projects)
+//! and its inverse `row_of_slot`, 8 B per file together.
+//!
+//! The projection is *derived state*: it is maintained by every
+//! mutation path and rebuilt deterministically from `files` in
+//! [`StorageUnit::from_parts`], so persisted snapshot images carry no
+//! trace of it and need no format change. Scan answers are
 //! bit-identical to the record walk because `attr_vector` is a pure
-//! function of the record, range hits are returned in ascending slot
-//! order, and top-k is ordered by `(distance, id)`, not by visit order.
+//! function of the record, [`StorageUnit::range_query`] returns its
+//! hits in ascending store slot order, and top-k is ordered by
+//! `(distance, id)`, not by visit order.
 
 use smartstore_bloom::{BloomFilter, HashFamily};
 use smartstore_rtree::Rect;
@@ -58,8 +68,8 @@ use std::collections::HashMap;
 /// the larger zone sort; range time was flat from 16 to 64, so 32.
 const ZONE: usize = 32;
 
-/// One zone of a [`ZoneMap`]: the exclusive end of its run in
-/// `ZoneMap::order` and a conservative min/max box over its rows.
+/// One zone of a [`ZoneMap`]: the exclusive end of its row range and a
+/// conservative min/max box over its rows.
 ///
 /// Invariant: for every row of the zone and every dimension `d`,
 /// either the box is *poisoned* in `d` (`lo[d]` and `hi[d]` are NaN)
@@ -85,7 +95,7 @@ impl Zone {
 
     /// The exact box over `rows`, poisoned in every dimension where a
     /// value is non-finite.
-    fn covering<'a>(end: u32, rows: impl Iterator<Item = &'a [f64; ATTR_DIMS]>) -> Self {
+    fn covering(end: u32, rows: &[[f64; ATTR_DIMS]]) -> Self {
         let mut zone = Self::empty(end);
         let mut poisoned = [false; ATTR_DIMS];
         for row in rows {
@@ -127,39 +137,36 @@ impl Zone {
             if !(q.is_finite() && l <= h) {
                 return 0.0;
             }
-            let gap = if q < l {
-                l - q
-            } else if q > h {
-                q - h
-            } else {
-                0.0
-            };
+            // With `l <= h`, at most one of the two differences is
+            // positive, and it is the gap; inside the box both are
+            // non-positive and the gap is zero.
+            let gap = (l - q).max(q - h).max(0.0);
             s += gap * gap;
         }
         s
     }
 }
 
-/// Zone map over a unit's columnar table: the store slots in clustered
-/// (Z-order) sequence, cut into runs of at most [`ZONE`] with a
-/// conservative box per run, so range and top-k scans skip whole runs.
+/// Zone map over a unit's columnar table: the zones that tile the rows
+/// in clustered (Z-order) sequence, at most [`ZONE`] rows each with a
+/// conservative box, so range and top-k scans skip whole runs; and the
+/// two maps between row order and store order.
 ///
 /// Derived state, like the rest of the projection: never persisted,
-/// rebuilt (reclustered) at build, on load, after bulk removal and at
-/// every summary refresh. In between, mutations keep each box a
-/// superset of its rows: an insert appends to the tail zone, a modify
-/// grows its zone's box, a removal drops the slot from `order` and
-/// leaves the box as it was.
+/// rebuilt (reclustered, with the columns permuted to match) at build,
+/// on load, after bulk removal and at every summary refresh. In
+/// between, mutations keep each box a superset of its rows: an insert
+/// appends a row to the tail zone, a modify grows its zone's box, a
+/// removal drops its row and leaves the box as it was.
 #[derive(Clone, Debug, Default)]
 struct ZoneMap {
-    /// Store slots in clustered order; zone `z` owns one run of it.
-    order: Vec<u32>,
+    /// The store slot each row projects: row `r` of the columns is
+    /// `files[slot_of_row[r]]`.
+    slot_of_row: Vec<u32>,
+    /// The inverse permutation: `files[slot]` is row `row_of_slot[slot]`.
+    row_of_slot: Vec<u32>,
+    /// Zone `z` owns rows `zones[z - 1].end..zones[z].end`.
     zones: Vec<Zone>,
-}
-
-/// The row of `slot` in a flat `n × ATTR_DIMS` table.
-fn row_of(coords: &[f64], slot: usize) -> &[f64] {
-    &coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS]
 }
 
 /// Z-order key of one row: each of the eight coordinates quantized to
@@ -187,67 +194,52 @@ fn transpose_bits(mut x: u64) -> u64 {
     x
 }
 
-impl ZoneMap {
-    /// Clusters the rows of `coords` by Z-order and cuts them into
-    /// [`ZONE`]-row zones with exact boxes. The slot rides in the low
-    /// bits of its key, so one `u64` sort orders the rows by Z-order
-    /// prefix with ties in slot order. The loops are written as selects
-    /// over fixed-size rows so they vectorize: this runs at every
-    /// summary refresh and on every snapshot load.
-    fn build(coords: &[f64]) -> Self {
-        let (rows, _) = coords.as_chunks::<ATTR_DIMS>();
-        // Column bounds over the finite values.
-        let mut lo = [f64::INFINITY; ATTR_DIMS];
-        let mut hi = [f64::NEG_INFINITY; ATTR_DIMS];
-        for row in rows {
-            for d in 0..ATTR_DIMS {
-                let (x, finite) = (row[d], row[d].is_finite());
-                lo[d] = if finite && x < lo[d] { x } else { lo[d] };
-                hi[d] = if finite && x > hi[d] { x } else { hi[d] };
-            }
+/// Moves `rows[src[r]]` and `ids[src[r]]` to position `r` for every
+/// `r`, in place, one cycle of the permutation `src` at a time;
+/// consumes `src`.
+fn permute(rows: &mut [[f64; ATTR_DIMS]], ids: &mut [u64], src: &mut [u64]) {
+    const DONE: u64 = u64::MAX;
+    for start in 0..src.len() {
+        if src[start] == DONE {
+            continue;
         }
-        // A flat or empty column quantizes to 0.
-        let scale: [f64; ATTR_DIMS] = std::array::from_fn(|d| {
-            let span = hi[d] - lo[d];
-            if span > 0.0 && span.is_finite() {
-                255.0 / span
-            } else {
-                0.0
+        let (row, id) = (rows[start], ids[start]);
+        let mut r = start;
+        loop {
+            let from = std::mem::replace(&mut src[r], DONE) as usize;
+            if from == start {
+                (rows[r], ids[r]) = (row, id);
+                break;
             }
-        });
-        let slot_bits = usize::BITS - rows.len().saturating_sub(1).leading_zeros();
-        let slot_mask = (1u64 << slot_bits) - 1;
-        let mut keys: Vec<u64> = rows
-            .iter()
-            .enumerate()
-            .map(|(slot, row)| (morton_key(row, &lo, &scale) & !slot_mask) | slot as u64)
-            .collect();
-        keys.sort_unstable();
-        let order: Vec<u32> = keys.iter().map(|&k| (k & slot_mask) as u32).collect();
-        let zones = order
-            .chunks(ZONE)
-            .enumerate()
-            .map(|(z, run)| {
-                let end = (z * ZONE + run.len()) as u32;
-                Zone::covering(end, run.iter().map(|&slot| &rows[slot as usize]))
-            })
-            .collect();
-        Self { order, zones }
+            (rows[r], ids[r]) = (rows[from], ids[from]);
+            r = from;
+        }
+    }
+}
+
+/// The inverse of a permutation of `0..n`.
+fn inverse(perm: &[u32]) -> Vec<u32> {
+    let mut inv = vec![0u32; perm.len()];
+    for (i, &p) in perm.iter().enumerate() {
+        inv[p as usize] = i as u32;
+    }
+    inv
+}
+
+impl ZoneMap {
+    /// The zone owning row `row`: a binary search over the zone ends.
+    fn zone_at(&self, row: usize) -> usize {
+        self.zones.partition_point(|zone| zone.end as usize <= row)
     }
 
-    /// The zone owning position `pos` of `order`.
-    fn zone_at(&self, pos: usize) -> usize {
-        self.zones.partition_point(|zone| zone.end as usize <= pos)
-    }
-
-    /// The store slots of zone `z`.
-    fn rows(&self, z: usize) -> &[u32] {
+    /// The rows of zone `z`.
+    fn rows(&self, z: usize) -> std::ops::Range<usize> {
         let start = if z == 0 { 0 } else { self.zones[z - 1].end };
-        &self.order[start as usize..self.zones[z].end as usize]
+        start as usize..self.zones[z].end as usize
     }
 
-    /// Appends the next store slot to the tail zone, opening a new zone
-    /// when the tail is full.
+    /// Records the next store slot as the next row and appends it to
+    /// the tail zone, opening a new zone when the tail is full.
     fn push(&mut self, row: &[f64]) {
         let start = self
             .zones
@@ -258,64 +250,59 @@ impl ZoneMap {
             .zones
             .last()
             .is_none_or(|tail| (tail.end - start) as usize >= ZONE);
-        self.order.push(self.order.len() as u32);
-        let end = self.order.len() as u32;
+        let n = self.slot_of_row.len() as u32;
+        self.slot_of_row.push(n);
+        self.row_of_slot.push(n);
         if tail_full {
-            self.zones.push(Zone::empty(end));
+            self.zones.push(Zone::empty(n + 1));
         }
         if let Some(tail) = self.zones.last_mut() {
-            tail.end = end;
+            tail.end = n + 1;
             tail.grow(row);
         }
     }
 
-    /// Grows the box of the zone holding `slot` to cover `row`. O(n),
-    /// like the id-column search that found the slot.
-    fn grow(&mut self, slot: usize, row: &[f64]) {
-        if let Some(pos) = self.order.iter().position(|&s| s as usize == slot) {
-            let z = self.zone_at(pos);
-            self.zones[z].grow(row);
-        }
-    }
-
-    /// Drops `slot` from `order` and renumbers the later slots, like the
-    /// column `drain` it accompanies; the boxes are left as they are.
-    fn remove(&mut self, slot: usize) {
-        // One pass finds the slot and renumbers the later ones, in
-        // select form so that it vectorizes.
+    /// Drops store slot `slot` from both maps and renumbers the later
+    /// slots and rows, like the `files.remove` and column `drain` it
+    /// accompanies; the boxes are left as they are. Returns the row
+    /// that held the slot.
+    fn remove(&mut self, slot: usize) -> usize {
+        let row = self.row_of_slot.remove(slot);
+        self.slot_of_row.remove(row as usize);
+        // Select form, so that both renumbering passes vectorize.
         let slot = slot as u32;
-        let mut found = None;
-        for (i, s) in self.order.iter_mut().enumerate() {
-            found = if *s == slot { Some(i) } else { found };
+        for s in &mut self.slot_of_row {
             *s -= u32::from(*s > slot);
         }
-        let Some(pos) = found else {
-            return;
-        };
-        let z = self.zone_at(pos);
-        self.order.remove(pos);
+        for r in &mut self.row_of_slot {
+            *r -= u32::from(*r > row);
+        }
+        let z = self.zone_at(row as usize);
         for zone in &mut self.zones[z..] {
             zone.end -= 1;
         }
+        row as usize
     }
 
-    /// Verifies the zone map over `coords`: every slot exactly once in
-    /// `order`, zones tiling `order`
-    /// with at most [`ZONE`] rows each, and every row inside its zone's
-    /// box.
-    fn check(&self, coords: &[f64]) -> Result<(), String> {
-        let n = coords.len() / ATTR_DIMS;
-        if self.order.len() != n {
+    /// Verifies the zone map over the row-ordered `rows`: the two maps
+    /// inverse permutations of `0..n`, the zones tiling `0..n` as
+    /// contiguous row ranges of at most [`ZONE`] rows each, and every
+    /// row inside its zone's box.
+    fn check(&self, rows: &[[f64; ATTR_DIMS]]) -> Result<(), String> {
+        let n = rows.len();
+        if self.slot_of_row.len() != n || self.row_of_slot.len() != n {
             return Err(format!(
-                "order holds {} slots for {n} rows",
-                self.order.len()
+                "slot_of_row holds {} and row_of_slot {} entries for {n} rows",
+                self.slot_of_row.len(),
+                self.row_of_slot.len()
             ));
         }
-        let mut seen = vec![false; n];
-        for &s in &self.order {
-            match seen.get_mut(s as usize) {
-                Some(hit) if !*hit => *hit = true,
-                _ => return Err(format!("slot {s} out of range or repeated in order")),
+        for (r, &s) in self.slot_of_row.iter().enumerate() {
+            if self.row_of_slot.get(s as usize) != Some(&(r as u32)) {
+                return Err(format!(
+                    "row {r} projects slot {s}, which maps back to row {:?}",
+                    self.row_of_slot.get(s as usize)
+                ));
             }
         }
         if self.zones.last().map_or(0, |z| z.end as usize) != n {
@@ -324,16 +311,15 @@ impl ZoneMap {
         let mut start = 0u32;
         for (z, zone) in self.zones.iter().enumerate() {
             if zone.end < start || (zone.end - start) as usize > ZONE {
-                return Err(format!("zone {z} spans {start}..{}", zone.end));
+                return Err(format!("zone {z} spans rows {start}..{}", zone.end));
             }
             start = zone.end;
-            for &slot in self.rows(z) {
-                let row = row_of(coords, slot as usize);
-                for (d, &x) in row.iter().enumerate() {
+            for r in self.rows(z) {
+                for (d, &x) in rows[r].iter().enumerate() {
                     let (l, h) = (zone.lo[d], zone.hi[d]);
                     if !(l.is_nan() || (x.is_finite() && l <= x && x <= h)) {
                         return Err(format!(
-                            "slot {slot} dim {d} = {x} outside zone {z} box [{l}, {h}]"
+                            "row {r} dim {d} = {x} outside zone {z} box [{l}, {h}]"
                         ));
                     }
                 }
@@ -352,12 +338,22 @@ impl ZoneMap {
 /// cost model, in which a name index resolves the filename behind the
 /// Bloom probe, so a Bloom false positive costs a hash probe, not a
 /// prefix scan.
+///
+/// `rows_read` is what the zone map leaves of that full scan: the rows
+/// whose coordinates the scan actually read. It depends on the unit's
+/// history (boxes only grow between refreshes) and on the caller's
+/// running k-th best, and the paper's cost model does not read it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LocalWork {
     /// Metadata records examined.
     pub records: usize,
     /// Bloom filters probed.
     pub filters: usize,
+    /// Rows whose coordinates a range or top-k scan read: the rows of
+    /// the zones a range scan masks (not those it skips or emits
+    /// whole), and of the zones a top-k scan visits. Zero for a point
+    /// lookup.
+    pub rows_read: usize,
 }
 
 /// Bounded top-k accumulator over `(file_id, squared distance)` pairs:
@@ -367,10 +363,18 @@ pub struct LocalWork {
 /// [`TopK::into_sorted`] yields exactly what
 /// `sort_by((distance, id)) + truncate(k)` over all pushed candidates
 /// would.
+///
+/// One heap serves a whole query: the system lends it to every unit it
+/// probes ([`StorageUnit::topk_into`]), so its k-th best is the MaxD
+/// bound inside each unit as well as between them. It also carries the
+/// units' zone-order buffer, so probing a unit allocates nothing.
 #[derive(Clone, Debug)]
 pub(crate) struct TopK {
     k: usize,
     heap: std::collections::BinaryHeap<ScoredId>,
+    /// Scratch for [`StorageUnit::topk_into`]: the zones of one unit
+    /// that survive the bound, as `(box distance, zone)`.
+    near: Vec<(f64, u32)>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -404,6 +408,7 @@ impl TopK {
         Self {
             k,
             heap: std::collections::BinaryHeap::with_capacity(k.min(1 << 12) + 1),
+            near: Vec::new(),
         }
     }
 
@@ -453,11 +458,12 @@ pub struct StorageUnit {
     centroid: Vec<f64>,
     mbr: Option<Rect>,
     /// Columnar projection: flat row-major `n × ATTR_DIMS` attribute
-    /// table; row `i` is `files[i].attr_vector()`.
+    /// table in row (zone) order; row `r` is
+    /// `files[zones.slot_of_row[r]].attr_vector()`.
     coords: Vec<f64>,
-    /// `file_id` column; `ids[i] == files[i].file_id`.
+    /// `file_id` column in row order, beside `coords`.
     ids: Vec<u64>,
-    /// Clustered slot order and per-zone boxes over `coords` (see
+    /// Per-zone boxes over the rows and the row ↔ store slot maps (see
     /// [`ZoneMap`]); drives zone skipping in range and top-k scans.
     zones: ZoneMap,
 }
@@ -495,7 +501,7 @@ impl StorageUnit {
         for f in files {
             unit.insert_file(f);
         }
-        unit.zones = ZoneMap::build(&unit.coords);
+        unit.recluster();
         unit
     }
 
@@ -528,21 +534,89 @@ impl StorageUnit {
         unit
     }
 
-    /// Rebuilds the derived columnar projection from `files`.
+    /// Rebuilds the derived columnar projection from `files`: projects
+    /// the records in store order, then reclusters.
     fn rebuild_columns(&mut self) {
+        let n = self.files.len();
         self.coords.clear();
-        self.coords.reserve(self.files.len() * ATTR_DIMS);
+        self.coords.reserve(n * ATTR_DIMS);
         self.ids.clear();
-        self.ids.reserve(self.files.len());
+        self.ids.reserve(n);
         for f in &self.files {
             self.coords.extend_from_slice(&f.attr_vector());
             self.ids.push(f.file_id);
         }
-        self.zones = ZoneMap::build(&self.coords);
+        self.zones.slot_of_row = (0..n as u32).collect();
+        self.zones.row_of_slot = self.zones.slot_of_row.clone();
+        self.recluster();
+    }
+
+    /// Rebuilds the zone map and permutes the columns to match, in one
+    /// pass. Rows are ordered by Z-order key, each coordinate quantized
+    /// to 8 bits against the unit's own finite column bounds; the store
+    /// slot rides in the low bits of the key, so one `u64` sort orders
+    /// the rows by Z-order prefix with ties in store order, whatever
+    /// row order the columns were in. The columns and both maps are
+    /// then permuted in place into the sorted order, which is cut into
+    /// [`ZONE`]-row zones with exact boxes. Nothing the size of a
+    /// column is allocated. The loops are written as selects over
+    /// fixed-size rows so they vectorize: this runs at every summary
+    /// refresh and on every snapshot load.
+    fn recluster(&mut self) {
+        let (rows, _) = self.coords.as_chunks::<ATTR_DIMS>();
+        // Column bounds over the finite values.
+        let mut lo = [f64::INFINITY; ATTR_DIMS];
+        let mut hi = [f64::NEG_INFINITY; ATTR_DIMS];
+        for row in rows {
+            for d in 0..ATTR_DIMS {
+                let (x, finite) = (row[d], row[d].is_finite());
+                lo[d] = if finite && x < lo[d] { x } else { lo[d] };
+                hi[d] = if finite && x > hi[d] { x } else { hi[d] };
+            }
+        }
+        // A flat or empty column quantizes to 0.
+        let scale: [f64; ATTR_DIMS] = std::array::from_fn(|d| {
+            let span = hi[d] - lo[d];
+            if span > 0.0 && span.is_finite() {
+                255.0 / span
+            } else {
+                0.0
+            }
+        });
+        let slot_bits = usize::BITS - rows.len().saturating_sub(1).leading_zeros();
+        let slot_mask = (1u64 << slot_bits) - 1;
+        let mut keys: Vec<u64> = rows
+            .iter()
+            .zip(&self.zones.slot_of_row)
+            .map(|(row, &slot)| (morton_key(row, &lo, &scale) & !slot_mask) | u64::from(slot))
+            .collect();
+        keys.sort_unstable();
+        // Each key becomes the old row the new row `r` is taken from.
+        let ZoneMap {
+            slot_of_row,
+            row_of_slot,
+            zones,
+        } = &mut self.zones;
+        for (r, key) in keys.iter_mut().enumerate() {
+            let slot = (*key & slot_mask) as u32;
+            slot_of_row[r] = slot;
+            *key = u64::from(row_of_slot[slot as usize]);
+        }
+        for (r, &slot) in slot_of_row.iter().enumerate() {
+            row_of_slot[slot as usize] = r as u32;
+        }
+        let (rows, _) = self.coords.as_chunks_mut::<ATTR_DIMS>();
+        permute(rows, &mut self.ids, &mut keys);
+        zones.clear();
+        zones.extend(
+            rows.chunks(ZONE)
+                .enumerate()
+                .map(|(z, run)| Zone::covering((z * ZONE + run.len()) as u32, run)),
+        );
     }
 
     /// Appends a file's columnar projection, `row` being its
-    /// `attr_vector()`, to the columns and the zone map's tail (call
+    /// `attr_vector()`, as the last row, in the zone map's tail (call
     /// immediately before pushing the record onto `files`).
     fn append_columns(&mut self, row: &[f64], file_id: u64) {
         self.zones.push(row);
@@ -550,14 +624,13 @@ impl StorageUnit {
         self.ids.push(file_id);
     }
 
-    /// Drops slot `pos` from the columnar projection, shifting later
-    /// slots down by one. O(n), matching the `files.remove(pos)` memmove
-    /// it accompanies; store order is preserved so summary recomputation
-    /// stays bit-identical to the pre-columnar path.
-    fn remove_column_slot(&mut self, pos: usize) {
-        self.coords.drain(pos * ATTR_DIMS..(pos + 1) * ATTR_DIMS);
-        self.ids.remove(pos);
-        self.zones.remove(pos);
+    /// Drops store slot `slot` from the columnar projection: its row
+    /// leaves the columns and later slots and rows shift down by one.
+    /// O(n), matching the `files.remove(slot)` memmove it accompanies.
+    fn remove_column_slot(&mut self, slot: usize) {
+        let row = self.zones.remove(slot);
+        self.coords.drain(row * ATTR_DIMS..(row + 1) * ATTR_DIMS);
+        self.ids.remove(row);
     }
 
     /// Number of files stored.
@@ -592,20 +665,26 @@ impl StorageUnit {
         self.mbr.as_ref()
     }
 
-    /// The flat row-major `n × ATTR_DIMS` columnar attribute table;
-    /// row `i` equals `files()[i].attr_vector()` bit-for-bit.
+    /// The flat row-major `n × ATTR_DIMS` columnar attribute table, in
+    /// row (zone) order: each row equals one file's `attr_vector()`
+    /// bit-for-bit, every file has exactly one row, and the row order
+    /// is not store order.
     pub fn coords(&self) -> &[f64] {
         &self.coords
     }
 
-    /// The `file_id` column; `file_ids()[i] == files()[i].file_id`.
+    /// The `file_id` column, in the row order of [`Self::coords`]: the
+    /// multiset of the files' ids, not in store order.
     pub fn file_ids(&self) -> &[u64] {
         &self.ids
     }
 
-    /// Verifies the columnar projection against a from-scratch rebuild
-    /// from `files` (test/diagnostic hook; the coherence proptest
-    /// drives this under arbitrary mutation streams).
+    /// Verifies the columnar projection against the records (test and
+    /// diagnostic hook; the coherence proptest drives this under
+    /// arbitrary mutation streams): the two slot maps inverse
+    /// permutations, each row and id equal to its store slot's record
+    /// bit-for-bit, and the zones contiguous row ranges whose boxes
+    /// hold their rows.
     pub fn check_columnar_coherence(&self) -> Result<(), String> {
         if self.coords.len() != self.files.len() * ATTR_DIMS {
             return Err(format!(
@@ -621,24 +700,28 @@ impl StorageUnit {
                 self.files.len()
             ));
         }
-        for (slot, f) in self.files.iter().enumerate() {
-            if self.ids[slot] != f.file_id {
+        let (rows, _) = self.coords.as_chunks::<ATTR_DIMS>();
+        self.zones.check(rows)?;
+        for (r, &slot) in self.zones.slot_of_row.iter().enumerate() {
+            let f = &self.files[slot as usize];
+            if self.ids[r] != f.file_id {
                 return Err(format!(
-                    "ids[{slot}] = {} but files[{slot}].file_id = {}",
-                    self.ids[slot], f.file_id
+                    "ids[{r}] = {} but its slot {slot} holds file {}",
+                    self.ids[r], f.file_id
                 ));
             }
-            let row = &self.coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS];
             let v = f.attr_vector();
-            if row
+            if rows[r]
                 .iter()
                 .zip(v.iter())
                 .any(|(a, b)| a.to_bits() != b.to_bits())
             {
-                return Err(format!("coords row {slot} diverges from attr_vector"));
+                return Err(format!(
+                    "coords row {r} diverges from the attr_vector of slot {slot}"
+                ));
             }
         }
-        self.zones.check(&self.coords)
+        Ok(())
     }
 
     /// Adds a file, updating Bloom filter, centroid, MBR and the
@@ -689,30 +772,42 @@ impl StorageUnit {
         for &id in file_ids {
             *victims.entry(id).or_insert(0) += 1;
         }
+        // Store order decides which occurrences go; `new_slot` maps each
+        // old slot to its slot after compaction, `u32::MAX` if removed.
         let old_files = std::mem::take(&mut self.files);
-        let old_coords = std::mem::take(&mut self.coords);
-        let old_ids = std::mem::take(&mut self.ids);
         self.files = Vec::with_capacity(old_files.len());
-        self.coords = Vec::with_capacity(old_coords.len());
-        self.ids = Vec::with_capacity(old_ids.len());
+        let mut new_slot = Vec::with_capacity(old_files.len());
         let mut removed = Vec::new();
-        for (row, f) in old_files.into_iter().enumerate() {
-            let take = match victims.get_mut(&old_ids[row]) {
+        for f in old_files {
+            match victims.get_mut(&f.file_id) {
                 Some(n) if *n > 0 => {
                     *n -= 1;
-                    true
+                    new_slot.push(u32::MAX);
+                    removed.push(f);
                 }
-                _ => false,
-            };
-            if take {
-                removed.push(f);
-            } else {
-                self.coords
-                    .extend_from_slice(&old_coords[row * ATTR_DIMS..(row + 1) * ATTR_DIMS]);
-                self.ids.push(old_ids[row]);
-                self.files.push(f);
+                _ => {
+                    new_slot.push(self.files.len() as u32);
+                    self.files.push(f);
+                }
             }
         }
+        // Compact the columns in place, keeping row order; the summary
+        // recompute below reclusters them.
+        let mut kept = 0;
+        for r in 0..self.ids.len() {
+            let slot = new_slot[self.zones.slot_of_row[r] as usize];
+            if slot != u32::MAX {
+                self.coords
+                    .copy_within(r * ATTR_DIMS..(r + 1) * ATTR_DIMS, kept * ATTR_DIMS);
+                self.ids[kept] = self.ids[r];
+                self.zones.slot_of_row[kept] = slot;
+                kept += 1;
+            }
+        }
+        self.coords.truncate(kept * ATTR_DIMS);
+        self.ids.truncate(kept);
+        self.zones.slot_of_row.truncate(kept);
+        self.zones.row_of_slot = inverse(&self.zones.slot_of_row);
         self.recompute_summaries();
         removed
     }
@@ -727,18 +822,27 @@ impl StorageUnit {
         self.files.push(file);
     }
 
-    /// The first slot holding `file_id`, found in the dense id column
-    /// (`ids[i] == files[i].file_id`) rather than by striding through
-    /// the records.
+    /// The first store slot holding `file_id`. One pass over the dense
+    /// id column rather than a stride through the records; the column
+    /// is in row order, so the pass keeps the smallest slot among the
+    /// matching rows, in select form so that it vectorizes.
     fn slot_of(&self, file_id: u64) -> Option<usize> {
-        self.ids.iter().position(|&id| id == file_id)
+        let mut first = u32::MAX;
+        for (&id, &slot) in self.ids.iter().zip(&self.zones.slot_of_row) {
+            first = if id == file_id {
+                first.min(slot)
+            } else {
+                first
+            };
+        }
+        (first != u32::MAX).then_some(first as usize)
     }
 
     /// Removes a file by id without refreshing summaries.
     pub fn remove_file_raw(&mut self, file_id: u64) -> Option<FileMetadata> {
-        let pos = self.slot_of(file_id)?;
-        self.remove_column_slot(pos);
-        Some(self.files.remove(pos))
+        let slot = self.slot_of(file_id)?;
+        self.remove_column_slot(slot);
+        Some(self.files.remove(slot))
     }
 
     /// Replaces a file's metadata in place without refreshing summaries;
@@ -748,9 +852,11 @@ impl StorageUnit {
         match self.slot_of(file.file_id) {
             Some(slot) => {
                 let row = file.attr_vector();
-                self.coords[slot * ATTR_DIMS..(slot + 1) * ATTR_DIMS].copy_from_slice(&row);
+                let r = self.zones.row_of_slot[slot] as usize;
+                self.coords[r * ATTR_DIMS..(r + 1) * ATTR_DIMS].copy_from_slice(&row);
                 // The old row's extent is kept (the box stays a superset).
-                self.zones.grow(slot, &row);
+                let z = self.zones.zone_at(r);
+                self.zones.zones[z].grow(&row);
                 Some(std::mem::replace(&mut self.files[slot], file))
             }
             None => {
@@ -763,10 +869,11 @@ impl StorageUnit {
     /// Rebuilds centroid, MBR and Bloom filter from current contents
     /// (used after bulk changes and version flushes), and reclusters the
     /// zone map. Reads the columnar table instead of re-projecting every
-    /// record — same values summed in the same store order, so the
-    /// recomputed summaries are bit-identical to the pre-columnar walk.
+    /// record, walking it in store order through `row_of_slot` — the
+    /// same values summed in the same order, so the recomputed
+    /// summaries are bit-identical to the pre-columnar walk.
     pub fn recompute_summaries(&mut self) {
-        self.zones = ZoneMap::build(&self.coords);
+        self.recluster();
         let n = self.files.len();
         self.centroid = vec![0.0; ATTR_DIMS];
         self.mbr = None;
@@ -774,13 +881,13 @@ impl StorageUnit {
         if n == 0 {
             return;
         }
+        let (rows, _) = self.coords.as_chunks::<ATTR_DIMS>();
         // The MBR folds each row in with the `min`/`max` that
         // `Rect::union` applies, in store order, without a `Rect` per row.
-        let (mut lo, mut hi) = (
-            self.coords[..ATTR_DIMS].to_vec(),
-            self.coords[..ATTR_DIMS].to_vec(),
-        );
-        for row in self.coords.chunks_exact(ATTR_DIMS) {
+        let first = &rows[self.zones.row_of_slot[0] as usize];
+        let (mut lo, mut hi) = (first.to_vec(), first.to_vec());
+        for &r in &self.zones.row_of_slot {
+            let row = &rows[r as usize];
             for (c, &x) in self.centroid.iter_mut().zip(row) {
                 *c += x;
             }
@@ -820,8 +927,8 @@ impl StorageUnit {
     /// [`LocalWork`]: one record on a hit, none on a miss.
     pub fn point_query(&self, name: &str) -> (Option<&FileMetadata>, LocalWork) {
         let mut work = LocalWork {
-            records: 0,
             filters: 1,
+            ..LocalWork::default()
         };
         if !self.bloom.contains(name.as_bytes()) {
             return (None, work);
@@ -831,38 +938,72 @@ impl StorageUnit {
         (hit, work)
     }
 
-    /// Local range query over the projected attribute space, zone by
-    /// zone over the unit's zone map (no per-record projection, records
-    /// touched only through the id column). For each zone, looking only
-    /// at the dimensions the query constrains:
+    /// Local range query over the projected attribute space: the ids of
+    /// the matching files, in ascending store slot order. The scan the
+    /// system runs in every routed unit (`range_into`), with its hits
+    /// mapped back to store order.
+    pub fn range_query(&self, lo: &[f64], hi: &[f64]) -> (Vec<u64>, LocalWork) {
+        let mut slots = Vec::new();
+        let work = self.scan_range(lo, hi, |rows| {
+            slots.extend_from_slice(&self.zones.slot_of_row[rows]);
+        });
+        slots.sort_unstable();
+        let out = slots
+            .iter()
+            .map(|&slot| self.files[slot as usize].file_id)
+            .collect();
+        (out, work)
+    }
+
+    /// Appends the ids of the files inside `[lo, hi]` to `out`, in row
+    /// order — the shard's result vector, which the caller sorts and
+    /// dedups once over all units.
+    pub(crate) fn range_into(&self, lo: &[f64], hi: &[f64], out: &mut Vec<u64>) -> LocalWork {
+        self.scan_range(lo, hi, |rows| out.extend_from_slice(&self.ids[rows]))
+    }
+
+    /// The range scan: zone by zone over the unit's zone map, with no
+    /// per-record projection, passing each run of matching rows to
+    /// `emit`. For each zone, looking only at the dimensions the query
+    /// constrains:
     ///
     /// * a box disjoint from the query in any dimension skips the zone;
-    /// * a box inside the query in every dimension emits all its slots;
-    /// * otherwise a mask pass over the zone's rows checks, column at a
-    ///   time, only the dimensions the box does not already cover.
+    /// * a box inside the query in every dimension emits all its rows;
+    /// * otherwise a mask pass over the zone's contiguous rows checks,
+    ///   column at a time, only the dimensions the box does not already
+    ///   cover.
     ///
     /// The boxes are conservative supersets of their rows (unlike the
     /// possibly-stale unit MBR), so every decision is answer-preserving.
-    /// Matching slots are sorted before the id lookup, so the output
-    /// keeps ascending slot order; the full-scan cost accounting
-    /// (`records = len()`) is unchanged.
-    pub fn range_query(&self, lo: &[f64], hi: &[f64]) -> (Vec<u64>, LocalWork) {
+    /// The full-scan cost accounting (`records = len()`) is unchanged.
+    fn scan_range(
+        &self,
+        lo: &[f64],
+        hi: &[f64],
+        mut emit: impl FnMut(std::ops::Range<usize>),
+    ) -> LocalWork {
         let mut work = LocalWork::default();
-        // MBR pre-check: disjoint units do no record work.
+        // MBR pre-check, against the box's bounds in place: disjoint
+        // units do no record work.
         if let Some(m) = &self.mbr {
-            let q = Rect::new(lo.to_vec(), hi.to_vec());
-            if !m.intersects(&q) {
-                return (Vec::new(), work);
+            let meets = m
+                .lo()
+                .iter()
+                .zip(m.hi())
+                .zip(lo.iter().zip(hi))
+                .all(|((&l, &h), (&ql, &qh))| l <= qh && ql <= h);
+            if !meets {
+                return work;
             }
         }
         // The row walk this replaces zipped `lo`/`hi` against each row,
         // so only the first `min(lo, hi, ATTR_DIMS)` dimensions ever
         // constrained; dims beyond that stay unconstrained here too.
         let checked_dims = lo.len().min(hi.len()).min(ATTR_DIMS);
-        let mut hits: Vec<u32> = Vec::new();
+        let (rows, _) = self.coords.as_chunks::<ATTR_DIMS>();
         let mut mask = [false; ZONE];
         'zones: for (z, zone) in self.zones.zones.iter().enumerate() {
-            let rows = self.zones.rows(z);
+            let run = self.zones.rows(z);
             let mut active = [false; ATTR_DIMS];
             for d in 0..checked_dims {
                 // Comparisons with a NaN query bound or a poisoned box
@@ -873,16 +1014,18 @@ impl StorageUnit {
                 active[d] = !(lo[d] <= zone.lo[d] && zone.hi[d] <= hi[d]);
             }
             if !active.contains(&true) {
-                hits.extend_from_slice(rows);
+                emit(run);
                 continue;
             }
-            let mask = &mut mask[..rows.len()];
+            let block = &rows[run.clone()];
+            work.rows_read += block.len();
+            let mask = &mut mask[..block.len()];
             mask.fill(true);
             for d in (0..checked_dims).filter(|&d| active[d]) {
                 let (l, h) = (lo[d], hi[d]);
                 let mut keep_any = false;
-                for (m, &slot) in mask.iter_mut().zip(rows) {
-                    let x = self.coords[slot as usize * ATTR_DIMS + d];
+                for (m, row) in mask.iter_mut().zip(block) {
+                    let x = row[d];
                     *m = *m && l <= x && x <= h;
                     keep_any |= *m;
                 }
@@ -890,74 +1033,87 @@ impl StorageUnit {
                     continue 'zones; // zone fully rejected — skip remaining dims
                 }
             }
-            hits.extend(
-                rows.iter()
-                    .zip(mask.iter())
-                    .filter(|(_, &m)| m)
-                    .map(|(&s, _)| s),
-            );
+            let mut r = run.start;
+            for hits in mask.chunk_by(|a, b| a == b) {
+                if hits[0] {
+                    emit(r..r + hits.len());
+                }
+                r += hits.len();
+            }
         }
-        hits.sort_unstable();
-        let out = hits.iter().map(|&slot| self.ids[slot as usize]).collect();
         work.records = self.files.len();
-        (out, work)
+        work
     }
 
     /// Local top-k: the unit's k nearest files to `point`, with squared
-    /// distances (for cross-unit merge), `total_cmp` ordered (no NaN
-    /// panic path) and bit-identical to sort-then-truncate output.
+    /// distances, `total_cmp` ordered (no NaN panic path) and
+    /// bit-identical to sort-then-truncate output. The scan the system
+    /// runs in every unit it probes (`topk_into`), given a heap of its
+    /// own.
     pub fn topk_query(&self, point: &[f64], k: usize) -> (Vec<(u64, f64)>, LocalWork) {
-        self.topk_within(point, k, f64::INFINITY)
+        let mut top = TopK::new(k);
+        let work = self.topk_into(point, &mut top);
+        (top.into_sorted(), work)
     }
 
-    /// [`Self::topk_query`] for a caller that already holds k candidates
-    /// no farther than `bound` — the cross-unit MaxD of §3.3.2 carried
-    /// inside the unit. Zones are visited nearest box first, and the
-    /// walk stops at the first zone whose box is *strictly* farther than
-    /// `min(local k-th best, bound)`: no row there can enter either
-    /// heap, while a row at exactly that distance (a tie broken by a
-    /// smaller id) still can. The returned list may therefore omit rows
-    /// farther than `bound`, which the caller would reject anyway.
-    pub(crate) fn topk_within(
-        &self,
-        point: &[f64],
-        k: usize,
-        bound: f64,
-    ) -> (Vec<(u64, f64)>, LocalWork) {
-        let mut top = TopK::new(k);
-        if k > 0 {
-            let mut near: Vec<(f64, usize)> = self
-                .zones
+    /// Offers the unit's rows to `top`, the heap of the query's k best
+    /// so far across units; afterwards it holds the k best of
+    /// everything it held and every row of this unit. Its k-th best is
+    /// the MaxD bound of §3.3.2 inside the unit: zones whose box lies
+    /// *strictly* farther are dropped before the rest are sorted
+    /// nearest box first, and the walk stops at the first box strictly
+    /// farther than the current k-th best. No row of a skipped zone can
+    /// enter the heap, while a row at exactly that distance (a tie
+    /// broken by a smaller id) still can. Every unit counts its full
+    /// scan in `records`, `k == 0` included, in which case no row is
+    /// read.
+    pub(crate) fn topk_into(&self, point: &[f64], top: &mut TopK) -> LocalWork {
+        let mut work = LocalWork {
+            records: self.files.len(),
+            ..LocalWork::default()
+        };
+        if top.k == 0 {
+            return work;
+        }
+        let mut max_d = top.max_d();
+        let mut near = std::mem::take(&mut top.near);
+        near.clear();
+        near.extend(
+            self.zones
                 .zones
                 .iter()
-                .map(|zone| zone.min_dist(point))
-                .zip(0..)
-                .collect();
-            near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (lower, z) in near {
-                // `f64::min` ignores a NaN k-th best; either bound alone
-                // is a valid stopping threshold.
-                if lower > top.max_d().min(bound) {
-                    break;
+                .zip(0u32..)
+                .map(|(zone, z)| (zone.min_dist(point), z))
+                .filter(|&(lower, _)| {
+                    lower.partial_cmp(&max_d) != Some(std::cmp::Ordering::Greater)
+                }),
+        );
+        near.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (rows, _) = self.coords.as_chunks::<ATTR_DIMS>();
+        for &(lower, z) in &near {
+            if lower > max_d {
+                break;
+            }
+            let run = self.zones.rows(z as usize);
+            work.rows_read += run.len();
+            for (row, &id) in rows[run.clone()].iter().zip(&self.ids[run]) {
+                let mut d = 0.0;
+                for (&a, &q) in row.iter().zip(point) {
+                    d += (a - q) * (a - q);
                 }
-                for &slot in self.zones.rows(z) {
-                    let slot = slot as usize;
-                    let mut d = 0.0;
-                    for (&a, &q) in row_of(&self.coords, slot).iter().zip(point) {
-                        d += (a - q) * (a - q);
-                    }
-                    // Full (distance, id) comparison inside push — an
-                    // equal distance with a smaller id still displaces
-                    // the worst.
-                    top.push(self.ids[slot], d);
+                // Skip only on `d > max_d`, never on `!(d <= max_d)`: a
+                // NaN distance is still offered, and `push` ranks it by
+                // `total_cmp` — an equal distance with a smaller id, or
+                // a negative NaN, still displaces the worst.
+                if d > max_d {
+                    continue;
                 }
+                top.push(id, d);
+                max_d = top.max_d();
             }
         }
-        let work = LocalWork {
-            records: self.files.len(),
-            filters: 0,
-        };
-        (top.into_sorted(), work)
+        top.near = near;
+        work
     }
 
     /// Approximate resident bytes of the unit's index state (Bloom
@@ -1164,10 +1320,12 @@ mod tests {
         let mut u = unit_with(25);
         u.check_columnar_coherence().unwrap();
         assert_eq!(u.coords().len(), 25 * ATTR_DIMS);
-        for (i, f) in u.files().iter().enumerate() {
-            assert_eq!(u.file_ids()[i], f.file_id);
+        // Row `r` projects the file at store slot `slot_of_row[r]`.
+        for (r, &slot) in u.zones.slot_of_row.iter().enumerate() {
+            let f = &u.files()[slot as usize];
+            assert_eq!(u.file_ids()[r], f.file_id);
             assert_eq!(
-                &u.coords()[i * ATTR_DIMS..(i + 1) * ATTR_DIMS],
+                &u.coords()[r * ATTR_DIMS..(r + 1) * ATTR_DIMS],
                 f.attr_vector().as_slice()
             );
         }
@@ -1223,10 +1381,10 @@ mod tests {
     }
 
     #[test]
-    fn topk_within_keeps_rows_tied_with_the_bound() {
-        // A caller already holding a candidate at distance 0 passes
-        // bound 0: the tied rows' zone must still be read (strict `>`
-        // stop), so the smaller ids can displace the caller's.
+    fn topk_into_keeps_rows_tied_with_the_kth_best() {
+        // A heap already holding k candidates at distance 0 has MaxD 0:
+        // the tied rows' zone must still be read (strict `>` stop), so
+        // the smaller ids displace the held ones.
         let mut u = unit_with(3 * ZONE);
         let base = u.files()[7].clone();
         for id in [9040u64, 9010, 9030] {
@@ -1237,29 +1395,34 @@ mod tests {
         }
         u.recompute_summaries();
         let q = base.attr_vector();
-        let (top, _) = u.topk_within(&q, 2, 0.0);
-        let (full, _) = u.topk_query(&q, 2);
-        assert_eq!(top, full);
-        assert!(top.iter().all(|&(_, d)| d == 0.0));
-        // Rows farther than the bound may be left out, but every row
-        // at distance 0 is returned, in (distance, id) order.
-        let (near, _) = u.topk_within(&q, ZONE, 0.0);
-        let (full, _) = u.topk_query(&q, ZONE);
-        assert_eq!(near[..4], full[..4]);
-        assert!(near[..4].iter().all(|&(_, d)| d == 0.0));
+        for k in [2, ZONE] {
+            let mut top = TopK::new(k);
+            for i in 0..k as u64 {
+                top.push(u64::MAX - i, 0.0);
+            }
+            assert_eq!(top.max_d(), 0.0);
+            let work = u.topk_into(&q, &mut top);
+            assert!(work.rows_read < u.len(), "zones beyond MaxD are skipped");
+            // The four rows at distance 0 displace held candidates, in
+            // (distance, id) order.
+            let (full, _) = u.topk_query(&q, k);
+            let ties = k.min(4);
+            assert!(full[..ties].iter().all(|&(_, d)| d == 0.0));
+            assert_eq!(top.into_sorted()[..ties], full[..ties]);
+        }
     }
 
     /// The pre-pruning row walk, kept as the reference the zone-map
     /// scan must match bit for bit.
     fn range_reference(u: &StorageUnit, lo: &[f64], hi: &[f64]) -> Vec<u64> {
         let mut out = Vec::new();
-        for (slot, row) in u.coords().chunks_exact(ATTR_DIMS).enumerate() {
-            if row
+        for f in u.files() {
+            if f.attr_vector()
                 .iter()
                 .zip(lo.iter().zip(hi))
                 .all(|(&x, (&l, &h))| l <= x && x <= h)
             {
-                out.push(u.file_ids()[slot]);
+                out.push(f.file_id);
             }
         }
         out

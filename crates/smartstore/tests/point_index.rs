@@ -101,6 +101,7 @@ fn reference_point(
         let mut work = LocalWork {
             records: 0,
             filters: 1,
+            rows_read: 0,
         };
         if unit.bloom().contains(name.as_bytes()) {
             if let Some(f) = unit.files().iter().find(|f| f.name == name) {
