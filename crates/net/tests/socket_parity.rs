@@ -116,13 +116,7 @@ fn uds_answers_are_bit_identical_to_in_process() {
 #[test]
 fn degraded_mode_parity_with_quarantined_shard() {
     let pop = population();
-    // Reads only: with a shard fenced, mutation targeting depends on
-    // ownership of the quarantined shard on both sides identically, but
-    // the degraded read fan-out is the interesting surface here.
-    let reqs: Vec<Request> = mixed_requests(&pop, 400, 0x0dd)
-        .into_iter()
-        .filter(|r| r.is_read())
-        .collect();
+    let reqs = mixed_requests(&pop, 400, 0x0dd);
     let mut net_side = build_server(&pop, 4);
     net_side.quarantine_shard(2, "induced for degraded parity");
     let mut reference = build_server(&pop, 4);

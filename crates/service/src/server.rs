@@ -19,7 +19,8 @@
 //! route modes). Writes route to exactly one shard: inserts to the
 //! shard whose root semantic vector is most correlated (the off-line
 //! placement rule of §3.4 lifted to shard granularity), deletes and
-//! modifies to the owning shard.
+//! modifies to the shard that holds the file. The shards own their
+//! files: the fleet keeps no file → shard map, it asks the shards.
 
 use crate::codec::WireError;
 use crate::protocol::{
@@ -33,7 +34,6 @@ use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_linalg::cosine_similarity;
 use smartstore_persist::{PersistentStore, RealVfs, SystemPersist as _, Vfs};
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -186,8 +186,6 @@ pub struct ShardInfo {
 /// [`SmartStoreSystem`] shards.
 pub struct MetadataServer {
     shards: Vec<ShardSlot>,
-    /// file id → owning shard.
-    owner: HashMap<u64, usize>,
     /// Filesystem the shard stores live on (real disk by default).
     vfs: Arc<dyn Vfs>,
 }
@@ -221,11 +219,7 @@ impl MetadataServer {
         }
         let vfs = cfg.store_vfs.clone().unwrap_or_else(RealVfs::handle);
         let mut shards = Vec::with_capacity(cfg.n_shards);
-        let mut owner = HashMap::new();
         for (i, bucket) in buckets.into_iter().enumerate() {
-            for f in &bucket {
-                owner.insert(f.file_id, i);
-            }
             let sys = SmartStoreSystem::build(
                 bucket,
                 cfg.units_per_shard,
@@ -245,7 +239,7 @@ impl MetadataServer {
         if let Some(base) = &cfg.store_dir {
             write_fleet_manifest(vfs.as_ref(), base, cfg.n_shards)?;
         }
-        Ok(Self { shards, owner, vfs })
+        Ok(Self { shards, vfs })
     }
 
     /// Cold-starts a durable deployment from `base`: the fleet manifest
@@ -268,7 +262,6 @@ impl MetadataServer {
     pub fn open_with(vfs: Arc<dyn Vfs>, base: &Path) -> Result<Self> {
         let n_shards = read_fleet_manifest(vfs.as_ref(), base)?;
         let mut shards = Vec::with_capacity(n_shards);
-        let mut owner = HashMap::new();
         let mut first_err = None;
         for i in 0..n_shards {
             let dir = shard_dir(base, i);
@@ -280,7 +273,6 @@ impl MetadataServer {
             }
             match SmartStoreSystem::open_from_dir_with(vfs.clone(), &dir) {
                 Ok((sys, store, _report)) => {
-                    register_owner(&mut owner, &sys, i);
                     shards.push(ShardSlot::Up(Box::new(Shard {
                         sys,
                         store: Some(store),
@@ -306,7 +298,7 @@ impl MetadataServer {
                 .map(ServiceError::Persist)
                 .unwrap_or_else(|| ServiceError::Config("fleet has no shards".into())));
         }
-        Ok(Self { shards, owner, vfs })
+        Ok(Self { shards, vfs })
     }
 
     /// Splits files into per-shard buckets along the grouping predicate
@@ -376,9 +368,9 @@ impl MetadataServer {
     /// back through [`Self::try_reopen_shard`].
     pub fn quarantine_shard(&mut self, i: usize, reason: impl Into<String>) {
         if let ShardSlot::Up(s) = &self.shards[i] {
-            // Ownership entries stay: a delete/modify of a fenced
-            // shard's file must answer `Unavailable`, not pass for a
-            // no-op on an unknown file.
+            // A fenced shard's files are held by no healthy shard, so a
+            // delete/modify of one answers `Unavailable` (see
+            // `Self::apply`), not a no-op on an unknown file.
             let dir = s.dir.clone();
             self.shards[i] = ShardSlot::Down {
                 dir,
@@ -389,8 +381,9 @@ impl MetadataServer {
 
     /// Attempts to bring a quarantined durable shard back by running
     /// full crash recovery on its directory. On success the shard
-    /// serves again (and re-registers its file ownership); on failure
-    /// it stays quarantined and the error is returned.
+    /// serves again, its files reachable by deletes and modifies at
+    /// once (routing asks the shards); on failure it stays quarantined
+    /// and the error is returned.
     pub fn try_reopen_shard(&mut self, i: usize) -> Result<()> {
         let ShardSlot::Down { dir, reason } = &self.shards[i] else {
             return Ok(()); // already serving
@@ -401,7 +394,6 @@ impl MetadataServer {
             )));
         };
         let (sys, store, _report) = SmartStoreSystem::open_from_dir_with(self.vfs.clone(), &dir)?;
-        register_owner(&mut self.owner, &sys, i);
         self.shards[i] = ShardSlot::Up(Box::new(Shard {
             sys,
             store: Some(store),
@@ -457,13 +449,20 @@ impl MetadataServer {
     }
 
     /// The single mutation-placement rule: inserts go to the most
-    /// semantically correlated shard, deletes/modifies to the owner;
-    /// `None` for mutations of unknown files.
+    /// semantically correlated shard; a delete or modify goes to the
+    /// first healthy shard, from the highest id down, whose own
+    /// placement rule finds the file. Asking from the top means a file
+    /// stored on two shards is taken from the same one in a live fleet
+    /// and in a reopened one, and a repeated delete finds the other
+    /// copy. `None` when no healthy shard holds the file.
     fn mutation_target(&self, change: &Change) -> Option<usize> {
         match change {
             Change::Insert(f) => self.most_correlated_shard(&f.attr_vector()),
-            Change::Delete(id) => self.owner.get(id).copied(),
-            Change::Modify(f) => self.owner.get(&f.file_id).copied(),
+            Change::Delete(_) | Change::Modify(_) => (0..self.shards.len()).rev().find(|&i| {
+                self.shards[i]
+                    .up()
+                    .is_some_and(|s| s.sys.group_of_change(change).is_some())
+            }),
         }
     }
 
@@ -549,9 +548,10 @@ impl MetadataServer {
         }
     }
 
-    /// Applies one mutation: routes it to its shard, journals it to
-    /// that shard's WAL *before* the in-memory mutation (when durable),
-    /// and updates the file→shard ownership.
+    /// Applies one mutation: routes it to its shard and journals it to
+    /// that shard's WAL *before* the in-memory mutation (when durable).
+    /// The mutation writes that one shard and nothing else: the fleet
+    /// keeps no per-file state of its own.
     ///
     /// A persistence failure does not fail the fleet: a poisoned store
     /// is healed in place with a full [`PersistentStore::compact`] and
@@ -573,8 +573,7 @@ impl MetadataServer {
         let Some(si) = self.mutation_target(&change) else {
             if self.shards.iter().any(|s| s.up().is_none()) {
                 // With part of the fleet fenced off, "never seen" is
-                // unprovable: the file may live on a quarantined shard
-                // whose ownership was never registered.
+                // unprovable: the file may live on a quarantined shard.
                 return Response::Unavailable(
                     "file ownership indeterminate while shards are quarantined".into(),
                 );
@@ -605,17 +604,8 @@ impl MetadataServer {
                     }
                 }
             }
-            None => shard.sys.apply_change(change.clone()),
+            None => shard.sys.apply_change(change),
         };
-        match &change {
-            Change::Insert(f) => {
-                self.owner.insert(f.file_id, si);
-            }
-            Change::Delete(id) => {
-                self.owner.remove(id);
-            }
-            Change::Modify(_) => {}
-        }
         Response::Applied(AppliedReply {
             shard: Some(si),
             group: landed,
@@ -737,14 +727,6 @@ impl MetadataServer {
             }
         }
         Ok(())
-    }
-}
-
-/// Records `shard` as the owner of every file `sys` holds, reading the
-/// units' dense id columns — the ids are all this needs of the records.
-fn register_owner(owner: &mut HashMap<u64, usize>, sys: &SmartStoreSystem, shard: usize) {
-    for unit in sys.units() {
-        owner.extend(unit.file_ids().iter().map(|&id| (id, shard)));
     }
 }
 

@@ -231,6 +231,20 @@ fn quarantined_mutations_are_unavailable_not_noops() {
         Response::Unavailable(_) => {}
         other => panic!("delete on fenced shard must be unavailable, got {other:?}"),
     }
+    let mut modified = victim.clone();
+    modified.size = modified.size.saturating_add(4096);
+    match client
+        .call(
+            &mut srv,
+            Request::ApplyChange {
+                change: Change::Modify(modified.clone()),
+            },
+        )
+        .expect("wire ok")
+    {
+        Response::Unavailable(_) => {}
+        other => panic!("modify on fenced shard must be unavailable, got {other:?}"),
+    }
 
     // Unknown file: normally a clean no-op ack; during degradation the
     // no-op claim is unprovable.
@@ -262,6 +276,18 @@ fn quarantined_mutations_are_unavailable_not_noops() {
     {
         Response::Applied(a) => assert_eq!(a.shard, Some(0), "insert reroutes to shard 0"),
         other => panic!("unexpected {other:?}"),
+    }
+
+    // Once the shard is back, its files take mutations again.
+    srv.try_reopen_shard(1).expect("shard 1 reopens");
+    for change in [Change::Modify(modified), Change::Delete(victim.file_id)] {
+        match client
+            .call(&mut srv, Request::ApplyChange { change })
+            .expect("wire ok")
+        {
+            Response::Applied(a) => assert_eq!(a.shard, Some(1), "routed to the reopened shard"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }
 

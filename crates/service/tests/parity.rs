@@ -345,6 +345,74 @@ fn mutations_route_to_owning_shards() {
     );
 }
 
+/// A file id stored on two shards: a delete takes the same shard's copy
+/// in a live fleet and in one reopened from its stores, and a second
+/// delete takes the other copy, so no copy outlives every delete.
+#[test]
+fn duplicated_id_is_deleted_alike_live_and_reopened() {
+    let pop = population(2000, 76);
+    let live_dir = tmpdir("dup_live");
+    let reopen_dir = tmpdir("dup_reopen");
+    let mut live = server(&pop, 2, 76, Some(live_dir.clone()));
+    let mut before_restart = server(&pop, 2, 76, Some(reopen_dir.clone()));
+
+    // A second copy of a shard-1 file's id, shaped like a shard-0 file
+    // so that placement puts it on shard 0.
+    let victim = live.shard(1).current_files()[0].file_id;
+    let mut dup = live.shard(0).current_files()[0].clone();
+    dup.file_id = victim;
+    dup.name = "duplicated_id".into();
+    for srv in [&mut live, &mut before_restart] {
+        match srv.apply(Change::Insert(dup.clone())) {
+            Response::Applied(a) => assert_eq!(a.shard, Some(0), "the copy lands on shard 0"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    before_restart.sync().expect("wal sync");
+    drop(before_restart);
+    let mut reopened = MetadataServer::open(&reopen_dir).expect("cold start");
+
+    let holders = |srv: &MetadataServer| -> Vec<usize> {
+        (0..srv.n_shards())
+            .filter(|&i| {
+                srv.shard(i)
+                    .current_files()
+                    .iter()
+                    .any(|f| f.file_id == victim)
+            })
+            .collect()
+    };
+    let delete = |srv: &mut MetadataServer| match srv.apply(Change::Delete(victim)) {
+        Response::Applied(a) => a.shard,
+        other => panic!("unexpected {other:?}"),
+    };
+    let mut first_taken = Vec::new();
+    for srv in [&mut live, &mut reopened] {
+        assert_eq!(holders(srv), vec![0, 1]);
+        let first = delete(srv).expect("a holder takes the first delete");
+        assert_eq!(holders(srv), vec![1 - first]);
+        assert_eq!(
+            delete(srv),
+            Some(1 - first),
+            "the second delete finds the other copy"
+        );
+        assert!(holders(srv).is_empty(), "no shard still holds the id");
+        assert_eq!(delete(srv), None, "a third delete is a no-op");
+        first_taken.push(first);
+    }
+    assert_eq!(
+        first_taken[0], first_taken[1],
+        "live and reopened fleets delete the same copy first"
+    );
+    live.sync().expect("wal sync");
+    drop(live);
+    let mut again = MetadataServer::open(&live_dir).expect("cold start");
+    assert!(holders(&again).is_empty(), "the deletes were journaled");
+    assert_eq!(delete(&mut again), None);
+    let _ = std::fs::remove_dir_all(&live_dir);
+    let _ = std::fs::remove_dir_all(&reopen_dir);
+}
+
 #[test]
 fn concurrent_readers_on_the_served_view() {
     // serve_read is &self: several client threads can read one server
