@@ -7,7 +7,10 @@
 //! EXPERIMENTS.md can record paper-vs-measured comparisons of *shape*.
 
 use crate::baselines::{DbmsBaseline, RTreeBaseline};
-use crate::cost::{complex_query_cost, paper_point, point_query_cost, QueryCost};
+use crate::cost::{
+    complex_query_cost, paper_point, paper_range, paper_topk, point_query_cost, PaperTrace,
+    QueryCost,
+};
 use crate::fixture::{population, system, workload};
 use crate::replay::replay_complex_queries;
 use crate::report::{ms, pct, Report};
@@ -16,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartstore::autoconfig::AutoConfig;
 use smartstore::grouping::{optimal_threshold, partition_balanced_raw};
-use smartstore::routing::{RouteMode, RouteTrace};
+use smartstore::routing::RouteMode;
 use smartstore::versioning::Change;
 use smartstore::QueryOptions;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
@@ -237,7 +240,7 @@ fn batch_range(
         .ranges
         .iter()
         .map(|q| {
-            let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
+            let out = paper_range(sys, &q.lo, &q.hi);
             (
                 rng.gen_range(0..n_units),
                 complex_query_cost(&out.trace, RouteMode::Offline, sys, cost),
@@ -266,9 +269,7 @@ fn batch_topk(
         .topks
         .iter()
         .map(|q| {
-            let out = sys
-                .query()
-                .topk(&q.point, &QueryOptions::offline().with_k(q.k));
+            let out = paper_topk(sys, &q.point, q.k);
             (
                 rng.gen_range(0..n_units),
                 complex_query_cost(&out.trace, RouteMode::Offline, sys, cost),
@@ -310,21 +311,14 @@ pub fn fig7() -> Report {
 }
 
 /// Evaluates the workload's range queries, then its top-k queries, and
-/// yields what each touched. The route mode is irrelevant here: it
-/// prices a trace, it does not shape one.
+/// yields the paper's trace of each. The route mode is irrelevant here:
+/// it prices a trace, it does not shape one.
 fn complex_traces<'a>(
     sys: &'a SmartStoreSystem,
     w: &'a QueryWorkload,
-) -> impl Iterator<Item = RouteTrace> + 'a {
-    let opts = QueryOptions::offline();
-    let ranges = w
-        .ranges
-        .iter()
-        .map(move |q| sys.query().range(&q.lo, &q.hi, &opts));
-    let topks = w
-        .topks
-        .iter()
-        .map(move |q| sys.query().topk(&q.point, &opts.with_k(q.k)));
+) -> impl Iterator<Item = PaperTrace> + 'a {
+    let ranges = w.ranges.iter().map(|q| paper_range(sys, &q.lo, &q.hi));
+    let topks = w.topks.iter().map(|q| paper_topk(sys, &q.point, q.k));
     ranges.chain(topks).map(|out| out.trace)
 }
 
@@ -661,7 +655,7 @@ pub fn fig14() -> Report {
                 w.ranges
                     .iter()
                     .map(|q| {
-                        let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
+                        let out = paper_range(sys, &q.lo, &q.hi);
                         complex_query_cost(&out.trace, RouteMode::Offline, sys, &cost).latency_ns
                     })
                     .sum()
@@ -926,10 +920,7 @@ pub fn ablation_replica() -> Report {
     let (mut off_lat, mut off_m, mut on_lat, mut on_m) = (0u64, 0u64, 0u64, 0u64);
     let mut n = 0u64;
     for q in &w.ranges {
-        let trace = sys
-            .query()
-            .range(&q.lo, &q.hi, &QueryOptions::offline())
-            .trace;
+        let trace = paper_range(&sys, &q.lo, &q.hi).trace;
         let off = complex_query_cost(&trace, RouteMode::Offline, &sys, &cost);
         let on = complex_query_cost(&trace, RouteMode::Online, &sys, &cost);
         off_lat += off.latency_ns;

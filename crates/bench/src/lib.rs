@@ -7,10 +7,10 @@
 //! from the simulator's cost model, so the *shape* (orderings, ratios,
 //! crossovers) is the reproduction target, per DESIGN.md §2.
 //!
-//! The simulation is here and nowhere else: [`cost`] prices the raw
-//! `RouteTrace` a query returns, [`replay`] runs a batch through the
-//! event simulator, and `smartstore-simnet` is a dependency of this
-//! crate only.
+//! The simulation is here and nowhere else: [`cost`] rebuilds the
+//! paper's trace of a query from the system's public state and prices
+//! it, [`replay`] runs a batch through the event simulator, and
+//! `smartstore-simnet` is a dependency of this crate only.
 
 pub mod baselines;
 pub mod cost;

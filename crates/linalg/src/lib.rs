@@ -12,7 +12,7 @@
 //! * [`svd`] — a one-sided Jacobi SVD ([`svd::jacobi_svd`]) plus the
 //!   truncated rank-*p* form used by LSI ([`svd::TruncatedSvd`]).
 //! * [`lsi`] — the LSI model: build the attribute×item matrix, factor it,
-//!   fold queries into the semantic subspace, and score similarities.
+//!   and score similarities in the semantic subspace.
 //! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding; the paper
 //!   discusses K-means as the alternative grouping tool (§3.1.1), and the
 //!   benchmark harness uses it for the grouping ablation.

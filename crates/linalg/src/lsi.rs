@@ -13,8 +13,7 @@
 //!    small ones (timestamps in days),
 //! 3. compute the truncated SVD `A ≈ U_p Σ_p Vᵀ_p`,
 //! 4. score correlation of items i, j as the cosine of their semantic
-//!    coordinates (columns i, j of `Vᵀ_p` scaled by `Σ_p`), and fold ad
-//!    hoc query vectors via `q̂ = Σ_p⁻¹ U_pᵀ q`.
+//!    coordinates (columns i, j of `Vᵀ_p` scaled by `Σ_p`).
 
 use crate::cosine_similarity;
 use crate::matrix::Matrix;
@@ -42,8 +41,7 @@ impl Default for LsiConfig {
     }
 }
 
-/// Per-attribute standardization parameters remembered so queries can be
-/// transformed identically to the corpus.
+/// Per-attribute standardization parameters of a corpus.
 #[derive(Clone, Debug)]
 struct RowScaler {
     mean: Vec<f64>,
@@ -91,20 +89,12 @@ impl RowScaler {
             });
         out
     }
-
-    fn apply_vec(&self, q: &[f64]) -> Vec<f64> {
-        q.iter()
-            .zip(self.mean.iter().zip(self.inv_std.iter()))
-            .map(|(&x, (&m, &s))| (x - m) * s)
-            .collect()
-    }
 }
 
 /// A fitted LSI model over `n` items with `D` attributes.
 #[derive(Clone, Debug)]
 pub struct Lsi {
     config: LsiConfig,
-    scaler: Option<RowScaler>,
     svd: TruncatedSvd,
     /// Semantic coordinates of all items, flattened `n × p` row-major:
     /// row `j` equals column `j` of `Σ_p Vᵀ_p` (so inner products
@@ -120,10 +110,10 @@ impl Lsi {
     /// Fits an LSI model to an attribute×item matrix (`D` rows, `n`
     /// columns — one column per item).
     pub fn fit(attr_by_item: &Matrix, config: LsiConfig) -> Self {
-        let scaler = config.standardize.then(|| RowScaler::fit(attr_by_item));
-        let scaled = match &scaler {
-            Some(s) => s.apply_matrix(attr_by_item),
-            None => attr_by_item.clone(),
+        let scaled = if config.standardize {
+            RowScaler::fit(attr_by_item).apply_matrix(attr_by_item)
+        } else {
+            attr_by_item.clone()
         };
         let rank = config.rank.min(scaled.rows().min(scaled.cols()).max(1));
         let svd = truncated_svd(&scaled, rank);
@@ -137,7 +127,6 @@ impl Lsi {
         }
         Self {
             config,
-            scaler,
             svd,
             coords,
             n_items: n,
@@ -206,16 +195,6 @@ impl Lsi {
     pub fn similarity(&self, i: usize, j: usize) -> f64 {
         cosine_similarity(self.item_coords(i), self.item_coords(j))
     }
-
-    /// Folds an ad-hoc D-dimensional query into the semantic subspace,
-    /// applying the same standardization as the corpus.
-    pub fn fold_query(&self, q: &[f64]) -> Vec<f64> {
-        let scaled = match &self.scaler {
-            Some(s) => s.apply_vec(q),
-            None => q.to_vec(),
-        };
-        self.svd.fold_query(&scaled)
-    }
 }
 
 #[cfg(test)]
@@ -258,34 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn query_routes_to_matching_cluster() {
-        let lsi = Lsi::fit_items(
-            &clustered_items(),
-            LsiConfig {
-                rank: 2,
-                standardize: true,
-            },
-        );
-        // The item whose semantic coordinates best match the folded query.
-        let most_similar = |q: &[f64]| {
-            let folded = lsi.fold_query(q);
-            (0..lsi.n_items())
-                .max_by(|&a, &b| {
-                    cosine_similarity(&folded, lsi.item_coords(a))
-                        .total_cmp(&cosine_similarity(&folded, lsi.item_coords(b)))
-                })
-                .unwrap()
-        };
-        let best = most_similar(&[1.0, 1.0, 0.0, 0.0]); // looks like cluster A (items 0-2)
-        assert!(best < 3, "query should route to cluster A, got item {best}");
-        let best2 = most_similar(&[0.0, 0.0, 1.0, 1.0]);
-        assert!(
-            best2 >= 3,
-            "query should route to cluster B, got item {best2}"
-        );
-    }
-
-    #[test]
     fn correlation_matrix_is_symmetric() {
         let lsi = Lsi::fit_items(&clustered_items(), LsiConfig::default());
         for i in 0..lsi.n_items() {
@@ -325,17 +276,5 @@ mod tests {
             },
         );
         assert!(lsi.similarity(0, 1) > lsi.similarity(0, 2));
-    }
-
-    #[test]
-    fn fold_query_length_matches_rank() {
-        let lsi = Lsi::fit_items(
-            &clustered_items(),
-            LsiConfig {
-                rank: 2,
-                standardize: true,
-            },
-        );
-        assert_eq!(lsi.fold_query(&[0.5, 0.5, 0.5, 0.5]).len(), lsi.rank());
     }
 }

@@ -131,12 +131,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a fresh vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        debug_assert!(c < self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -291,14 +285,19 @@ mod tests {
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
+    /// Copies column `c` into a fresh vector.
+    fn col(a: &Matrix, c: usize) -> Vec<f64> {
+        (0..a.rows()).map(|r| a[(r, c)]).collect()
+    }
+
     #[test]
     fn col_and_set_col_roundtrip() {
         let mut a = Matrix::zeros(3, 2);
         for (r, v) in [1.0, 2.0, 3.0].into_iter().enumerate() {
             a[(r, 1)] = v;
         }
-        assert_eq!(a.col(1), vec![1.0, 2.0, 3.0]);
-        assert_eq!(a.col(0), vec![0.0, 0.0, 0.0]);
+        assert_eq!(col(&a, 1), vec![1.0, 2.0, 3.0]);
+        assert_eq!(col(&a, 0), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

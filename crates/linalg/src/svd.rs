@@ -95,34 +95,6 @@ impl TruncatedSvd {
         }
         us.matmul(&self.vt)
     }
-
-    /// Folds a query vector `q ∈ R^m` into the semantic subspace:
-    /// `q̂ = Σ_p⁻¹ U_pᵀ q` (the scaled projection the paper uses).
-    ///
-    /// Singular values below `1e-12` contribute zero rather than
-    /// exploding the projection.
-    pub fn fold_query(&self, q: &[f64]) -> Vec<f64> {
-        assert_eq!(q.len(), self.u.rows(), "fold_query: dimension mismatch");
-        let p = self.rank();
-        let mut out = vec![0.0; p];
-        for (c, o) in out.iter_mut().enumerate() {
-            let mut dot = 0.0;
-            for (r, &qv) in q.iter().enumerate() {
-                dot += self.u[(r, c)] * qv;
-            }
-            let s = self.sigma[c];
-            *o = if s > 1e-12 { dot / s } else { 0.0 };
-        }
-        out
-    }
-
-    /// Semantic-space coordinates of item (column) `j`: the `j`-th column
-    /// of `Vᵀ` scaled by nothing — `V` rows are already the item
-    /// coordinates produced by the factorization.
-    pub fn item_coords(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.vt.cols(), "item_coords: column out of range");
-        (0..self.rank()).map(|r| self.vt[(r, j)]).collect()
-    }
 }
 
 /// Computes the full SVD of `a` with one-sided Jacobi rotations.
@@ -310,19 +282,6 @@ mod tests {
         let err = a.sub(&t.reconstruct()).frobenius_norm();
         // Frobenius error of best rank-2 approx == sqrt of sum of dropped σ².
         assert_close(err, 0.1, 1e-9);
-    }
-
-    #[test]
-    fn fold_query_recovers_item_coordinates() {
-        // For a column a_j of A, Σ⁻¹Uᵀa_j = (row j of V) exactly.
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        let t = truncated_svd(&a, 2);
-        let q = a.col(0);
-        let folded = t.fold_query(&q);
-        let item = t.item_coords(0);
-        for (f, i) in folded.iter().zip(item.iter()) {
-            assert_close(*f, *i, 1e-9);
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   point/range/top-k queries (with [`QueryOptions`] instead of loose
 //!   `RouteMode` + `k` arguments), metadata mutations, and statistics,
 //!   plus the deterministic shard-response merges; a reply is the
-//!   answer and nothing else — the paper's simulated cost is priced
-//!   from a `RouteTrace` in `smartstore-bench`, never while serving
-//!   and never on the wire;
+//!   answer and nothing else — the paper's simulated cost is rebuilt
+//!   and priced in `smartstore-bench`, never while serving and never
+//!   on the wire;
 //! * [`codec`] — wire encoding on the `smartstore-persist` primitive
 //!   codec with the same CRC-32 record framing as the WAL (and the
 //!   same parser of it), so requests and responses can cross a network

@@ -7,8 +7,8 @@
 //! answer. Both are plain data — `Clone`/`Debug`/`PartialEq` — and
 //! wire-encodable through [`crate::codec`], so they can cross a
 //! network, be logged, or be replayed. A reply carries the answer only:
-//! what a query touched stays server-side in its
-//! [`smartstore::routing::RouteTrace`].
+//! what a query touched (units, filters, rows and version records)
+//! stays server-side in its [`smartstore::routing::RouteTrace`].
 //!
 //! Responses from several shards merge deterministically
 //! ([`merge_responses`]): id sets union-sort-dedup exactly like a

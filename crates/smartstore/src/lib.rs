@@ -24,7 +24,8 @@
 //!   multi-mapping (§4.2–4.3);
 //! * [`routing`] — on-line multicast routing vs off-line pre-processing
 //!   with replicated first-level index vectors (§3.3–3.4, Fig. 13), and
-//!   the [`routing::RouteTrace`] of raw counts every query returns;
+//!   the [`routing::RouteTrace`] every query returns: the units, filters,
+//!   rows and version records it touched;
 //! * [`query`] — the `&self` read path: [`query::QueryOptions`] and the
 //!   [`query::QueryEngine`] shared view (many concurrent readers, one
 //!   journaling writer); the `smartstore-service` crate lifts it into a
@@ -39,8 +40,10 @@
 //!   [`system::SystemParts`] export/import used by the durable
 //!   `smartstore-persist` crate (snapshots + WAL + crash recovery).
 //!
-//! The paper's simulated latencies and message counts (§5) are not
-//! computed here: `smartstore-bench` prices a trace under a cost model.
+//! The paper's simulated latencies, message counts and group hops (§5)
+//! are not computed here: `smartstore-bench` rebuilds the paper's trace
+//! of a query from this crate's public state and prices it under a cost
+//! model.
 //!
 //! Durability tunables (WAL fsync batching, compaction threshold) live
 //! in [`config::PersistConfig`]; the persistence implementation itself

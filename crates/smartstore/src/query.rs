@@ -19,10 +19,12 @@
 //! API and the `smartstore-service` request protocol.
 //!
 //! Every entry point returns a [`QueryOutcome`]: the answer and a
-//! [`crate::routing::RouteTrace`] of raw counts. `opts.mode` changes
-//! neither — on-line and off-line routing reach the same units — so
-//! evaluation does not read it; it is the argument under which
-//! `smartstore-bench` prices a trace for the paper's Fig. 13.
+//! [`crate::routing::RouteTrace`] of the units, filters, rows and
+//! version records it touched. `opts.mode` changes neither — on-line
+//! and off-line routing reach the same units — so evaluation does not
+//! read it. It names the routing mode under which `smartstore-bench`
+//! prices the paper's trace of a query, which it rebuilds itself
+//! (`cost::paper_range`, `cost::paper_topk`), for Fig. 13.
 //!
 //! Evaluation itself runs on the storage units' *columnar* read path
 //! (flat SoA coordinate scans, bounded-heap top-k — see
@@ -40,8 +42,8 @@ use crate::system::{QueryOutcome, SmartStoreSystem};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QueryOptions {
     /// Routing mode: on-line multicast or off-line replicated-index
-    /// direct routing (§3.3–3.4). Advisory: it selects how a trace is
-    /// priced, not how a query is evaluated.
+    /// direct routing (§3.3–3.4). Advisory: it selects how the paper's
+    /// trace of a query is priced, not how a query is evaluated.
     pub mode: RouteMode,
     /// Result-set size for top-k queries (the paper evaluates k = 8);
     /// ignored by point and range queries.

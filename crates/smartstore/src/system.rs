@@ -9,8 +9,9 @@
 //!
 //! Every query returns a [`QueryOutcome`]: the answer plus a
 //! [`RouteTrace`] of what it touched, as raw counts. The paper's
-//! simulated latencies and message counts (§5) are computed from those
-//! counts by `smartstore-bench`, never here.
+//! simulated latencies, message counts and group hops (§5) are rebuilt
+//! and priced by `smartstore-bench` from the system's public state,
+//! never here.
 
 use crate::config::SmartStoreConfig;
 use crate::grouping::partition_tiled_flat;
@@ -18,10 +19,10 @@ use crate::mapping::{map_index_units, IndexMapping};
 use crate::names::{first_in_store_order, NameIndex};
 use crate::routing::RouteTrace;
 use crate::tree::{NodeId, SemanticRTree};
-use crate::unit::{LocalWork, StorageUnit};
+use crate::unit::StorageUnit;
 use crate::versioning::{Change, VersionStore};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::collections::HashMap;
 
@@ -88,8 +89,8 @@ pub struct SystemParts {
     pub versioning_enabled: bool,
     /// Accumulated replica-maintenance message count.
     pub maintenance_messages: u64,
-    /// Seed for re-deriving the post-restore RNG stream (entry-point
-    /// selection and remapping only — never query answers).
+    /// Seed for re-deriving the post-restore RNG stream (index-unit
+    /// remapping only — never query answers).
     pub reseed: u64,
 }
 
@@ -239,7 +240,7 @@ impl SmartStoreSystem {
     /// [`Self::to_parts`]. Query answers of the reassembled system are
     /// identical to the exported one's (units, tree summaries, Bloom
     /// filters and version chains come back byte-for-byte); only the
-    /// RNG stream (query entry points, future remappings) restarts.
+    /// RNG stream (future remappings) restarts.
     pub fn from_parts(parts: SystemParts) -> Self {
         let mut owner = HashMap::new();
         for u in &parts.units {
@@ -327,21 +328,14 @@ impl SmartStoreSystem {
         assert_eq!(lo.len(), ATTR_DIMS, "range_query: lo dims");
         assert_eq!(hi.len(), ATTR_DIMS, "range_query: hi dims");
         let route = self.tree.route_range(lo, hi);
-        let mut trace = RouteTrace::routed(&route);
+        let mut trace = RouteTrace {
+            units_routed: route.target_units.len(),
+            ..RouteTrace::default()
+        };
         let mut results = Vec::new();
-        let mut bearing_units = Vec::new();
         for &u in &route.target_units {
-            let before = results.len();
-            let w = self.units[u].range_into(lo, hi, &mut results);
-            if results.len() > before {
-                bearing_units.push(u);
-            }
-            trace.add_unit(w);
+            trace.add_unit(self.units[u].range_into(lo, hi, &mut results));
         }
-        // Fig. 8's routing distance counts the groups where results were
-        // *obtained* — MBR pre-checks at index-unit hosts are not group
-        // visits.
-        trace.bearing_group_hops = self.tree.group_hops(bearing_units);
         if self.versioning_enabled {
             trace.version_chains = self.versions.len();
             trace.version_records = self.apply_versions_to_range(lo, hi, &mut results);
@@ -365,9 +359,8 @@ impl SmartStoreSystem {
         k: usize,
     ) -> (Vec<(u64, f64)>, QueryOutcome) {
         assert_eq!(point.len(), ATTR_DIMS, "topk_query: point dims");
-        let (order, nodes_visited) = self.tree.route_topk(point);
+        let (order, _) = self.tree.route_topk(point);
         let mut trace = RouteTrace {
-            nodes_visited,
             units_routed: order.len(),
             ..RouteTrace::default()
         };
@@ -384,19 +377,10 @@ impl SmartStoreSystem {
             trace.add_unit(self.units[u].topk_into(point, &mut top));
         }
         let mut best = top.into_sorted();
-        let probed = &order[..trace.units_probed];
-        trace.group_hops = self.tree.group_hops(probed.iter().map(|&(u, _)| u));
         if self.versioning_enabled {
             trace.version_chains = self.versions.len();
             trace.version_records = self.apply_versions_to_topk(point, k, &mut best);
         }
-        // Fig. 8 semantics: hops over the units that contributed to the
-        // final answer, not every unit the MaxD walk grazed.
-        trace.bearing_group_hops = self.tree.group_hops(
-            best.iter()
-                .filter_map(|&(id, _)| self.owner.get(&id).copied())
-                .filter(|&u| probed.iter().any(|&(v, _)| v == u)),
-        );
         let outcome = QueryOutcome {
             file_ids: best.iter().map(|&(id, _)| id).collect(),
             trace,
@@ -423,32 +407,20 @@ impl SmartStoreSystem {
             // The name is hashed here, once; every filter on the
             // holders' paths probes with the same prepared key.
             let key = self.tree.prepare_point(name);
-            let mut routed = Vec::new();
             for run in holders.chunk_by(|a, b| a.unit == b.unit) {
                 let u = run[0].unit;
                 let (reached, probed) = self.tree.reaches(u, &key);
-                trace.nodes_visited += probed;
                 trace.filters_probed += probed;
                 if !reached {
                     continue;
                 }
-                routed.push(u);
+                trace.units_routed += 1;
+                trace.units_probed += 1;
                 let unit = &self.units[u];
-                let hit = unit.bloom().contains_prepared(&key);
-                trace.add_unit(LocalWork {
-                    records: usize::from(hit),
-                    filters: 1,
-                    rows_read: 0,
-                });
-                if hit {
+                if unit.bloom().contains_prepared(&key) {
                     results.extend(first_in_store_order(unit, name, run));
                 }
             }
-            trace.units_routed = routed.len();
-            trace.group_hops = self.tree.group_hops(routed);
-            // Every reached unit is where a point answer is looked for,
-            // so all routed groups count as bearing.
-            trace.bearing_group_hops = trace.group_hops;
         }
         if self.versioning_enabled && results.is_empty() {
             // Staleness recovery: a file created after the last replica
@@ -869,10 +841,5 @@ impl SmartStoreSystem {
                 .or_insert_with(|| VersionStore::new(self.cfg.version_ratio));
         }
         id
-    }
-
-    /// Random home unit for a query (the paper's entry point, §2.2).
-    pub fn random_home(&mut self) -> usize {
-        self.rng.gen_range(0..self.units.len())
     }
 }

@@ -84,10 +84,6 @@ pub struct Route {
     pub nodes_visited: usize,
     /// Bloom filters probed (point queries).
     pub filters_probed: usize,
-    /// Routing distance in groups: 0 when every target unit lies in one
-    /// first-level group (the paper's "0-hop", Fig. 8), otherwise the
-    /// number of additional first-level groups visited.
-    pub group_hops: usize,
 }
 
 /// The semantic R-tree over a set of storage units.
@@ -107,9 +103,9 @@ pub struct SemanticRTree {
 }
 
 /// A `Vec<NodeId>` that lives on the stack up to `N` entries and moves
-/// to the heap beyond: the descent stack and the group tally of a point
-/// query stay allocation-free at any realistic fan-out × height, and a
-/// deeper tree costs an allocation, never a panic.
+/// to the heap beyond: the descent stack of a point query stays
+/// allocation-free at any realistic fan-out × height, and a deeper tree
+/// costs an allocation, never a panic.
 enum SpillVec<const N: usize> {
     Inline { buf: [NodeId; N], len: usize },
     Heap(Vec<NodeId>),
@@ -148,40 +144,6 @@ impl<const N: usize> SpillVec<N> {
             }
             SpillVec::Heap(v) => v.pop(),
         }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [NodeId] {
-        match self {
-            SpillVec::Inline { buf, len } => &mut buf[..*len],
-            SpillVec::Heap(v) => v,
-        }
-    }
-}
-
-/// Tally of the first-level groups a query's units fall in.
-struct GroupSpan(SpillVec<16>);
-
-impl GroupSpan {
-    fn new() -> Self {
-        GroupSpan(SpillVec::new())
-    }
-
-    /// Notes one unit's group. Units of one group arrive back to back
-    /// from a tree descent, so skipping a repeat of the last group
-    /// keeps the tally near the number of *groups*.
-    fn note(&mut self, group: NodeId) {
-        if self.0.as_mut_slice().last() != Some(&group) {
-            self.0.push(group);
-        }
-    }
-
-    /// Groups noted beyond the first (0 for none or one — the paper's
-    /// 0-hop case).
-    fn extra_groups(mut self) -> usize {
-        let groups = self.0.as_mut_slice();
-        groups.sort_unstable();
-        let distinct = groups.len() - groups.windows(2).filter(|w| w[0] == w[1]).count();
-        distinct.saturating_sub(1)
     }
 }
 
@@ -496,7 +458,6 @@ impl SemanticRTree {
                 stack.extend(node.children.iter().copied());
             }
         }
-        route.group_hops = self.group_hops(route.target_units.iter().copied());
         route
     }
 
@@ -566,7 +527,6 @@ impl SemanticRTree {
     pub fn route_point(&self, name: &str) -> Route {
         let key = self.prepare_point(name);
         let mut route = Route::default();
-        let mut groups = GroupSpan::new();
         let mut stack = SpillVec::<64>::new();
         stack.push(self.root);
         while let Some(n) = stack.pop() {
@@ -578,7 +538,6 @@ impl SemanticRTree {
             }
             if node.level == 0 {
                 if let Some(unit) = node.unit {
-                    groups.note(self.group_of_leaf(n));
                     route.target_units.push(unit);
                 }
             } else {
@@ -587,7 +546,6 @@ impl SemanticRTree {
                 }
             }
         }
-        route.group_hops = groups.extra_groups();
         route
     }
 
@@ -618,17 +576,6 @@ impl SemanticRTree {
             cur = node.parent;
         }
         (false, probed)
-    }
-
-    /// Number of *extra* first-level groups a set of units spans (0
-    /// when all of them share one group — the paper's 0-hop case).
-    /// Repeated unit ids are fine.
-    pub fn group_hops(&self, units: impl IntoIterator<Item = usize>) -> usize {
-        let mut groups = GroupSpan::new();
-        for leaf in units.into_iter().filter_map(|u| self.leaf_of_unit(u)) {
-            groups.note(self.group_of_leaf(leaf));
-        }
-        groups.extra_groups()
     }
 
     /// The first-level index unit whose semantic centroid is most

@@ -330,14 +330,14 @@ impl ZoneMap {
 }
 
 /// Work performed by a local query, as raw counts
-/// ([`crate::routing::RouteTrace`] aggregates them per query).
+/// ([`crate::routing::RouteTrace`] sums `rows_read` per query).
 ///
-/// Counting rule for `records`: scan-evaluated queries (range,
-/// top-k) examine every record of the unit; a point lookup is charged
-/// one record on a hit and none on a miss — the *indexed* rule of the
-/// cost model, in which a name index resolves the filename behind the
-/// Bloom probe, so a Bloom false positive costs a hash probe, not a
-/// prefix scan.
+/// Counting rule for `records`, the paper's §5 charge: scan-evaluated
+/// queries (range, top-k) examine every record of the unit; a point
+/// lookup is charged one record on a hit and none on a miss — the
+/// *indexed* rule of the cost model, in which a name index resolves the
+/// filename behind the Bloom probe, so a Bloom false positive costs a
+/// hash probe, not a prefix scan. Only `smartstore-bench` reads it.
 ///
 /// `rows_read` is what the zone map leaves of that full scan: the rows
 /// whose coordinates the scan actually read. It depends on the unit's
@@ -347,8 +347,6 @@ impl ZoneMap {
 pub struct LocalWork {
     /// Metadata records examined.
     pub records: usize,
-    /// Bloom filters probed.
-    pub filters: usize,
     /// Rows whose coordinates a range or top-k scan read: the rows of
     /// the zones a range scan masks (not those it skips or emits
     /// whole), and of the zones a top-k scan visits. Zero for a point
@@ -926,10 +924,7 @@ impl StorageUnit {
     /// scan — serving never calls it — charged by the indexed rule of
     /// [`LocalWork`]: one record on a hit, none on a miss.
     pub fn point_query(&self, name: &str) -> (Option<&FileMetadata>, LocalWork) {
-        let mut work = LocalWork {
-            filters: 1,
-            ..LocalWork::default()
-        };
+        let mut work = LocalWork::default();
         if !self.bloom.contains(name.as_bytes()) {
             return (None, work);
         }
@@ -1175,7 +1170,6 @@ mod tests {
         let name = u.files()[17].name.clone();
         let (hit, work) = u.point_query(&name);
         assert_eq!(hit.unwrap().name, name);
-        assert_eq!(work.filters, 1);
         assert!(work.records >= 1);
     }
 

@@ -18,7 +18,7 @@ use smartstore::tree::NodeId;
 use smartstore::versioning::{Change, VersionStore};
 use smartstore::{QueryOptions, QueryOutcome, SmartStoreConfig, SmartStoreSystem};
 use smartstore_trace::{FileMetadata, GeneratorConfig, MetadataPopulation, ATTR_DIMS};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 type Chains = Vec<(NodeId, VersionStore)>;
 
@@ -141,20 +141,6 @@ fn reference_topk(
     best.truncate(k);
     out.trace.version_chains = chains.len();
     out.trace.version_records = scanned;
-    // Bearing hops are counted over the final answer's owners among the
-    // probed units.
-    let owner: HashMap<u64, usize> = raw
-        .units()
-        .iter()
-        .flat_map(|u| u.file_ids().iter().map(move |&id| (id, u.id)))
-        .collect();
-    let (order, _) = raw.tree().route_topk(point);
-    let probed = &order[..out.trace.units_probed];
-    out.trace.bearing_group_hops = raw.tree().group_hops(
-        best.iter()
-            .filter_map(|(id, _)| owner.get(id).copied())
-            .filter(|&u| probed.iter().any(|&(v, _)| v == u)),
-    );
     out.file_ids = best.iter().map(|&(id, _)| id).collect();
     (best, out)
 }

@@ -25,19 +25,17 @@
 //!
 //! After every step: the name index equals a rebuild from the units;
 //! the live answer equals the reference answer; `paper_point`'s outcome
-//! equals the reference outcome, trace included; and the live trace
-//! reached exactly the routed units that hold the name.
+//! equals the reference outcome, the paper's trace included; and the
+//! live trace reached exactly the routed units that hold the name.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use smartstore::routing::RouteTrace;
 use smartstore::tree::NodeId;
-use smartstore::unit::LocalWork;
 use smartstore::versioning::{Change, VersionStore};
-use smartstore::{QueryOutcome, SmartStoreConfig, SmartStoreSystem, SystemParts};
-use smartstore_bench::cost::paper_point;
+use smartstore::{SmartStoreConfig, SmartStoreSystem, SystemParts};
+use smartstore_bench::cost::{paper_point, PaperOutcome, PaperTrace};
 use smartstore_trace::{FileMetadata, GeneratorConfig, MetadataPopulation};
 use std::collections::HashSet;
 
@@ -70,15 +68,15 @@ fn effective_changes(vs: &VersionStore) -> (Vec<&Change>, usize) {
 
 /// The reference evaluation: the Bloom descent, the unit probe and the
 /// first-slot lookup, then the version fallback (`chains` is `None`
-/// when versioning is off). Also returns the units the descent routed
-/// to, in visit order.
+/// when versioning is off), with the paper's counts of it. Also returns
+/// the units the descent routed to, in visit order.
 fn reference_point(
     sys: &SmartStoreSystem,
     chains: Option<&Chains>,
     name: &str,
-) -> (QueryOutcome, Vec<usize>) {
+) -> (PaperOutcome, Vec<usize>) {
     let tree = sys.tree();
-    let mut trace = RouteTrace::default();
+    let mut trace = PaperTrace::default();
     let mut results = Vec::new();
     let mut routed = Vec::new();
     let mut groups = Vec::new();
@@ -97,19 +95,14 @@ fn reference_point(
         let Some(u) = node.unit else { continue };
         groups.push(tree.group_of_leaf(n));
         routed.push(u);
+        trace.units_probed += 1;
         let unit = &sys.units()[u];
-        let mut work = LocalWork {
-            records: 0,
-            filters: 1,
-            rows_read: 0,
-        };
         if unit.bloom().contains(name.as_bytes()) {
             if let Some(f) = unit.files().iter().find(|f| f.name == name) {
-                work.records = 1;
+                trace.max_unit_records = 1;
                 results.push(f.file_id);
             }
         }
-        trace.add_unit(work);
     }
     trace.units_routed = routed.len();
     groups.sort_unstable();
@@ -133,7 +126,7 @@ fn reference_point(
     }
     results.sort_unstable();
     results.dedup();
-    let outcome = QueryOutcome {
+    let outcome = PaperOutcome {
         file_ids: results,
         trace,
     };
@@ -150,8 +143,7 @@ fn check(sys: &SmartStoreSystem, names: &[String]) -> Result<(), TestCaseError> 
         let got = sys.query().point(name);
         prop_assert_eq!(&got.file_ids, &want.file_ids, "answer of {:?}", name);
         prop_assert_eq!(&paper_point(sys, name), &want, "paper route of {:?}", name);
-        // The live path reaches the routed units that hold the name,
-        // and examines a record where the reference does.
+        // The live path reaches the routed units that hold the name.
         let holding = sys.units_holding(name);
         let reached = routed
             .iter()
@@ -159,7 +151,7 @@ fn check(sys: &SmartStoreSystem, names: &[String]) -> Result<(), TestCaseError> 
             .count();
         prop_assert_eq!(got.trace.units_routed, reached, "reached for {:?}", name);
         prop_assert_eq!(got.trace.units_probed, reached);
-        prop_assert_eq!(got.trace.records_examined, want.trace.records_examined);
+        prop_assert_eq!(got.trace.rows_read, 0);
         prop_assert_eq!(got.trace.version_chains, want.trace.version_chains);
         prop_assert_eq!(got.trace.version_records, want.trace.version_records);
     }

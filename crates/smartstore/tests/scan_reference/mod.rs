@@ -22,7 +22,6 @@ use smartstore::unit::{LocalWork, StorageUnit};
 use smartstore::versioning::{Change, VersionStore};
 use smartstore_rtree::Rect;
 use smartstore_trace::ATTR_DIMS;
-use std::collections::HashMap;
 
 /// A unit's range hits in ascending store slot order.
 pub type RangeScan = fn(&StorageUnit, &[f64], &[f64]) -> (Vec<u64>, LocalWork);
@@ -94,7 +93,6 @@ fn walk_topk(u: &StorageUnit, point: &[f64], k: usize) -> (Vec<(u64, f64)>, Loca
 fn full_scan(u: &StorageUnit) -> LocalWork {
     LocalWork {
         records: u.len(),
-        filters: 0,
         rows_read: u.len(),
     }
 }
@@ -120,23 +118,14 @@ pub struct Shadow {
     versioning: bool,
     /// The version chains in group order.
     chains: Vec<VersionStore>,
-    /// file id → unit, rebuilt from the units as `from_parts` does.
-    owner: HashMap<u64, usize>,
 }
 
 impl Shadow {
     pub fn of(sys: &SmartStoreSystem) -> Self {
         let parts = sys.to_parts();
-        let mut owner = HashMap::new();
-        for u in sys.units() {
-            for &id in u.file_ids() {
-                owner.insert(id, u.id);
-            }
-        }
         Self {
             versioning: parts.versioning_enabled,
             chains: parts.versions.into_iter().map(|(_, vs)| vs).collect(),
-            owner,
         }
     }
 }
@@ -151,18 +140,16 @@ pub fn range(
     hi: &[f64],
 ) -> QueryOutcome {
     let route = sys.tree().route_range(lo, hi);
-    let mut trace = RouteTrace::routed(&route);
+    let mut trace = RouteTrace {
+        units_routed: route.target_units.len(),
+        ..RouteTrace::default()
+    };
     let mut results = Vec::new();
-    let mut bearing_units = Vec::new();
     for &u in &route.target_units {
         let (ids, w) = (scans.range)(&sys.units()[u], lo, hi);
-        if !ids.is_empty() {
-            bearing_units.push(u);
-        }
         results.extend(ids);
         trace.add_unit(w);
     }
-    trace.bearing_group_hops = sys.tree().group_hops(bearing_units);
     if shadow.versioning {
         trace.version_chains = shadow.chains.len();
         trace.version_records = versions_to_range(&shadow.chains, lo, hi, &mut results);
@@ -185,9 +172,8 @@ pub fn topk(
     point: &[f64],
     k: usize,
 ) -> (Vec<(u64, f64)>, QueryOutcome) {
-    let (order, nodes_visited) = sys.tree().route_topk(point);
+    let (order, _) = sys.tree().route_topk(point);
     let mut trace = RouteTrace {
-        nodes_visited,
         units_routed: order.len(),
         ..RouteTrace::default()
     };
@@ -207,17 +193,10 @@ pub fn topk(
         best.sort_by(by_distance);
         best.truncate(k);
     }
-    let probed = &order[..trace.units_probed];
-    trace.group_hops = sys.tree().group_hops(probed.iter().map(|&(u, _)| u));
     if shadow.versioning {
         trace.version_chains = shadow.chains.len();
         trace.version_records = versions_to_topk(&shadow.chains, point, k, &mut best);
     }
-    trace.bearing_group_hops = sys.tree().group_hops(
-        best.iter()
-            .filter_map(|(id, _)| shadow.owner.get(id).copied())
-            .filter(|&u| probed.iter().any(|&(v, _)| v == u)),
-    );
     let outcome = QueryOutcome {
         file_ids: best.iter().map(|&(id, _)| id).collect(),
         trace,

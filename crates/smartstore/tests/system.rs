@@ -134,55 +134,6 @@ fn point_query_finds_files_and_rejects_ghosts() {
 }
 
 #[test]
-fn point_trace_is_the_public_route_plus_the_routed_units_probes() {
-    // Serving answers a point lookup from the name index; the paper's
-    // route survives as `paper_point`, which `repro` prices. Its trace
-    // must be what the public pieces report when called one after
-    // another: `route_point`, then `point_query` at every routed unit.
-    // Its answer, and the live one, must be theirs too.
-    use smartstore::routing::RouteTrace;
-    use smartstore_bench::cost::paper_point;
-    let (mut sys, pop) = system(6000, 40, 23);
-    // Version chains answer only after the units have; off, the trace
-    // is the tree's and the units' alone.
-    sys.set_versioning(false);
-    // A stale index too: files the units hold that no filter knows.
-    for f in pop.files.iter().take(40) {
-        let mut moved = f.clone();
-        moved.file_id += 1_000_000;
-        moved.name = format!("late_{}", f.name);
-        sys.apply_change(Change::Insert(moved));
-    }
-    let names = (pop.files.iter().step_by(8).map(|f| f.name.clone()))
-        .chain((0..40).map(|i| format!("late_{}", pop.files[i].name)))
-        .chain((0..210).map(|i| format!("ghost_{i:05}.dat")));
-    let mut checked = 0;
-    for name in names {
-        let route = sys.tree().route_point(&name);
-        let mut want = RouteTrace::routed(&route);
-        want.bearing_group_hops = route.group_hops;
-        let mut ids = Vec::new();
-        for &u in &route.target_units {
-            let (hit, work) = sys.units()[u].point_query(&name);
-            ids.extend(hit.map(|f| f.file_id));
-            want.add_unit(work);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        let paper = paper_point(&sys, &name);
-        assert_eq!(paper.trace, want, "trace of {name:?}");
-        assert_eq!(paper.file_ids, ids, "answer of {name:?}");
-        assert_eq!(
-            sys.query().point(&name).file_ids,
-            ids,
-            "live answer of {name:?}"
-        );
-        checked += 1;
-    }
-    assert_eq!(checked, 1000);
-}
-
-#[test]
 fn topk_visits_few_units_thanks_to_maxd() {
     let (sys, pop) = system(3000, 30, 12);
     let w = QueryWorkload::generate(
@@ -372,8 +323,8 @@ fn add_unit_integrates_into_tree() {
 #[test]
 fn route_mode_changes_neither_answer_nor_trace() {
     // On-line and off-line routing reach the same units; what differs
-    // is what the paper's simulation charges for the trip (priced from
-    // the trace in `smartstore-bench`, Fig. 13).
+    // is what the paper's simulation charges for the trip (priced in
+    // `smartstore-bench`, Fig. 13).
     let (sys, pop) = system(2000, 24, 19);
     let w = QueryWorkload::generate(
         &pop,
@@ -402,47 +353,6 @@ fn route_mode_changes_neither_answer_nor_trace() {
         assert_eq!(on, off);
         assert!(on.trace.units_probed <= on.trace.units_routed);
     }
-}
-
-#[test]
-fn most_queries_are_zero_hop() {
-    // The headline grouping-efficiency claim (Fig. 8): most complex
-    // queries are served inside a single semantic group.
-    let (sys, pop) = system(3000, 30, 20);
-    let w = QueryWorkload::generate(
-        &pop,
-        &QueryGenConfig {
-            n_range: 50,
-            n_topk: 50,
-            n_point: 0,
-            distribution: QueryDistribution::Zipf,
-            seed: 7,
-            ..Default::default()
-        },
-    );
-    let mut zero = 0;
-    let mut total = 0;
-    for q in &w.ranges {
-        let out = sys.query().range(&q.lo, &q.hi, &QueryOptions::offline());
-        if out.trace.bearing_group_hops == 0 {
-            zero += 1;
-        }
-        total += 1;
-    }
-    for q in &w.topks {
-        let out = sys
-            .query()
-            .topk(&q.point, &QueryOptions::offline().with_k(q.k));
-        if out.trace.bearing_group_hops == 0 {
-            zero += 1;
-        }
-        total += 1;
-    }
-    let frac = zero as f64 / total as f64;
-    assert!(
-        frac > 0.5,
-        "majority of Zipf queries should be 0-hop, got {frac} ({zero}/{total})"
-    );
 }
 
 #[test]
@@ -477,16 +387,6 @@ fn lazy_refresh_fires_after_threshold_and_counts_maintenance() {
         "lazy refresh must flush version chains ({retained} vs {})",
         sys_frozen.stats().version_bytes
     );
-}
-
-#[test]
-fn random_home_is_in_range_and_seed_deterministic() {
-    let (mut a, _) = system(500, 5, 30);
-    let (mut b, _) = system(500, 5, 30);
-    let ha: Vec<usize> = (0..20).map(|_| a.random_home()).collect();
-    let hb: Vec<usize> = (0..20).map(|_| b.random_home()).collect();
-    assert_eq!(ha, hb, "same seed, same home sequence");
-    assert!(ha.iter().all(|&h| h < 5));
 }
 
 #[test]

@@ -81,14 +81,14 @@ fn main() {
         .count();
     println!(
         "audit range query: {} results, {}/{} updated files found, \
-         {} records examined, {} of {} units probed, {} group hops",
+         {} rows read, {} units probed, {} routed of {}",
         out.file_ids.len(),
         found,
         touched.len(),
-        out.trace.records_examined,
+        out.trace.rows_read,
         out.trace.units_probed,
+        out.trace.units_routed,
         sys.stats().n_units,
-        out.trace.bearing_group_hops,
     );
     assert!(
         found * 10 >= touched.len() * 9,

@@ -1,7 +1,8 @@
 //! Quickstart: build a SmartStore deployment over a synthetic trace and
 //! run the three query types. Each query returns its answer and a
-//! `RouteTrace` of what it touched (raw counts); the paper's simulated
-//! latencies come from pricing such traces in `smartstore-bench`
+//! `RouteTrace` of what it touched (units, filters, rows read); the
+//! paper's simulated latencies come from the traces `smartstore-bench`
+//! rebuilds and prices
 //! (`cargo run --release -p smartstore-bench --bin repro -- table4`).
 //!
 //! ```sh
@@ -60,11 +61,12 @@ fn main() {
     let rq = &w.ranges[0];
     let out = sys.query().range(&rq.lo, &rq.hi, &QueryOptions::offline());
     println!(
-        "range query : {} results ({} ideal)  records examined={}  group hops={}",
+        "range query : {} results ({} ideal)  rows read={}  units probed={} of {} routed",
         out.file_ids.len(),
         rq.ideal.len(),
-        out.trace.records_examined,
-        out.trace.bearing_group_hops,
+        out.trace.rows_read,
+        out.trace.units_probed,
+        out.trace.units_routed,
     );
 
     // 5. A top-k query: "file size around X, last visited around T —
