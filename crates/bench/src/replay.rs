@@ -9,6 +9,7 @@
 //! queueing, fan-out overlap and hot-unit hotspots all show up in the
 //! measured completion times.
 
+use crate::cost::paper_topk;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartstore::SmartStoreSystem;
@@ -96,12 +97,12 @@ pub fn replay_complex_queries(
     }
     for q in &workload.topks {
         let (order, visited) = sys.tree().route_topk(&q.point);
-        // Probe the best-first prefix the MaxD walk would touch: plan
-        // conservatively with the first three units (the measured median
-        // for k = 8; see `SmartStoreSystem::topk_query`).
-        let targets: Vec<(usize, u64)> = order
+        // Probe the best-first prefix the MaxD walk touches: the units
+        // before the first whose lower bound exceeds the k-th best
+        // distance found so far, as `cost::paper_topk` rebuilds it.
+        let probed = paper_topk(sys, &q.point, q.k).trace.units_probed;
+        let targets: Vec<(usize, u64)> = order[..probed]
             .iter()
-            .take(3)
             .map(|&(u, _)| {
                 let (_, w) = sys.units()[u].topk_query(&q.point, q.k);
                 (u, cost.per_record_ns * w.records as u64)

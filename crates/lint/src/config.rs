@@ -25,11 +25,12 @@ pub const PANIC_FREE_CRATES: &[&str] = &[
     "smartstore",
 ];
 
-/// Crates allowed to read wall clocks (D003). Benchmarks and the
-/// socket front end (latency accounting, load generation) legitimately
-/// measure time; everything else must stay a pure function of its
-/// inputs so replays and parity gates stay bit-identical.
-pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["smartstore-bench", "smartstore-net"];
+/// Crates allowed to read wall clocks (D003). Only the benchmarks
+/// measure time; everything else — the socket front end included,
+/// whose sessions are driven by bytes and whose driver waits on socket
+/// timeouts — must stay a pure function of its inputs so replays and
+/// parity gates stay bit-identical.
+pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["smartstore-bench"];
 
 /// Crates carrying wire-protocol constants (W001–W002): request and
 /// response tags, file magics, and the format version.

@@ -3,9 +3,12 @@
 //! The wire format is the persistence layer's record framing —
 //! `[len:u32][crc32:u32][payload]` — but a socket delivers it in
 //! arbitrary fragments: a `read()` may return half a header, a frame
-//! and a half, or be interrupted by a signal. [`FrameReader`]
+//! and a half, or be interrupted by a signal. A frame buffer
 //! accumulates bytes across reads and yields one *verified* frame at a
-//! time, distinguishing four outcomes the caller handles differently:
+//! time; it does no I/O, so the server's [`crate::session::Session`]
+//! feeds it whatever its driver read. [`FrameReader`] fills one from a
+//! [`Read`] and distinguishes four outcomes the caller handles
+//! differently:
 //!
 //! * a complete, checksum-verified frame;
 //! * a pause (the read timed out / would block) — the caller can check
@@ -18,6 +21,7 @@
 
 use smartstore_persist::codec::{check_record, RecordCheck, RECORD_HEADER_BYTES};
 use std::io::Read;
+use std::ops::Range;
 
 /// Frame header: `[len: u32 le][crc32: u32 le]`.
 pub const FRAME_HEADER_BYTES: usize = RECORD_HEADER_BYTES;
@@ -83,40 +87,43 @@ impl std::fmt::Display for FrameReadError {
 
 impl std::error::Error for FrameReadError {}
 
-/// Incremental frame decoder over any [`Read`].
-pub struct FrameReader<R> {
-    inner: R,
+/// The sans-IO half of frame decoding: the bytes a stream delivered,
+/// cut into verified frames as they complete. [`FrameReader`] pairs it
+/// with a [`Read`]; a [`crate::session::Session`] is fed by its driver.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBuf {
     /// Buffered-but-unconsumed bytes: `buf[start..]` is live.
     buf: Vec<u8>,
     start: usize,
     /// Total bytes consumed off the stream (error reporting).
     consumed: u64,
-    read_chunk: Vec<u8>,
 }
 
-impl<R: Read> FrameReader<R> {
-    /// Wraps a stream.
-    pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            buf: Vec::new(),
-            start: 0,
-            consumed: 0,
-            read_chunk: vec![0u8; 64 * 1024],
+impl FrameBuf {
+    /// Appends bytes the stream delivered.
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        // Reclaim the consumed prefix before growing: all of it once
+        // nothing is live, else once it dominates the buffer.
+        if self.start == self.buf.len()
+            || (self.start > 64 * 1024 && self.start * 2 > self.buf.len())
+        {
+            self.buf.drain(..self.start);
+            self.start = 0;
         }
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet part of a yielded frame.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len() - self.start
     }
 
-    /// Attempts to extract one complete frame from the buffer without
-    /// touching the underlying stream. `Ok(None)` means more bytes are
-    /// needed.
-    pub fn try_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameDecodeError> {
-        let live = &self.buf[self.start..];
-        let total = match check_record(live, MAX_FRAME_BYTES) {
+    /// Cuts the next complete frame (header + payload, checksum
+    /// verified) off the front without copying it. `Ok(None)` means
+    /// more bytes are needed. The range indexes [`FrameBuf::frame`]
+    /// until the next [`FrameBuf::extend`].
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Range<usize>>, FrameDecodeError> {
+        let total = match check_record(&self.buf[self.start..], MAX_FRAME_BYTES) {
             RecordCheck::NeedMore => return Ok(None),
             RecordCheck::Complete(len) => FRAME_HEADER_BYTES + len,
             RecordCheck::Torn(reason) => {
@@ -126,15 +133,61 @@ impl<R: Read> FrameReader<R> {
                 })
             }
         };
-        let raw = live[..total].to_vec();
-        self.start += total;
+        let frame = self.start..self.start + total;
+        self.start = frame.end;
         self.consumed += total as u64;
-        // Reclaim the consumed prefix once it dominates the buffer.
-        if self.start > 64 * 1024 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
+        Ok(Some(frame))
+    }
+
+    /// The bytes of a frame [`FrameBuf::next_frame`] returned.
+    pub(crate) fn frame(&self, frame: Range<usize>) -> &[u8] {
+        &self.buf[frame]
+    }
+
+    /// How a stream that ends here ends: `None` at a frame boundary,
+    /// else the torn frame it leaves behind.
+    pub(crate) fn end_of_stream(&self) -> Option<FrameDecodeError> {
+        (self.buffered() > 0).then(|| FrameDecodeError {
+            offset: self.consumed,
+            reason: format!(
+                "stream ended inside a frame ({} torn bytes)",
+                self.buffered()
+            ),
+        })
+    }
+}
+
+/// Incremental frame decoder over any [`Read`]: a frame buffer filled
+/// from the stream.
+pub struct FrameReader<R> {
+    inner: R,
+    frames: FrameBuf,
+    read_chunk: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps a stream.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            frames: FrameBuf::default(),
+            read_chunk: vec![0u8; 64 * 1024],
         }
-        Ok(Some(raw))
+    }
+
+    /// Bytes buffered but not yet part of a yielded frame.
+    pub fn buffered(&self) -> usize {
+        self.frames.buffered()
+    }
+
+    /// Attempts to extract one complete frame from the buffer without
+    /// touching the underlying stream. `Ok(None)` means more bytes are
+    /// needed.
+    pub fn try_buffered(&mut self) -> Result<Option<Vec<u8>>, FrameDecodeError> {
+        Ok(self
+            .frames
+            .next_frame()?
+            .map(|frame| self.frames.frame(frame).to_vec()))
     }
 
     /// Produces the next frame, reading from the stream as needed.
@@ -149,19 +202,12 @@ impl<R: Read> FrameReader<R> {
             }
             match self.inner.read(&mut self.read_chunk) {
                 Ok(0) => {
-                    return if self.buffered() == 0 {
-                        Ok(FrameEvent::Eof)
-                    } else {
-                        Err(FrameReadError::Decode(FrameDecodeError {
-                            offset: self.consumed,
-                            reason: format!(
-                                "stream ended inside a frame ({} torn bytes)",
-                                self.buffered()
-                            ),
-                        }))
+                    return match self.frames.end_of_stream() {
+                        None => Ok(FrameEvent::Eof),
+                        Some(torn) => Err(FrameReadError::Decode(torn)),
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&self.read_chunk[..n]),
+                Ok(n) => self.frames.extend(&self.read_chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock

@@ -1,36 +1,20 @@
-//! Open-loop load generation against a socket front end.
+//! Mixed request streams for the socket front end.
 //!
-//! Two halves, both deterministic where it matters:
-//!
-//! * [`generate_requests`] expands a [`MetadataPopulation`] into a
-//!   mixed request stream — Zipf-skewed point lookups, attribute range
-//!   scans, top-k probes, and mutations (insert/modify/delete) — as a
-//!   pure function of its config: same seed, bit-identical stream,
-//!   regardless of thread count.
-//! * [`run_open_loop`] replays such a stream against a live server on a
-//!   *fixed* arrival schedule ([`ArrivalSchedule`]): senders hold to the
-//!   schedule no matter how the server is doing, so queueing delay
-//!   lands in the measured latency instead of being coordinated away,
-//!   and latency is measured from each request's *scheduled* arrival —
-//!   the open-loop discipline. Shed requests ([`Response::Overloaded`])
-//!   are counted, not retried: the shed rate is the result.
-//!
-//! Results aggregate into a [`LoadReport`] with log-bucketed latency
-//! quantiles (p50/p99/p999), achieved throughput, and shed rate.
+//! [`generate_requests`] expands a [`MetadataPopulation`] into a mixed
+//! request stream — Zipf-skewed point lookups, attribute range scans,
+//! top-k probes, and mutations (insert/modify/delete) — as a pure
+//! function of its config: same seed, bit-identical stream, regardless
+//! of thread count. The socket parity suite and the `net_serving`
+//! example feed it through a server; timing the socket path is the
+//! repository benchmark's job (`benchmark/`).
 
-use crate::frame::{write_all_retry, FrameEvent, FrameReader, FRAME_HEADER_BYTES};
-use crate::histogram::LatencyHistogram;
-use crate::transport::{dial, NetAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartstore::query::QueryOptions;
 use smartstore::versioning::Change;
-use smartstore_persist::codec::Dec;
-use smartstore_service::codec::{encode_request, get_response};
-use smartstore_service::{Request, Response};
+use smartstore_service::Request;
 use smartstore_trace::distributions::Zipf;
-use smartstore_trace::{ArrivalSchedule, AttributeKind, MetadataPopulation, ATTR_DIMS};
-use std::time::{Duration, Instant};
+use smartstore_trace::{AttributeKind, MetadataPopulation, ATTR_DIMS};
 
 /// Shape of a mixed request stream.
 #[derive(Clone, Debug)]
@@ -163,212 +147,4 @@ pub fn generate_requests(pop: &MetadataPopulation, cfg: &LoadMixConfig) -> Vec<R
         out.push(req);
     }
     out
-}
-
-/// Outcome of one open-loop run.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Requests put on the wire.
-    pub sent: u64,
-    /// Requests answered with a non-shed response.
-    pub answered: u64,
-    /// Requests shed with [`Response::Overloaded`].
-    pub shed: u64,
-    /// Requests lost to transport failures (connection died before the
-    /// answer arrived).
-    pub errors: u64,
-    /// Wall-clock span from the schedule epoch to the last response.
-    pub wall_s: f64,
-    /// Scheduled-arrival→response latency of *admitted* (non-shed)
-    /// requests.
-    pub latency: LatencyHistogram,
-}
-
-impl LoadReport {
-    /// Answered requests per second of wall time.
-    pub fn achieved_rps(&self) -> f64 {
-        if self.wall_s <= 0.0 {
-            return 0.0;
-        }
-        (self.answered + self.shed) as f64 / self.wall_s
-    }
-
-    /// Fraction of answered requests that were shed.
-    pub fn shed_rate(&self) -> f64 {
-        let total = self.answered + self.shed;
-        if total == 0 {
-            return 0.0;
-        }
-        self.shed as f64 / total as f64
-    }
-
-    /// Latency quantile of admitted requests, in milliseconds.
-    pub fn latency_ms(&self, q: f64) -> f64 {
-        self.latency.quantile(q) as f64 / 1e6
-    }
-}
-
-/// Replays `requests` against `addr` on the fixed `schedule`, spread
-/// round-robin over `n_connections` connections (each with an
-/// independent sender and receiver thread). Latency is measured from
-/// each request's *scheduled* arrival time.
-///
-/// The request partition (`i % n_connections`) and per-connection order
-/// are deterministic; only the measured timings vary run to run.
-pub fn run_open_loop(
-    addr: &NetAddr,
-    requests: &[Request],
-    schedule: &ArrivalSchedule,
-    n_connections: usize,
-) -> std::io::Result<LoadReport> {
-    assert_eq!(
-        requests.len(),
-        schedule.len(),
-        "one scheduled arrival per request"
-    );
-    let n_conns = n_connections.max(1);
-    // Pre-encode every frame so encoding cost never delays a send.
-    let wires: Vec<Vec<u8>> = requests.iter().map(encode_request).collect();
-    // Epoch slightly in the future so the earliest arrivals are not
-    // already late before the sender threads exist.
-    let epoch = Instant::now() + Duration::from_millis(20);
-
-    let mut per_conn: Vec<Vec<usize>> = vec![Vec::new(); n_conns];
-    for i in 0..requests.len() {
-        per_conn[i % n_conns].push(i);
-    }
-
-    let results: Vec<std::io::Result<ConnOutcome>> = std::thread::scope(|s| {
-        let handles: Vec<_> = per_conn
-            .iter()
-            .map(|assigned| {
-                let wires = &wires;
-                let offsets = &schedule.offsets_ns;
-                s.spawn(move || drive_connection(addr, assigned, wires, offsets, epoch))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-
-    let mut report = LoadReport {
-        sent: 0,
-        answered: 0,
-        shed: 0,
-        errors: 0,
-        wall_s: 0.0,
-        latency: LatencyHistogram::new(),
-    };
-    for r in results {
-        let o = r?;
-        report.sent += o.sent;
-        report.answered += o.answered;
-        report.shed += o.shed;
-        report.errors += o.errors;
-        report.wall_s = report.wall_s.max(o.wall_s);
-        report.latency.merge(&o.latency);
-    }
-    Ok(report)
-}
-
-struct ConnOutcome {
-    sent: u64,
-    answered: u64,
-    shed: u64,
-    errors: u64,
-    wall_s: f64,
-    latency: LatencyHistogram,
-}
-
-fn drive_connection(
-    addr: &NetAddr,
-    assigned: &[usize],
-    wires: &[Vec<u8>],
-    offsets_ns: &[u64],
-    epoch: Instant,
-) -> std::io::Result<ConnOutcome> {
-    let mut writer = dial(addr)?;
-    let reader_half = writer.try_clone()?;
-    let sent = std::sync::atomic::AtomicU64::new(0);
-
-    let (recv_out,) = std::thread::scope(|s| {
-        let receiver = s.spawn(|| {
-            let mut reader = FrameReader::new(reader_half);
-            let mut answered = 0u64;
-            let mut shed = 0u64;
-            let mut errors = 0u64;
-            let mut latency = LatencyHistogram::new();
-            for &i in assigned {
-                let raw = loop {
-                    match reader.poll() {
-                        Ok(FrameEvent::Frame(raw)) => break Some(raw),
-                        Ok(FrameEvent::Pause) => continue,
-                        Ok(FrameEvent::Eof) | Err(_) => break None,
-                    }
-                };
-                let Some(raw) = raw else {
-                    // The connection died; everything still unanswered
-                    // on it is lost.
-                    errors += assigned.len() as u64 - (answered + shed + errors);
-                    break;
-                };
-                let scheduled = epoch + Duration::from_nanos(offsets_ns[i]);
-                let lat_ns = Instant::now()
-                    .saturating_duration_since(scheduled)
-                    .as_nanos() as u64;
-                let mut d = Dec::new(&raw[FRAME_HEADER_BYTES..]);
-                match get_response(&mut d) {
-                    Ok(Response::Overloaded(_)) => shed += 1,
-                    Ok(_) => {
-                        answered += 1;
-                        latency.record(lat_ns);
-                    }
-                    Err(_) => errors += 1,
-                }
-            }
-            (answered, shed, errors, latency)
-        });
-
-        // Sender: this thread holds to the schedule.
-        for &i in assigned {
-            let target = epoch + Duration::from_nanos(offsets_ns[i]);
-            loop {
-                let now = Instant::now();
-                if now >= target {
-                    break;
-                }
-                let left = target - now;
-                if left > Duration::from_micros(500) {
-                    std::thread::sleep(left - Duration::from_micros(200));
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            if write_all_retry(&mut writer, &wires[i]).is_err() {
-                break;
-            }
-            sent.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        // Half-close: the server answers what it read, then EOFs us.
-        let _ = writer.shutdown_write();
-        (match receiver.join() {
-            Ok(out) => out,
-            Err(p) => std::panic::resume_unwind(p),
-        },)
-    });
-
-    let (answered, shed, errors, latency) = recv_out;
-    Ok(ConnOutcome {
-        sent: sent.into_inner(),
-        answered,
-        shed,
-        errors,
-        wall_s: epoch.elapsed().as_secs_f64(),
-        latency,
-    })
 }

@@ -4,7 +4,9 @@
 //! Architecture: one accept thread polls the (nonblocking) listeners
 //! and hands each accepted connection to a dedicated work-stealing pool
 //! ([`rayon`]'s shim `ThreadPool`); a connection handler owns its
-//! socket for the connection's lifetime. Requests arrive as CRC-framed
+//! socket for the connection's lifetime and drives that connection's
+//! [`Session`]: it reads, feeds the session, writes what the session
+//! answered and releases its permits. Requests arrive as CRC-framed
 //! records (the exact bytes [`smartstore_service::codec`] produces for
 //! the in-process path), each answered with one response frame in
 //! arrival order, so a client can pipeline a whole batch and count
@@ -14,7 +16,8 @@
 //! a global permit pool ([`NetServerConfig::max_inflight`]) plus a
 //! per-connection cap ([`NetServerConfig::max_inflight_per_conn`]).
 //! Permits are acquired when a request is drained off the socket and
-//! released once its response bytes are written; a request that cannot
+//! released once its response bytes are written (the decision is the
+//! [`Session`]'s, see [`crate::session`]); a request that cannot
 //! get a permit is answered immediately with a typed
 //! [`Response::Overloaded`] instead of queueing unboundedly — the
 //! client backs off with jitter and retries. Queueing delay therefore
@@ -29,15 +32,16 @@
 //! per-shard WALs are flushed, and the inner [`MetadataServer`] is
 //! handed back to the caller.
 
-use crate::frame::{write_all_retry, FrameDecodeError, FrameEvent, FrameReadError, FrameReader};
+use crate::frame::write_all_retry;
+use crate::session::{PermitPool, Round, Session};
 use crate::transport::Conn;
 use rayon::ThreadPoolBuilder;
-use smartstore_service::codec::{decode_request, encode_response};
 use smartstore_service::{MetadataServer, Request, Response};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -128,46 +132,35 @@ impl Counters {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
         }
     }
+
+    fn add(&self, round: &Round, bytes_out: usize) {
+        self.requests_admitted
+            .fetch_add(round.admitted, Ordering::Relaxed);
+        self.requests_shed.fetch_add(round.shed, Ordering::Relaxed);
+        self.decode_poisoned
+            .fetch_add(u64::from(round.poisoned), Ordering::Relaxed);
+        self.bytes_in.fetch_add(round.bytes_in, Ordering::Relaxed);
+        self.bytes_out
+            .fetch_add(bytes_out as u64, Ordering::Relaxed);
+    }
 }
 
 struct Shared {
     server: RwLock<MetadataServer>,
     stop: AtomicBool,
-    /// Remaining global permits.
-    permits: AtomicI64,
+    permits: PermitPool,
     stats: Counters,
     limits: NetServerConfig,
 }
 
-impl Shared {
-    fn try_acquire(&self) -> bool {
-        let mut cur = self.permits.load(Ordering::Relaxed);
-        loop {
-            if cur <= 0 {
-                return false;
-            }
-            match self.permits.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn release(&self, n: usize) {
-        self.permits.fetch_add(n as i64, Ordering::AcqRel);
-    }
-}
-
-/// The running front end. Dropping the handle without
-/// [`NetServerHandle::shutdown`] aborts serving without flushing WALs.
+/// The running front end.
 pub struct NetServer;
 
-/// Handle to a spawned [`NetServer`].
+/// Handle to a spawned [`NetServer`]. Dropping it without
+/// [`NetServerHandle::shutdown`] still stops serving — connections
+/// answer what they drained, the accept thread is joined, the
+/// listeners close and the UDS path is unlinked — but does not flush
+/// WALs.
 pub struct NetServerHandle {
     shared: Arc<Shared>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -204,7 +197,7 @@ impl NetServer {
         let shared = Arc::new(Shared {
             server: RwLock::new(server),
             stop: AtomicBool::new(false),
-            permits: AtomicI64::new(cfg.max_inflight.max(1) as i64),
+            permits: PermitPool::new(cfg.max_inflight),
             stats: Counters::default(),
             limits: cfg.clone(),
         });
@@ -241,16 +234,12 @@ impl NetServerHandle {
     /// the requests it already drained, flush per-shard WALs, and hand
     /// the inner server back.
     pub fn shutdown(mut self) -> std::io::Result<(MetadataServer, NetServerStats)> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            join.join()
-                .map_err(|_| std::io::Error::other("net accept thread panicked"))?;
-        }
-        if let Some(path) = &self.uds_path {
-            let _ = std::fs::remove_file(path);
-        }
-        let stats = self.shared.stats.snapshot();
-        let shared = Arc::try_unwrap(self.shared)
+        let joined = self.halt();
+        let shared = Arc::clone(&self.shared);
+        drop(self);
+        joined.map_err(|_| std::io::Error::other("net accept thread panicked"))?;
+        let stats = shared.stats.snapshot();
+        let shared = Arc::try_unwrap(shared)
             .map_err(|_| std::io::Error::other("net server state still referenced"))?;
         let mut server = shared
             .server
@@ -260,6 +249,23 @@ impl NetServerHandle {
             .sync()
             .map_err(|e| std::io::Error::other(format!("WAL flush on shutdown: {e}")))?;
         Ok((server, stats))
+    }
+
+    /// Stops accepting, waits for the accept thread (which waits for
+    /// every connection handler) and unlinks the UDS path. Idempotent.
+    fn halt(&mut self) -> std::thread::Result<()> {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let joined = self.join.take().map_or(Ok(()), |join| join.join());
+        if let Some(path) = self.uds_path.take() {
+            let _ = std::fs::remove_file(path);
+        }
+        joined
+    }
+}
+
+impl Drop for NetServerHandle {
+    fn drop(&mut self) {
+        let _ = self.halt();
     }
 }
 
@@ -320,129 +326,119 @@ fn spawn_conn<'a>(shared: &'a Arc<Shared>, s: &rayon::Scope<'a>, conn: Conn) {
     s.spawn(move |_| handle_conn(&sh, conn));
 }
 
-fn handle_conn(sh: &Shared, conn: Conn) {
+/// Drives one connection's [`Session`]. A round makes one blocking
+/// read when nothing is buffered, serves what is, makes one write and
+/// then releases the round's permits.
+fn handle_conn(sh: &Shared, mut conn: Conn) {
     let _ = conn.set_read_timeout(Some(sh.limits.poll_interval));
-    let reader_half = match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => {
-            sh.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let mut reader = FrameReader::new(reader_half);
-    let mut writer = conn;
-    let mut raws: Vec<Vec<u8>> = Vec::new();
-    loop {
-        // The stop check sits *before* a fresh drain: requests already
-        // drained in the previous round were answered there, so nothing
-        // acknowledged is ever dropped.
-        if sh.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        raws.clear();
-        match reader.poll() {
-            Ok(FrameEvent::Frame(raw)) => raws.push(raw),
-            Ok(FrameEvent::Pause) => continue,
-            Ok(FrameEvent::Eof) => break,
-            Err(FrameReadError::Decode(e)) => {
-                poison_conn(sh, &mut writer, &e);
-                break;
-            }
-            Err(FrameReadError::Io(_)) => break,
-        }
-        // Drain whatever else already sits in the buffer, up to the
-        // pipeline cap. A decode error in the drained tail still lets
-        // the good prefix be served first.
-        let mut poisoned: Option<FrameDecodeError> = None;
-        while raws.len() < sh.limits.max_pipeline.max(1) {
-            match reader.try_buffered() {
-                Ok(Some(raw)) => raws.push(raw),
-                Ok(None) => break,
-                Err(e) => {
-                    poisoned = Some(e);
-                    break;
+    let mut session = Session::new(
+        &sh.permits,
+        sh.limits.max_inflight_per_conn,
+        sh.limits.max_pipeline,
+    );
+    let mut eval = |req| evaluate(sh, req);
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut out = Vec::new();
+    // The stop check sits *before* a fresh round: frames a round takes
+    // off the buffer are answered in it, so nothing acknowledged is
+    // ever dropped.
+    while !sh.stop.load(Ordering::SeqCst) {
+        out.clear();
+        let mut round = session.serve(&mut eval, &mut out);
+        if round.is_none() {
+            match conn.read(&mut chunk) {
+                Ok(0) => session.feed_eof(),
+                Ok(n) => session.feed(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
+                    ) =>
+                {
+                    continue
                 }
+                Err(_) => break,
             }
+            round = session.serve(&mut eval, &mut out);
         }
-        if serve_batch(sh, &raws, &mut writer).is_err() {
-            break;
-        }
-        if let Some(e) = poisoned {
-            poison_conn(sh, &mut writer, &e);
+        let Some(round) = round else { continue };
+        let written = if out.is_empty() {
+            Ok(())
+        } else {
+            write_all_retry(&mut conn, &out)
+        };
+        session.release();
+        sh.stats.add(&round, out.len());
+        if written.is_err() || round.close {
             break;
         }
     }
-    let _ = writer.shutdown_both();
+    let _ = conn.shutdown_both();
     sh.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Best-effort typed answer for a poisoned stream, then close: the
-/// framing is lost, so only this connection dies — the error is typed
-/// so the peer can tell corruption from overload.
-fn poison_conn(sh: &Shared, writer: &mut Conn, e: &FrameDecodeError) {
-    sh.stats.decode_poisoned.fetch_add(1, Ordering::Relaxed);
-    let resp = Response::Error(format!("connection poisoned: {e}"));
-    let _ = write_all_retry(writer, &encode_response(&resp));
+fn evaluate(sh: &Shared, req: Request) -> Response {
+    match req {
+        Request::ApplyChange { change } => {
+            sh.stats.mutations_applied.fetch_add(1, Ordering::Relaxed);
+            sh.server
+                .write()
+                .unwrap_or_else(|p| p.into_inner())
+                .apply(change)
+        }
+        read => sh
+            .server
+            .read()
+            .unwrap_or_else(|p| p.into_inner())
+            .serve_read(&read),
+    }
 }
 
-/// Serves one drained batch: admit (or shed) every request up front —
-/// the batch *is* the connection's in-flight window — evaluate in
-/// arrival order, write all response frames in one syscall, then return
-/// the permits.
-fn serve_batch(sh: &Shared, raws: &[Vec<u8>], writer: &mut Conn) -> std::io::Result<()> {
-    let per_conn = sh.limits.max_inflight_per_conn.max(1);
-    let mut held = 0usize;
-    let admitted: Vec<bool> = raws
-        .iter()
-        .map(|_| {
-            if held < per_conn && sh.try_acquire() {
-                held += 1;
-                true
-            } else {
-                false
-            }
-        })
-        .collect();
-    let mut out = Vec::new();
-    for (raw, &adm) in raws.iter().zip(&admitted) {
-        sh.stats
-            .bytes_in
-            .fetch_add(raw.len() as u64, Ordering::Relaxed);
-        let resp = if !adm {
-            sh.stats.requests_shed.fetch_add(1, Ordering::Relaxed);
-            Response::Overloaded(format!(
-                "admission budget exhausted (global {} / per-connection {})",
-                sh.limits.max_inflight, per_conn
-            ))
-        } else {
-            sh.stats.requests_admitted.fetch_add(1, Ordering::Relaxed);
-            match decode_request(raw) {
-                // The frame's CRC already passed, so a payload-level
-                // failure is a protocol mismatch, not lost framing:
-                // answer typed, keep the connection.
-                Err(e) => Response::Error(format!("undecodable request payload: {e}")),
-                Ok(req) => match req {
-                    Request::ApplyChange { change } => {
-                        sh.stats.mutations_applied.fetch_add(1, Ordering::Relaxed);
-                        sh.server
-                            .write()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .apply(change)
-                    }
-                    read => sh
-                        .server
-                        .read()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .serve_read(&read),
-                },
-            }
-        };
-        out.extend_from_slice(&encode_response(&resp));
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may unwrap
+mod tests {
+    use super::*;
+    use smartstore_service::ServerConfig;
+    use smartstore_trace::{GeneratorConfig, MetadataPopulation};
+    use std::os::unix::net::UnixStream;
+
+    #[test]
+    fn dropping_the_handle_stops_serving_and_unlinks_the_socket() {
+        let pop = MetadataPopulation::generate(GeneratorConfig {
+            n_files: 200,
+            n_clusters: 4,
+            seed: 8,
+            ..GeneratorConfig::default()
+        });
+        let server = MetadataServer::build(
+            pop.files,
+            &ServerConfig {
+                n_shards: 1,
+                units_per_shard: 4,
+                seed: 8,
+                store_dir: None,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server builds");
+        let path =
+            std::env::temp_dir().join(format!("smartstore_drop_{}.sock", std::process::id()));
+        let handle = NetServer::spawn(
+            server,
+            NetServerConfig {
+                tcp: false,
+                uds_path: Some(path.clone()),
+                ..NetServerConfig::default()
+            },
+        )
+        .expect("spawns");
+        let idle = UnixStream::connect(&path).expect("serving before the drop");
+        drop(handle);
+        assert!(!path.exists(), "the socket file outlived its server");
+        assert!(
+            UnixStream::connect(&path).is_err(),
+            "a dropped server still accepts"
+        );
+        drop(idle);
     }
-    let res = write_all_retry(writer, &out);
-    sh.stats
-        .bytes_out
-        .fetch_add(out.len() as u64, Ordering::Relaxed);
-    sh.release(held);
-    res
 }

@@ -46,7 +46,7 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
-    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
+    fn try_clone(&self) -> std::io::Result<Conn> {
         Ok(match self {
             Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
             Conn::Unix(s) => Conn::Unix(s.try_clone()?),
@@ -64,13 +64,6 @@ impl Conn {
         match self {
             Conn::Tcp(s) => s.shutdown(Shutdown::Both),
             Conn::Unix(s) => s.shutdown(Shutdown::Both),
-        }
-    }
-
-    pub(crate) fn shutdown_write(&self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
-            Conn::Unix(s) => s.shutdown(Shutdown::Write),
         }
     }
 }
@@ -100,7 +93,7 @@ impl Write for Conn {
     }
 }
 
-pub(crate) fn dial(addr: &NetAddr) -> std::io::Result<Conn> {
+fn dial(addr: &NetAddr) -> std::io::Result<Conn> {
     Ok(match addr {
         NetAddr::Tcp(a) => {
             let s = TcpStream::connect(a)?;

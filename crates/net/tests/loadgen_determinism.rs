@@ -1,15 +1,14 @@
-//! Load-generator determinism (satellite 3): the request stream and the
-//! arrival schedule are pure functions of their seeds — bit-identical
-//! across runs and across thread-pool sizes — so a serving experiment
-//! can be reproduced exactly and two deployments can be compared on the
-//! *same* offered load.
+//! Load-generator determinism: the request stream is a pure function
+//! of its seed — bit-identical across runs and across thread-pool
+//! sizes — so a serving experiment can be reproduced exactly and two
+//! deployments can be compared on the *same* offered load.
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
 use rayon::ThreadPoolBuilder;
 use smartstore_net::loadgen::{generate_requests, LoadMixConfig};
 use smartstore_service::codec::encode_request_batch;
-use smartstore_trace::{ArrivalConfig, ArrivalSchedule, GeneratorConfig, MetadataPopulation};
+use smartstore_trace::{GeneratorConfig, MetadataPopulation};
 
 fn population() -> MetadataPopulation {
     MetadataPopulation::generate(GeneratorConfig {
@@ -57,26 +56,6 @@ fn thread_count_cannot_perturb_the_stream() {
     let c = generate_requests(&pop, &mix(19));
     assert_eq!(a, b);
     assert_eq!(b, c);
-}
-
-#[test]
-fn arrival_schedule_is_deterministic_too() {
-    let cfg = ArrivalConfig {
-        rate_rps: 5_000.0,
-        n_arrivals: 10_000,
-        burstiness: 2.0,
-        seed: 23,
-        ..ArrivalConfig::default()
-    };
-    let a = ArrivalSchedule::generate(&cfg);
-    let b = ArrivalSchedule::generate(&cfg);
-    assert_eq!(a, b, "same seed, bit-identical schedule");
-    let wide = ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build()
-        .expect("pool");
-    let c = wide.install(|| ArrivalSchedule::generate(&cfg));
-    assert_eq!(a, c, "schedules are thread-count independent");
 }
 
 #[test]

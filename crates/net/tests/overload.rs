@@ -1,17 +1,17 @@
-//! Admission control under pipelined load: a bounded in-flight budget
-//! sheds excess requests with a typed [`Response::Overloaded`] instead
-//! of queueing unboundedly, sheds are counted, and admitted requests
-//! are still answered correctly and in order.
+//! Admission control over a live socket: a pipelined burst beyond a
+//! bounded in-flight budget is shed with a typed
+//! [`Response::Overloaded`] instead of queueing unboundedly, and sheds
+//! are counted. The admission rules themselves are tested without a
+//! socket, a thread or a clock in `session.rs`.
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
 use smartstore_net::frame::{FrameEvent, FrameReader, FRAME_HEADER_BYTES};
-use smartstore_net::loadgen::{generate_requests, run_open_loop, LoadMixConfig};
-use smartstore_net::{NetAddr, NetServer, NetServerConfig};
+use smartstore_net::{NetServer, NetServerConfig};
 use smartstore_persist::codec::Dec;
 use smartstore_service::codec::{encode_request, get_response};
 use smartstore_service::{MetadataServer, Request, Response, ServerConfig};
-use smartstore_trace::{ArrivalConfig, ArrivalSchedule, GeneratorConfig, MetadataPopulation};
+use smartstore_trace::{GeneratorConfig, MetadataPopulation};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -108,97 +108,4 @@ fn pipelined_burst_beyond_the_budget_sheds_typed_overloaded() {
         Response::Overloaded(String::new()).is_retryable(),
         "sheds must be retryable for clients"
     );
-}
-
-#[test]
-fn open_loop_load_accounts_for_every_request() {
-    let pop = population(800, 21);
-    let handle = NetServer::spawn(server(&pop, 2), NetServerConfig::default()).expect("spawns");
-    let addr = NetAddr::Tcp(handle.tcp_addr().expect("tcp"));
-
-    let reqs = generate_requests(
-        &pop,
-        &LoadMixConfig {
-            n_requests: 300,
-            seed: 33,
-            ..LoadMixConfig::default()
-        },
-    );
-    let schedule = ArrivalSchedule::generate(&ArrivalConfig {
-        rate_rps: 3_000.0,
-        n_arrivals: reqs.len(),
-        burstiness: 1.0,
-        seed: 33,
-        ..ArrivalConfig::default()
-    });
-    let report = run_open_loop(&addr, &reqs, &schedule, 3).expect("load run");
-    assert_eq!(report.sent, reqs.len() as u64, "open loop sends everything");
-    assert_eq!(
-        report.answered + report.shed + report.errors,
-        reqs.len() as u64,
-        "every request accounted for: {report:?}"
-    );
-    assert_eq!(report.errors, 0, "no transport failures on loopback");
-    assert!(report.answered > 0);
-    assert!(report.latency.count() == report.answered);
-    assert!(report.latency_ms(0.99) >= report.latency_ms(0.50));
-    assert!(report.achieved_rps() > 0.0);
-
-    let (_, stats) = handle.shutdown().expect("clean shutdown");
-    assert_eq!(
-        stats.requests_admitted + stats.requests_shed,
-        reqs.len() as u64,
-        "server-side accounting matches: {stats:?}"
-    );
-    assert_eq!(stats.requests_admitted, report.answered);
-    assert_eq!(stats.requests_shed, report.shed);
-}
-
-#[test]
-fn tiny_budget_under_open_loop_load_sheds_but_answers_admitted_fast() {
-    let pop = population(500, 31);
-    let handle = NetServer::spawn(
-        server(&pop, 1),
-        NetServerConfig {
-            max_inflight: 1,
-            max_inflight_per_conn: 1,
-            ..NetServerConfig::default()
-        },
-    )
-    .expect("spawns");
-    let addr = NetAddr::Tcp(handle.tcp_addr().expect("tcp"));
-
-    let reqs = generate_requests(
-        &pop,
-        &LoadMixConfig {
-            n_requests: 400,
-            mutation_weight: 0,
-            seed: 55,
-            ..LoadMixConfig::default()
-        },
-    );
-    // Arrivals far beyond a 1-permit budget's comfort: concurrent
-    // connections race the single permit and the losers are shed.
-    let schedule = ArrivalSchedule::generate(&ArrivalConfig {
-        rate_rps: 20_000.0,
-        n_arrivals: reqs.len(),
-        burstiness: 4.0,
-        seed: 55,
-        ..ArrivalConfig::default()
-    });
-    let report = run_open_loop(&addr, &reqs, &schedule, 4).expect("load run");
-    assert_eq!(report.errors, 0);
-    assert!(
-        report.shed > 0,
-        "4 connections racing one permit must shed: {report:?}"
-    );
-    assert!(report.answered > 0, "the budget still admits work");
-    // Shedding at the door is what keeps admitted requests fast: an
-    // unbounded queue would push their tail out with the backlog.
-    let p99_admitted = report.latency_ms(0.99);
-    assert!(
-        p99_admitted < 1_500.0,
-        "p99 of admitted requests must stay bounded under overload, got {p99_admitted:.1}ms"
-    );
-    handle.shutdown().expect("clean shutdown");
 }

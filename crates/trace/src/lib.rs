@@ -21,11 +21,8 @@
 //!   statistics for Tables 1–3;
 //! * [`scaleup`] — TIF scale-up (sub-trace decomposition + concurrent
 //!   replay, §5.1);
-//! * [`query_gen`] — point / range / top-k query workload generation;
-//! * [`arrivals`] — open-loop arrival schedules (Poisson or bursty)
-//!   for driving a server at a fixed request rate.
+//! * [`query_gen`] — point / range / top-k query workload generation.
 
-pub mod arrivals;
 pub mod distributions;
 pub mod generator;
 pub mod metadata;
@@ -33,7 +30,6 @@ pub mod query_gen;
 pub mod scaleup;
 pub mod workloads;
 
-pub use arrivals::{ArrivalConfig, ArrivalSchedule};
 pub use generator::{GeneratorConfig, MetadataPopulation};
 pub use metadata::{attr_subset_table, attr_table, AttributeKind, FileMetadata, ATTR_DIMS};
 pub use query_gen::{PointQuery, QueryDistribution, QueryWorkload, RangeQuery, TopKQuery};

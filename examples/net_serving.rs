@@ -1,5 +1,5 @@
 //! Network serving walkthrough: the metadata service behind a real
-//! socket, with admission control and an open-loop load burst.
+//! socket, with admission control, typed retries and a graceful drain.
 //!
 //! ```sh
 //! cargo run --release --example net_serving
@@ -8,20 +8,21 @@
 //! Flow: spawn a [`NetServer`] (TCP on an ephemeral loopback port) over
 //! a 2-shard [`MetadataServer`], verify the **parity gate** — response
 //! bytes over the socket equal the in-process wire path — then issue
-//! typed queries through a [`SocketTransport`] with retry, fire a short
-//! open-loop load burst (fixed bursty arrival schedule, log-bucketed
-//! latency histogram), and finish with a graceful shutdown that drains
-//! in-flight requests and hands the server back.
+//! typed queries through a [`SocketTransport`] with retry, and finish
+//! with a graceful shutdown that drains in-flight requests and hands
+//! the server back. Admission itself is tested without a socket
+//! (`crates/net/tests/session.rs`); serving latency and throughput are
+//! measured by `benchmark/run.sh`.
 
 #![allow(clippy::disallowed_methods)] // tests and examples may unwrap
 
-use smartstore_repro::net::loadgen::{generate_requests, run_open_loop, LoadMixConfig};
+use smartstore_repro::net::loadgen::{generate_requests, LoadMixConfig};
 use smartstore_repro::net::{NetAddr, NetServer, NetServerConfig, SocketTransport};
 use smartstore_repro::service::codec::encode_request_batch;
 use smartstore_repro::service::{
     Client, MetadataServer, Request, Response, RetryPolicy, ServerConfig, Transport,
 };
-use smartstore_repro::trace::{ArrivalConfig, ArrivalSchedule, TraceKind, WorkloadModel};
+use smartstore_repro::trace::{TraceKind, WorkloadModel};
 
 fn build_server(pop: &smartstore_repro::trace::MetadataPopulation) -> MetadataServer {
     MetadataServer::build(
@@ -64,7 +65,7 @@ fn main() {
             ..LoadMixConfig::default()
         },
     );
-    let mut socket = SocketTransport::connect(addr.clone()).expect("connect");
+    let mut socket = SocketTransport::connect(addr).expect("connect");
     let mut reference = build_server(&pop);
     for batch in stream.chunks(16) {
         let wire = encode_request_batch(batch);
@@ -93,41 +94,7 @@ fn main() {
         other => println!("point '{hot}' → {other:?}"),
     }
 
-    // 4. An open-loop burst: arrivals fixed in advance (bursty),
-    //    latency measured from the *scheduled* arrival so queueing
-    //    delay is charged to the server.
-    let reqs = generate_requests(
-        &pop,
-        &LoadMixConfig {
-            n_requests: 1_500,
-            seed: 7,
-            ..LoadMixConfig::default()
-        },
-    );
-    let schedule = ArrivalSchedule::generate(&ArrivalConfig {
-        rate_rps: 3_000.0,
-        n_arrivals: reqs.len(),
-        burstiness: 2.0,
-        seed: 7,
-        ..ArrivalConfig::default()
-    });
-    let report = run_open_loop(&addr, &reqs, &schedule, 3).expect("load burst");
-    println!(
-        "open-loop burst: {} sent, {} answered, {} shed ({:.1}%), {:.0} req/s",
-        report.sent,
-        report.answered,
-        report.shed,
-        report.shed_rate() * 100.0,
-        report.achieved_rps()
-    );
-    println!(
-        "latency: p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms",
-        report.latency_ms(0.50),
-        report.latency_ms(0.99),
-        report.latency_ms(0.999)
-    );
-
-    // 5. Graceful shutdown: drain in-flight requests, flush per-shard
+    // 4. Graceful shutdown: drain in-flight requests, flush per-shard
     //    WALs, hand the server back for in-process use.
     drop(socket);
     let (server, stats) = handle.shutdown().expect("graceful shutdown");
