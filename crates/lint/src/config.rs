@@ -37,7 +37,7 @@ pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["smartstore-bench"];
 pub const WIRE_CRATES: &[&str] = &["smartstore-service", "smartstore-persist"];
 
 /// Crates whose mutexes participate in the declared lock order (L001).
-pub const LOCK_ORDER_CRATES: &[&str] = &["shim-rayon", "smartstore-persist"];
+pub const LOCK_ORDER_CRATES: &[&str] = &["shim-rayon", "smartstore-persist", "smartstore-service"];
 
 /// The declared mutex acquisition order, outermost first. Within one
 /// function, a known mutex may only be locked after mutexes that
@@ -47,8 +47,12 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["shim-rayon", "smartstore-persist"];
 /// * `task`  — a scope task's payload slot (`shim-rayon`)
 /// * `state` — drive/join/scope shared state (`shim-rayon`)
 /// * `queue` — the pool's injector queue (`shim-rayon`)
+/// * `slot`  — a WAL batch-fsync job's state, shared by the writer
+///   that issued it and the thread that runs it (`smartstore-persist`;
+///   the service's syncer thread runs the jobs). Before `inner`: a job
+///   is run through the store's filesystem.
 /// * `inner` — the fault-VFS in-memory disk (`smartstore-persist`)
-pub const LOCK_ORDER: &[&str] = &["task", "state", "queue", "inner"];
+pub const LOCK_ORDER: &[&str] = &["task", "state", "queue", "slot", "inner"];
 
 /// Method names that iterate a hash container (D002). `get`, `insert`,
 /// `contains_key`, `len` and friends are order-blind and fine.

@@ -101,6 +101,24 @@ fn lock_order_rule_catches_the_inversion_only() {
 }
 
 #[test]
+fn lock_order_puts_the_wal_sync_job_before_the_fault_disk() {
+    let r = scan_source(
+        "fx/sync_locks.rs",
+        "smartstore-service",
+        false,
+        &fixture("sync_locks.rs"),
+    );
+    assert_eq!(
+        keys(&r),
+        vec![
+            "fx/sync_locks.rs:14:L001", // slot locked after inner in `disk_then_job`
+        ],
+        "{:#?}",
+        r.findings
+    );
+}
+
+#[test]
 fn unsafe_rule_flags_undocumented_sites_and_inventories_all() {
     let r = scan_source(
         "fx/unsafety.rs",

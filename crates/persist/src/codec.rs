@@ -129,6 +129,30 @@ impl Enc {
         self.buf
     }
 
+    /// An encoder that builds one checksummed record in `buf` (cleared,
+    /// its capacity kept): the [`RECORD_HEADER_BYTES`] header is
+    /// reserved here and filled in by [`Self::into_record`], so a caller
+    /// that hands the same buffer back each time frames every record
+    /// without allocating.
+    pub fn record_in(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        buf.resize(RECORD_HEADER_BYTES, 0);
+        Self { buf }
+    }
+
+    /// Finishes a [`Self::record_in`] encoder: the bytes
+    /// [`put_record`] would append for the payload encoded since.
+    pub fn into_record(mut self) -> Vec<u8> {
+        let payload = &self.buf[RECORD_HEADER_BYTES..];
+        assert!(payload.len() <= MAX_RECORD_BYTES, "record too large");
+        let head = [
+            (payload.len() as u32).to_le_bytes(),
+            crc32(payload).to_le_bytes(),
+        ];
+        self.buf[..RECORD_HEADER_BYTES].copy_from_slice(head.as_flattened());
+        self.buf
+    }
+
     /// Current encoded length.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -925,6 +949,23 @@ mod tests {
                 let data = &bytes[start..start + len];
                 assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn a_record_built_in_a_reused_buffer_matches_put_record() {
+        let mut buf = vec![0xAB; 300];
+        for (i, payload) in [&b""[..], b"x", &[7u8; 260]].into_iter().enumerate() {
+            let mut e = Enc::record_in(buf);
+            e.bytes(payload);
+            e.u64(i as u64);
+            buf = e.into_record();
+            let mut plain = Enc::new();
+            plain.bytes(payload);
+            plain.u64(i as u64);
+            let mut expect = Vec::new();
+            put_record(&mut expect, &plain.into_bytes());
+            assert_eq!(buf, expect, "payload {i}");
         }
     }
 

@@ -15,8 +15,9 @@
 //!   rename);
 //! * [`wal`] — the append-only change log with group-tagged frames, a
 //!   self-describing header (format version + predecessor frame count,
-//!   the cross-segment gap detector), batched `fsync` (group commit),
-//!   and torn-tail-tolerant replay (scan to the first bad checksum,
+//!   the cross-segment gap detector), batched `fsync` (group commit,
+//!   handed out as a [`SyncJob`] the caller runs at once or after the
+//!   acknowledgement), and torn-tail-tolerant replay (scan to the first bad checksum,
 //!   salvage the verified prefix, quarantine the rest to a side file);
 //! * [`vfs`] — the filesystem abstraction everything above runs on:
 //!   [`vfs::RealVfs`] in production, the deterministic fault-injecting
@@ -63,7 +64,7 @@ pub use error::{PersistError, Result};
 pub use snapshot::{load_snapshot, write_snapshot, SnapshotStats};
 pub use store::{CompactionOutcome, PersistentStore, RecoveryReport};
 pub use vfs::{CrashTail, FaultKind, FaultPlan, FaultVfs, RealVfs, Vfs, VfsFile};
-pub use wal::{WalFrame, WalProbe, WalReplay, WalWriter};
+pub use wal::{SyncJob, WalFrame, WalProbe, WalReplay, WalWriter};
 
 use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
@@ -415,7 +416,7 @@ mod tests {
             &dir.join("snapshot-00000002.snap"),
         )
         .unwrap();
-        WalWriter::create(&RealVfs, &dir.join("wal-00000002.log"), 1, 0).unwrap();
+        WalWriter::create(&RealVfs::handle(), &dir.join("wal-00000002.log"), 1, 0).unwrap();
 
         let (rec, _store, report) = SmartStoreSystem::open_from_dir(&dir).unwrap();
         assert_eq!(

@@ -46,7 +46,7 @@ use crate::codec::{self, Dec, Enc, FrameError};
 use crate::error::{PersistError, Result};
 use crate::snapshot::{self, SnapshotStats};
 use crate::vfs::{RealVfs, Vfs};
-use crate::wal::{self, WalWriter};
+use crate::wal::{self, SyncJob, WalWriter};
 use smartstore::config::PersistConfig;
 use smartstore::system::Journal;
 use smartstore::tree::NodeId;
@@ -130,12 +130,16 @@ pub struct PersistentStore {
     /// First durability error hit inside the infallible [`Journal`]
     /// hook; surfaced by [`Self::take_journal_error`] / [`Self::sync`].
     journal_error: Option<PersistError>,
-    /// Set when an append has failed: the WAL now has a *gap* relative
-    /// to the in-memory system (memory kept mutating while frames were
-    /// dropped), so further appends are refused — replaying a gapped
-    /// log would silently reconstruct an inconsistent state. The only
-    /// way forward is a compaction, whose snapshot of the full
-    /// in-memory state makes the gapped log irrelevant.
+    /// Set when an append or an `fsync` of the WAL has failed. A failed
+    /// append leaves the WAL with a *gap* relative to the in-memory
+    /// system (memory kept mutating while frames were dropped); after a
+    /// failed `fsync` the kernel may have dropped the dirty pages, so a
+    /// later `fsync` could succeed while acknowledged frames are gone.
+    /// Either way the log can no longer vouch for what was acknowledged:
+    /// further appends and syncs are refused — replaying such a log
+    /// would silently reconstruct an inconsistent state. The only way
+    /// forward is a compaction, whose snapshot of the full in-memory
+    /// state makes the log irrelevant.
     poisoned: bool,
 }
 
@@ -318,12 +322,7 @@ impl PersistentStore {
             &system.to_parts(),
             &snapshot_path(dir, generation),
         )?;
-        let wal = WalWriter::create(
-            vfs.as_ref(),
-            &wal_path(dir, generation),
-            cfg.wal_sync_every,
-            0,
-        )?;
+        let wal = WalWriter::create(&vfs, &wal_path(dir, generation), cfg.wal_sync_every, 0)?;
         write_manifest(vfs.as_ref(), dir, generation)?;
         Ok((
             Self {
@@ -389,12 +388,12 @@ impl PersistentStore {
         match probe_settled(v, &first)? {
             wal::WalProbe::Valid { .. } => {}
             wal::WalProbe::CreationArtifact => {
-                WalWriter::create(v, &first, cfg.wal_sync_every, 0)?;
+                WalWriter::create(&vfs, &first, cfg.wal_sync_every, 0)?;
             }
             wal::WalProbe::Garbage => {
                 quarantined_bytes += wal::quarantine_file(v, &first)?;
                 quarantined_bytes += quarantine_successors(v, dir, chain_end + 1);
-                WalWriter::create(v, &first, cfg.wal_sync_every, 0)?;
+                WalWriter::create(&vfs, &first, cfg.wal_sync_every, 0)?;
             }
         }
 
@@ -464,7 +463,7 @@ impl PersistentStore {
             units_migrated,
         };
         let wal = WalWriter::open_end(
-            v,
+            &vfs,
             &wal_path(dir, active),
             cfg.wal_sync_every,
             active_frames,
@@ -490,35 +489,68 @@ impl PersistentStore {
 
     /// Appends one change frame to the WAL (write-ahead: call *before*
     /// mutating the in-memory system; [`SmartStoreSystem::apply_change_journaled`]
-    /// does exactly that). Refused once the store is poisoned by an
-    /// earlier failed append — see [`Self::is_poisoned`].
+    /// does exactly that) and runs a due batch `fsync` at once, so the
+    /// frame is durable by the time this returns whenever the batch
+    /// closed with it. Refused once the store is poisoned — see
+    /// [`Self::is_poisoned`].
     pub fn append(&mut self, group: NodeId, change: &Change) -> Result<u64> {
-        if self.poisoned {
-            return Err(PersistError::Io(std::io::Error::other(
-                "journal poisoned by an earlier failed append (the log has a gap); \
-                 compact to re-establish a consistent snapshot",
-            )));
+        let (seq, due) = self.append_deferred(group, change)?;
+        if let Some(job) = due {
+            job.run();
+            // Retires the job, reporting (and poisoning on) a failure.
+            self.sync()?;
         }
-        match self.wal.append(group, change) {
-            Ok(seq) => Ok(seq),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e)
-            }
-        }
+        Ok(seq)
     }
 
-    /// Forces all appended frames to stable storage and surfaces any
-    /// error the infallible [`Journal`] hook swallowed.
+    /// [`Self::append`] without running the batch `fsync`: a due
+    /// [`SyncJob`] comes back to the caller, who may run it on another
+    /// thread after acknowledging the change. The unsynced tail stays
+    /// within `2 × wal_sync_every` frames whatever the caller does (see
+    /// [`WalWriter::append`]); a failed job poisons the store at the
+    /// next append or [`Self::sync`].
+    pub fn append_deferred(
+        &mut self,
+        group: NodeId,
+        change: &Change,
+    ) -> Result<(u64, Option<SyncJob>)> {
+        self.refuse_if_poisoned()?;
+        let appended = self.wal.append(group, change);
+        self.poison_on_err(appended)
+    }
+
+    /// Forces all appended frames to stable storage (retiring a batch
+    /// `fsync` in flight first) and surfaces any error the infallible
+    /// [`Journal`] hook swallowed. A failed `fsync` poisons the store.
     pub fn sync(&mut self) -> Result<()> {
         if let Some(e) = self.journal_error.take() {
             return Err(e);
         }
-        self.wal.sync()
+        self.refuse_if_poisoned()?;
+        let synced = self.wal.sync();
+        self.poison_on_err(synced)
     }
 
-    /// True when an append has failed and the WAL can no longer be
-    /// trusted to be gap-free; only a compaction clears this.
+    fn refuse_if_poisoned(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(PersistError::Io(std::io::Error::other(
+                "journal poisoned by an earlier failed append or fsync (the log \
+                 cannot vouch for what was acknowledged); compact to \
+                 re-establish a consistent snapshot",
+            )));
+        }
+        Ok(())
+    }
+
+    fn poison_on_err<T>(&mut self, r: Result<T>) -> Result<T> {
+        if r.is_err() {
+            self.poisoned = true;
+        }
+        r
+    }
+
+    /// True when an append or a WAL `fsync` has failed and the WAL can
+    /// no longer be trusted; only a compaction clears this.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -544,9 +576,12 @@ impl PersistentStore {
     /// irrelevant.
     pub fn compact(&mut self, system: &SmartStoreSystem) -> Result<SnapshotStats> {
         if !self.poisoned {
-            // A gapped WAL cannot be synced meaningfully; skip straight
-            // to the snapshot that supersedes it.
-            self.wal.sync()?;
+            // A poisoned WAL cannot be synced meaningfully; skip straight
+            // to the snapshot that supersedes it. (Replacing the writer
+            // below retires its batch `fsync` in flight before the old
+            // log is removed.)
+            let synced = self.wal.sync();
+            self.poison_on_err(synced)?;
         }
         let next = self.generation + 1;
         let prev_end = self.chain_end();
@@ -556,7 +591,7 @@ impl PersistentStore {
             &snapshot_path(&self.dir, next),
         )?;
         let new_wal = WalWriter::create(
-            self.vfs.as_ref(),
+            &self.vfs,
             &wal_path(&self.dir, next),
             self.cfg.wal_sync_every,
             0,

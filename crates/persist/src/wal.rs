@@ -28,9 +28,20 @@
 //! tags the first-level semantic group the change lands in (§4.4's
 //! version-per-group aggregation carried over to disk).
 //!
-//! Durability follows the group-commit pattern: frames are buffered and
-//! the file is `fsync`ed every `sync_every` appends (1 = sync each
-//! change). A crash can therefore tear the tail of the log — replay
+//! Durability follows the group-commit pattern: every frame is written
+//! in order as it is appended, and every `sync_every` appends (1 = each
+//! change) the writer hands out a [`SyncJob`] — the `fsync` that makes
+//! the frames so far durable — instead of syncing inline. Whoever holds
+//! the job decides *when* it runs: [`crate::PersistentStore::append`] runs it
+//! at once, the sharded service runs it on a syncer thread after the
+//! mutation was acknowledged. At most one job is in flight per log (a
+//! job that falls due meanwhile folds into the next), and the unsynced
+//! tail is bounded: once `2 × sync_every` frames are owed, the next
+//! append first waits for the job in flight (or, if nobody has started
+//! it yet, cancels it and syncs inline). A failed job is reported by
+//! the writer's next append or [`WalWriter::sync`].
+//!
+//! A crash can therefore tear the tail of the log — replay
 //! tolerates exactly that: it scans until the first bad frame (torn
 //! header, truncated payload, checksum mismatch, or sequence gap),
 //! reports everything before it, and recovery salvages the verified
@@ -46,6 +57,7 @@ use crate::vfs::{Vfs, VfsFile};
 use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix of WAL files.
 pub const WAL_MAGIC: &[u8; 8] = b"SSWAL\x00\x00\x00";
@@ -320,19 +332,123 @@ pub fn quarantine_file(vfs: &dyn Vfs, path: &Path) -> Result<u64> {
     Ok(len)
 }
 
+/// How far a [`SyncJob`] got. The job moves it out of `Queued`; the
+/// writer that issued the job reads the outcome and retires it.
+#[derive(Debug)]
+enum JobState {
+    /// Handed out, not started.
+    Queued,
+    /// The `fsync` is under way.
+    Running,
+    /// The frames the job covers are durable.
+    Synced,
+    /// The `fsync` failed: the kernel may have dropped the dirty pages,
+    /// so no later `fsync` can vouch for these frames.
+    Failed(std::io::Error),
+    /// Never ran: cancelled by the writer, or dropped unrun.
+    Skipped,
+}
+
+/// Where a [`SyncJob`] and the writer that issued it meet.
+#[derive(Debug)]
+struct Ticket {
+    slot: Mutex<JobState>,
+    changed: Condvar,
+}
+
+impl Ticket {
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        // The state is one enum written whole; a panic elsewhere while
+        // the lock was held cannot leave it half-updated.
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Moves a `Queued` or `Running` job to `to` and wakes a waiter.
+    fn finish(&self, to: JobState) {
+        let mut state = self.lock();
+        if matches!(*state, JobState::Queued | JobState::Running) {
+            *state = to;
+            self.changed.notify_all();
+        }
+    }
+}
+
+/// An `fsync` a [`WalWriter`] owes: the writer hands one out every
+/// `sync_every` appends instead of syncing inline, and whoever holds it
+/// picks the moment — at once, or on another thread after the append
+/// was acknowledged. [`Self::run`] syncs through a handle of its own,
+/// opened with the log's [`Vfs`], and writes no byte, so the writer may
+/// keep appending meanwhile. The writer learns the outcome at its next
+/// append or [`WalWriter::sync`]. A job dropped unrun does nothing; its
+/// frames stay owed and a later job (or the tail bound) covers them.
+#[derive(Debug)]
+pub struct SyncJob {
+    vfs: Arc<dyn Vfs>,
+    path: PathBuf,
+    ticket: Arc<Ticket>,
+}
+
+impl SyncJob {
+    /// Runs the `fsync` unless the writer cancelled the job first (it
+    /// drained, sealed or dropped the log). True when this call made
+    /// every frame appended before the job was handed out durable; a
+    /// failure is kept for the writer to report.
+    pub fn run(self) -> bool {
+        {
+            let mut state = self.ticket.lock();
+            if !matches!(*state, JobState::Queued) {
+                return false;
+            }
+            *state = JobState::Running;
+        }
+        match self.vfs.open_rw(&self.path).and_then(|mut f| f.sync()) {
+            Ok(()) => {
+                self.ticket.finish(JobState::Synced);
+                true
+            }
+            Err(e) => {
+                self.ticket.finish(JobState::Failed(e));
+                false
+            }
+        }
+    }
+}
+
+impl Drop for SyncJob {
+    fn drop(&mut self) {
+        // A no-op once the job ran. Unrun, it tells the writer nobody
+        // will run it, so its next append retires it and hands out a
+        // fresh one.
+        self.ticket.finish(JobState::Skipped);
+    }
+}
+
+/// The job a writer has handed out and not yet retired.
+#[derive(Debug)]
+struct InFlight {
+    upto: u64,
+    ticket: Arc<Ticket>,
+}
+
 /// Appending side of the log.
 #[derive(Debug)]
 pub struct WalWriter {
+    vfs: Arc<dyn Vfs>,
     file: Box<dyn VfsFile>,
     path: PathBuf,
     /// Next sequence number.
     next_seq: u64,
+    /// Frames `0..synced` are known durable.
+    synced: u64,
     /// Current file length in bytes.
     bytes: u64,
-    /// `fsync` after this many appends (1 = every append).
+    /// Hand out a [`SyncJob`] once this many frames are owed.
     sync_every: usize,
-    /// Appends since the last sync.
-    unsynced: usize,
+    /// The job handed out and not yet retired, if any.
+    in_flight: Option<InFlight>,
+    /// The frame under construction; kept so appends reuse its
+    /// allocation.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -340,20 +456,24 @@ impl WalWriter {
     /// file, and makes the header durable immediately. `prev_frames` is
     /// the frame count of the segment this one succeeds (0 for the
     /// first of a chain).
-    pub fn create(vfs: &dyn Vfs, path: &Path, sync_every: usize, prev_frames: u64) -> Result<Self> {
-        assert!(sync_every > 0, "WalWriter: sync_every must be positive");
+    pub fn create(
+        vfs: &Arc<dyn Vfs>,
+        path: &Path,
+        sync_every: usize,
+        prev_frames: u64,
+    ) -> Result<Self> {
         let header = header_bytes(prev_frames);
         let mut file = vfs.create(path)?;
         file.write_all_at(0, &header)?;
         file.sync()?;
-        Ok(Self {
+        Ok(Self::at_end(
+            vfs,
             file,
-            path: path.to_path_buf(),
-            next_seq: 0,
-            bytes: header.len() as u64,
+            path,
             sync_every,
-            unsynced: 0,
-        })
+            0,
+            header.len() as u64,
+        ))
     }
 
     /// Re-opens an existing log for appending after [`replay`] (and,
@@ -362,53 +482,137 @@ impl WalWriter {
     /// prefix that replay reported, passed as numbers so the caller is
     /// free to have consumed the frames themselves.
     pub fn open_end(
-        vfs: &dyn Vfs,
+        vfs: &Arc<dyn Vfs>,
         path: &Path,
         sync_every: usize,
         frames: u64,
         good_bytes: u64,
     ) -> Result<Self> {
-        assert!(sync_every > 0, "WalWriter: sync_every must be positive");
-        let file = vfs.open_rw(path)?;
         // Position at the end of the verified prefix; everything past
         // it (if anything) has been truncated away by recovery.
-        Ok(Self {
+        let file = vfs.open_rw(path)?;
+        Ok(Self::at_end(
+            vfs, file, path, sync_every, frames, good_bytes,
+        ))
+    }
+
+    fn at_end(
+        vfs: &Arc<dyn Vfs>,
+        file: Box<dyn VfsFile>,
+        path: &Path,
+        sync_every: usize,
+        frames: u64,
+        bytes: u64,
+    ) -> Self {
+        assert!(sync_every > 0, "WalWriter: sync_every must be positive");
+        Self {
+            vfs: Arc::clone(vfs),
             file,
             path: path.to_path_buf(),
             next_seq: frames,
-            bytes: good_bytes,
+            synced: frames,
+            bytes,
             sync_every,
-            unsynced: 0,
-        })
+            in_flight: None,
+            frame: Vec::new(),
+        }
     }
 
-    /// Appends one change frame; returns its sequence number. The frame
-    /// is durable once [`Self::sync`] runs (automatically every
-    /// `sync_every` appends).
-    pub fn append(&mut self, group: NodeId, change: &Change) -> Result<u64> {
+    /// Appends one change frame; returns its sequence number and, every
+    /// `sync_every` owed frames, the [`SyncJob`] that makes them
+    /// durable. The frame is written before this returns; it is durable
+    /// once a job covering it ran (or [`Self::sync`] returned).
+    ///
+    /// Fails, writing nothing, when the job handed out earlier failed.
+    /// With `2 × sync_every` frames owed, the append first retires the
+    /// job in flight — waits for it if it is running, cancels it and
+    /// syncs inline if nobody started it — so the unsynced tail never
+    /// exceeds `2 × sync_every` frames.
+    pub fn append(&mut self, group: NodeId, change: &Change) -> Result<(u64, Option<SyncJob>)> {
+        let bound = 2 * self.sync_every as u64;
+        self.settle(self.unsynced() >= bound)?;
+        if self.unsynced() >= bound {
+            self.sync_file()?;
+        }
         let seq = self.next_seq;
-        let mut e = Enc::new();
+        let mut e = Enc::record_in(std::mem::take(&mut self.frame));
         e.u64(seq);
         e.usize(group);
         codec::put_change(&mut e, change);
-        let payload = e.into_bytes();
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        codec::put_record(&mut framed, &payload);
-        self.file.write_all_at(self.bytes, &framed)?;
-        self.bytes += framed.len() as u64;
+        self.frame = e.into_record();
+        self.file.write_all_at(self.bytes, &self.frame)?;
+        self.bytes += self.frame.len() as u64;
         self.next_seq += 1;
-        self.unsynced += 1;
-        if self.unsynced >= self.sync_every {
-            self.sync()?;
-        }
-        Ok(seq)
+        let due = self.in_flight.is_none() && self.unsynced() >= self.sync_every as u64;
+        let job = due.then(|| {
+            let ticket = Arc::new(Ticket {
+                slot: Mutex::new(JobState::Queued),
+                changed: Condvar::new(),
+            });
+            self.in_flight = Some(InFlight {
+                upto: self.next_seq,
+                ticket: Arc::clone(&ticket),
+            });
+            SyncJob {
+                vfs: Arc::clone(&self.vfs),
+                path: self.path.clone(),
+                ticket,
+            }
+        });
+        Ok((seq, job))
     }
 
-    /// Forces everything appended so far to stable storage.
+    /// Retires the job in flight once it is done, reporting a failed
+    /// `fsync`. With `drain` set it does not leave the job behind: a
+    /// queued job is cancelled, a running one waited for.
+    fn settle(&mut self, drain: bool) -> Result<()> {
+        let Some(job) = self.in_flight.take() else {
+            return Ok(());
+        };
+        let mut state = job.ticket.lock();
+        if drain {
+            if matches!(*state, JobState::Queued) {
+                *state = JobState::Skipped;
+            }
+            while matches!(*state, JobState::Running) {
+                state = job
+                    .ticket
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        match std::mem::replace(&mut *state, JobState::Skipped) {
+            pending @ (JobState::Queued | JobState::Running) => {
+                *state = pending;
+                drop(state);
+                self.in_flight = Some(job);
+                Ok(())
+            }
+            JobState::Synced => {
+                self.synced = self.synced.max(job.upto);
+                Ok(())
+            }
+            JobState::Failed(e) => Err(e.into()),
+            JobState::Skipped => Ok(()),
+        }
+    }
+
+    /// `fsync`s through the writer's own handle.
+    fn sync_file(&mut self) -> Result<()> {
+        self.file.sync()?;
+        self.synced = self.next_seq;
+        Ok(())
+    }
+
+    /// Forces everything appended so far to stable storage: retires the
+    /// job in flight (waiting for it if it is running), then syncs
+    /// whatever it did not cover. Reports a failed job instead of
+    /// syncing past it.
     pub fn sync(&mut self) -> Result<()> {
-        if self.unsynced > 0 {
-            self.file.sync()?;
-            self.unsynced = 0;
+        self.settle(true)?;
+        if self.unsynced() > 0 {
+            self.sync_file()?;
         }
         Ok(())
     }
@@ -423,9 +627,9 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// Appends not yet made durable.
-    pub fn unsynced(&self) -> usize {
-        self.unsynced
+    /// Appended frames not yet known durable.
+    pub fn unsynced(&self) -> u64 {
+        self.next_seq - self.synced
     }
 
     /// The log's path.
@@ -444,7 +648,7 @@ impl Drop for WalWriter {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use crate::vfs::FaultVfs;
+    use crate::vfs::{CrashTail, FaultKind, FaultPlan, FaultVfs};
     use smartstore_trace::FileMetadata;
 
     fn meta(id: u64) -> FileMetadata {
@@ -484,9 +688,9 @@ mod tests {
         let (vfs, path) = memfs();
         let cs = changes(50);
         {
-            let mut w = WalWriter::create(&vfs, &path, 8, 0).unwrap();
+            let mut w = WalWriter::create(&vfs.handle(), &path, 8, 0).unwrap();
             for (i, c) in cs.iter().enumerate() {
-                let seq = w.append(i % 4, c).unwrap();
+                let (seq, _) = w.append(i % 4, c).unwrap();
                 assert_eq!(seq, i as u64);
             }
             w.sync().unwrap();
@@ -507,7 +711,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("smartstore_wal_real_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let vfs = crate::vfs::RealVfs;
+        let vfs = crate::vfs::RealVfs::handle();
         let path = dir.join("wal.log");
         let cs = changes(12);
         {
@@ -516,7 +720,7 @@ mod tests {
                 w.append(i, c).unwrap();
             }
         }
-        let r = replay(&vfs, &path).unwrap();
+        let r = replay(vfs.as_ref(), &path).unwrap();
         assert!(r.torn.is_none());
         assert_eq!(r.prev_frames, 7);
         assert_eq!(r.frames.len(), 12);
@@ -527,7 +731,7 @@ mod tests {
     fn torn_tail_is_quarantined_and_log_reusable() {
         let (vfs, path) = memfs();
         {
-            let mut w = WalWriter::create(&vfs, &path, 1, 0).unwrap();
+            let mut w = WalWriter::create(&vfs.handle(), &path, 1, 0).unwrap();
             for (i, c) in changes(10).iter().enumerate() {
                 w.append(i, c).unwrap();
             }
@@ -549,8 +753,9 @@ mod tests {
         assert_eq!(side[..], full[r.good_bytes as usize..full.len() - 5]);
         // Appending after recovery continues the sequence.
         let mut w =
-            WalWriter::open_end(&vfs, &path, 1, r.frames.len() as u64, r.good_bytes).unwrap();
-        let seq = w.append(0, &Change::Delete(1234)).unwrap();
+            WalWriter::open_end(&vfs.handle(), &path, 1, r.frames.len() as u64, r.good_bytes)
+                .unwrap();
+        let (seq, _) = w.append(0, &Change::Delete(1234)).unwrap();
         assert_eq!(seq, 9);
         drop(w);
         let r2 = replay(&vfs, &path).unwrap();
@@ -563,7 +768,7 @@ mod tests {
     fn bitflip_mid_frame_stops_scan_at_frame_start() {
         let (vfs, path) = memfs();
         {
-            let mut w = WalWriter::create(&vfs, &path, 1, 0).unwrap();
+            let mut w = WalWriter::create(&vfs.handle(), &path, 1, 0).unwrap();
             for (i, c) in changes(6).iter().enumerate() {
                 w.append(i, c).unwrap();
             }
@@ -580,7 +785,7 @@ mod tests {
     #[test]
     fn empty_log_replays_clean() {
         let (vfs, path) = memfs();
-        WalWriter::create(&vfs, &path, 4, 3).unwrap();
+        WalWriter::create(&vfs.handle(), &path, 4, 3).unwrap();
         let r = replay(&vfs, &path).unwrap();
         assert!(r.frames.is_empty());
         assert!(r.torn.is_none());
@@ -591,14 +796,62 @@ mod tests {
     #[test]
     fn sync_batching_counts() {
         let (vfs, path) = memfs();
-        let mut w = WalWriter::create(&vfs, &path, 4, 0).unwrap();
+        let mut w = WalWriter::create(&vfs.handle(), &path, 4, 0).unwrap();
         let cs = changes(6);
         for (i, c) in cs.iter().take(3).enumerate() {
-            w.append(i, c).unwrap();
+            let (_, job) = w.append(i, c).unwrap();
+            assert!(job.is_none(), "below batch threshold: no sync due");
         }
         assert_eq!(w.unsynced(), 3, "below batch threshold: not yet synced");
-        w.append(3, &cs[3]).unwrap();
-        assert_eq!(w.unsynced(), 0, "fourth append triggers the batch fsync");
+        let (_, job) = w.append(3, &cs[3]).unwrap();
+        let job = job.expect("fourth append hands out the batch fsync");
+        assert_eq!(w.unsynced(), 4, "the append itself syncs nothing");
+        assert!(job.run(), "the job syncs through its own handle");
+        let (_, job) = w.append(4, &cs[4]).unwrap();
+        assert!(job.is_none());
+        assert_eq!(w.unsynced(), 1, "the next append retires the finished job");
+    }
+
+    #[test]
+    fn one_job_in_flight_and_the_tail_bound_syncs_past_an_unstarted_one() {
+        let (vfs, path) = memfs();
+        let mut w = WalWriter::create(&vfs.handle(), &path, 2, 0).unwrap();
+        let cs = changes(8);
+        let mut jobs = Vec::new();
+        for (i, c) in cs.iter().take(4).enumerate() {
+            let (_, job) = w.append(i, c).unwrap();
+            jobs.extend(job);
+        }
+        // The job due at frame 2 is still queued at frame 4: no second
+        // job, and four frames (2 × sync_every) are owed.
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(w.unsynced(), 4);
+        let before = vfs.ops();
+        // The fifth append cancels the unstarted job and syncs inline.
+        let (_, job) = w.append(4, &cs[4]).unwrap();
+        assert!(job.is_none());
+        assert_eq!(vfs.ops() - before, 2, "one inline fsync, one write");
+        assert_eq!(w.unsynced(), 1);
+        assert!(!jobs.pop().unwrap().run(), "a cancelled job syncs nothing");
+        vfs.crash(CrashTail::DropUnsynced);
+        assert_eq!(replay(&vfs, &path).unwrap().frames.len(), 4);
+    }
+
+    #[test]
+    fn a_failed_job_fails_the_next_append_before_it_writes() {
+        let (vfs, path) = memfs();
+        let mut w = WalWriter::create(&vfs.handle(), &path, 1, 0).unwrap();
+        let cs = changes(3);
+        let (_, job) = w.append(0, &cs[0]).unwrap();
+        vfs.set_plan(Some(FaultPlan {
+            at: vfs.ops(),
+            kind: FaultKind::IoError,
+            sticky: false,
+        }));
+        assert!(!job.unwrap().run(), "the injected fault fails the job");
+        let len = vfs.file_len(&path).unwrap();
+        assert!(w.append(1, &cs[1]).is_err(), "the failure is reported");
+        assert_eq!(vfs.file_len(&path).unwrap(), len, "and nothing written");
     }
 
     #[test]
@@ -622,7 +875,7 @@ mod tests {
         assert_eq!(probe(&vfs, &path).unwrap(), WalProbe::CreationArtifact);
         // Every strict prefix of a fresh header is a creation artifact;
         // the complete header is valid.
-        WalWriter::create(&vfs, &path, 1, 5).unwrap();
+        WalWriter::create(&vfs.handle(), &path, 1, 5).unwrap();
         let full = vfs.read(&path).unwrap();
         assert_eq!(full.len() as u64, header_len());
         for keep in 0..full.len() {
@@ -650,7 +903,7 @@ mod tests {
     #[test]
     fn probe_flags_corrupt_header_as_garbage() {
         let (vfs, path) = memfs();
-        WalWriter::create(&vfs, &path, 1, 0).unwrap();
+        WalWriter::create(&vfs.handle(), &path, 1, 0).unwrap();
         // Flip a bit inside the header payload: right length, bad crc.
         assert!(vfs.corrupt_durable(&path, WAL_MAGIC.len() + 9, 0x01));
         assert_eq!(probe(&vfs, &path).unwrap(), WalProbe::Garbage);

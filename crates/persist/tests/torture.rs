@@ -13,6 +13,12 @@
 //! of (fault kind × I/O index × crash-tail policy) cells in seconds
 //! and is fully deterministic. Set `TORTURE_QUICK=1` (CI) to stride
 //! the enumeration instead of visiting every cell.
+//!
+//! The deferred-sync sweep drives the store the way the sharded service
+//! does — appends hand back their batch [`SyncJob`] instead of syncing
+//! inline — and runs each job at an enumerated point of the stream (at
+//! once, after the next append, after the next compaction, never),
+//! single-threaded so every interleaving it checks is reproducible.
 
 #![allow(clippy::disallowed_methods)]
 
@@ -20,7 +26,8 @@ use proptest::prelude::*;
 use smartstore::versioning::Change;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_persist::{
-    snapshot, wal, CrashTail, FaultKind, FaultPlan, FaultVfs, SystemPersist as _, WalWriter,
+    snapshot, wal, CrashTail, FaultKind, FaultPlan, FaultVfs, PersistentStore, SyncJob,
+    SystemPersist as _, WalWriter,
 };
 use smartstore_trace::{FileMetadata, GeneratorConfig, MetadataPopulation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -249,6 +256,189 @@ fn stream_faults_group_commit() {
     stream_sweep(4, false);
 }
 
+/// When a deferred batch [`SyncJob`] runs, relative to the change
+/// stream that produced it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum JobPoint {
+    /// Right after the append that handed it out (what
+    /// `PersistentStore::append` does).
+    AtOnce,
+    /// After the following change's append: frames written after the
+    /// job was issued, before it ran.
+    AfterNextAppend,
+    /// After the next compaction, which must retire (here: cancel) it
+    /// before it seals and removes the log the job names.
+    AfterNextCompaction,
+    /// Dropped unrun: the syncer never got to it before the crash.
+    Never,
+}
+
+/// Runs the change stream through `append_deferred`, each job at
+/// `point`, compacting as `apply_journaled` does; stops at the first
+/// error. Returns the changes acknowledged and, of those, how many are
+/// known durable: covered by a job that synced, or folded into a
+/// compaction's snapshot.
+fn run_deferred(
+    sys: &mut SmartStoreSystem,
+    store: &mut PersistentStore,
+    changes: &[Change],
+    point: JobPoint,
+) -> (usize, usize) {
+    let mut successes = 0usize;
+    let mut durable = 0usize;
+    // A job waiting for its point, with the acknowledged changes it covers.
+    let mut held: Option<(SyncJob, usize)> = None;
+    let run = |job: SyncJob, covers: usize, durable: &mut usize| {
+        if job.run() {
+            *durable = (*durable).max(covers);
+        }
+    };
+    for ch in changes {
+        let mut due = None;
+        let journaled = sys.try_apply_change_journaled(ch.clone(), |group, c| {
+            store.append_deferred(group, c).map(|(_, job)| due = job)
+        });
+        if journaled.is_err() {
+            break;
+        }
+        if point == JobPoint::AfterNextAppend {
+            if let Some((job, covers)) = held.take() {
+                run(job, covers, &mut durable);
+            }
+        }
+        if store.should_compact() {
+            if store.compact(sys).is_err() {
+                break;
+            }
+            durable = successes + 1;
+            if point == JobPoint::AfterNextCompaction {
+                if let Some((job, covers)) = held.take() {
+                    run(job, covers, &mut durable);
+                }
+            }
+        }
+        successes += 1;
+        if let Some(job) = due {
+            match point {
+                JobPoint::AtOnce => run(job, successes, &mut durable),
+                JobPoint::Never => drop(job),
+                JobPoint::AfterNextAppend | JobPoint::AfterNextCompaction => {
+                    held = Some((job, successes))
+                }
+            }
+        }
+    }
+    (successes, durable)
+}
+
+/// One deferred-sync torture cell: like [`torture_once`], over
+/// [`run_deferred`]. Whatever the job point, the recovered state is a
+/// prefix of the stream, bounded above by what was applied and below by
+/// every change known durable before the crash.
+fn torture_deferred_once(
+    base: &Baseline,
+    point: JobPoint,
+    kind: FaultKind,
+    at: u64,
+    tail: CrashTail,
+) {
+    let dir = Path::new(DIR);
+    let vfs = base.vfs.fork();
+    let (mut sys, mut store, _) =
+        SmartStoreSystem::open_from_dir_with(vfs.handle(), dir).expect("pre-fault open");
+    vfs.reset_ops();
+    vfs.set_plan(Some(FaultPlan {
+        at,
+        kind,
+        sticky: false,
+    }));
+    let (successes, durable) = run_deferred(&mut sys, &mut store, &base.changes, point);
+    vfs.crash(tail);
+    drop(store); // post-crash: its Drop-sync is a no-op on the image
+
+    let ctx = format!(
+        "{point:?} kind {kind:?} at op {at} tail {tail:?} successes {successes} durable {durable}"
+    );
+    let reopened = catch_unwind(AssertUnwindSafe(|| {
+        SmartStoreSystem::open_from_dir_with(vfs.handle(), dir)
+    }))
+    .unwrap_or_else(|_| panic!("open panicked after crash ({ctx})"));
+    match reopened {
+        Ok((rec, _store, _report)) => {
+            let fp = fingerprint(&rec);
+            let lo = base
+                .prints
+                .iter()
+                .position(|p| p == &fp)
+                .unwrap_or_else(|| panic!("recovered state matches no stream prefix ({ctx})"));
+            let hi = base.prints.iter().rposition(|p| p == &fp).unwrap();
+            assert!(
+                lo <= successes + 1,
+                "recovered beyond anything applied: prefix {lo} > {} ({ctx})",
+                successes + 1
+            );
+            if kind != FaultKind::LyingFsync {
+                assert!(
+                    hi >= durable,
+                    "change known durable was lost: prefix {hi} < {durable} ({ctx})"
+                );
+            }
+        }
+        Err(_) => assert!(
+            kind == FaultKind::LyingFsync,
+            "open failed after an honest-disk fault ({ctx})"
+        ),
+    }
+}
+
+/// Every job point, times every fault kind at every I/O call of the
+/// stream, times every crash-tail policy — the enumeration of
+/// [`stream_sweep`] over the deferred append the sharded service uses.
+/// A batch of 4 makes jobs fold into later ones and reaches the
+/// `2 × 4`-frame tail bound, which cancels a job nobody started and
+/// syncs inline.
+#[test]
+fn stream_faults_deferred_sync() {
+    let base = baseline(4);
+    let stride = if quick() { 7 } else { 1 };
+    let tail_stride = if quick() { 21 } else { 5 };
+    for point in [
+        JobPoint::AtOnce,
+        JobPoint::AfterNextAppend,
+        JobPoint::AfterNextCompaction,
+        JobPoint::Never,
+    ] {
+        // The fault-point universe of this schedule: the I/O calls of
+        // its fault-free run, which also must acknowledge every change.
+        let vfs = base.vfs.fork();
+        let (mut sys, mut store, _) =
+            SmartStoreSystem::open_from_dir_with(vfs.handle(), Path::new(DIR)).expect("open");
+        vfs.reset_ops();
+        let (acked, _) = run_deferred(&mut sys, &mut store, &base.changes, point);
+        assert_eq!(
+            acked,
+            base.changes.len(),
+            "{point:?}: fault-free run failed"
+        );
+        assert_eq!(fingerprint(&sys), base.prints[acked], "{point:?}");
+        let stream_ops = vfs.ops();
+        drop(store);
+        for kind in FaultKind::ALL {
+            for (tail, step) in [
+                (CrashTail::DropUnsynced, stride),
+                (CrashTail::KeepHalf, tail_stride),
+                (CrashTail::KeepAll, tail_stride),
+            ] {
+                let mut at = 0;
+                while at < stream_ops {
+                    torture_deferred_once(&base, point, kind, at, tail);
+                    at += step;
+                }
+            }
+        }
+    }
+}
+
 /// Open-time faults: arm every fault kind at every I/O call of the
 /// recovery path itself (both transient and sticky), over the sealed
 /// end-state image. Open must never panic — and after the fault
@@ -322,7 +512,7 @@ fn build_segment(n_frames: usize, seed: u64) -> (FaultVfs, std::path::PathBuf, V
         .map(|i| ((i % 3) as u8, i.wrapping_mul(seed | 1), i))
         .collect();
     let changes = churn(&files, &ops);
-    let mut w = WalWriter::create(vfs.handle().as_ref(), &path, 1, 0).expect("create wal");
+    let mut w = WalWriter::create(&vfs.handle(), &path, 1, 0).expect("create wal");
     let mut bounds = vec![wal::header_len()];
     for (i, ch) in changes.iter().enumerate() {
         w.append(i, ch).expect("append");

@@ -21,6 +21,14 @@
 //! placement rule of §3.4 lifted to shard granularity), deletes and
 //! modifies to the shard that holds the file. The shards own their
 //! files: the fleet keeps no file → shard map, it asks the shards.
+//!
+//! A durable fleet runs one syncer thread. A mutation's WAL frame is
+//! written before the mutation is acknowledged, but the batch `fsync`
+//! that falls due every `wal_sync_every` appends is handed to the
+//! syncer and runs after the acknowledgement, off the write lock the
+//! socket front end holds around [`MetadataServer::apply`]. A shard's
+//! unsynced tail stays within `2 × wal_sync_every` frames (see
+//! [`smartstore_persist::WalWriter::append`]).
 
 use crate::codec::WireError;
 use crate::protocol::{
@@ -32,10 +40,11 @@ use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_linalg::cosine_similarity;
-use smartstore_persist::{PersistentStore, RealVfs, SystemPersist as _, Vfs};
+use smartstore_persist::{PersistentStore, RealVfs, SyncJob, SystemPersist as _, Vfs};
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 
 /// Service-layer failure.
 #[derive(Debug)]
@@ -182,12 +191,62 @@ pub struct ShardInfo {
     pub health: ShardHealth,
 }
 
+/// The fleet's syncer: one thread that runs the shards' batch
+/// [`SyncJob`]s in the order they fell due. Dropping it closes the
+/// queue, lets the thread finish what is queued and joins it.
+struct Syncer {
+    jobs: Option<mpsc::Sender<SyncJob>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    fn start() -> Result<Self> {
+        let (jobs, queue) = mpsc::channel::<SyncJob>();
+        let thread = std::thread::Builder::new()
+            .name("wal-syncer".into())
+            .spawn(move || {
+                for job in queue {
+                    // A failure stays with the job's shard store, which
+                    // reports it at its next append or sync.
+                    job.run();
+                }
+            })
+            .map_err(|e| ServiceError::Persist(e.into()))?;
+        Ok(Self {
+            jobs: Some(jobs),
+            thread: Some(thread),
+        })
+    }
+
+    fn submit(&self, job: SyncJob) {
+        if let Some(jobs) = &self.jobs {
+            // Only a syncer thread that died refuses the job; dropping
+            // it unrun leaves its frames owed, and the store's tail
+            // bound then syncs them inline.
+            let _ = jobs.send(job);
+        }
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// A sharded metadata service facade over N per-group
 /// [`SmartStoreSystem`] shards.
 pub struct MetadataServer {
     shards: Vec<ShardSlot>,
     /// Filesystem the shard stores live on (real disk by default).
     vfs: Arc<dyn Vfs>,
+    /// Runs the batch `fsync`s of a durable fleet; `None` in memory.
+    /// Declared last, so it is dropped after the shards, whose stores
+    /// retire their jobs in flight as they close.
+    syncer: Option<Syncer>,
 }
 
 impl MetadataServer {
@@ -236,10 +295,18 @@ impl MetadataServer {
             };
             shards.push(ShardSlot::Up(Box::new(Shard { sys, store, dir })));
         }
-        if let Some(base) = &cfg.store_dir {
-            write_fleet_manifest(vfs.as_ref(), base, cfg.n_shards)?;
-        }
-        Ok(Self { shards, vfs })
+        let syncer = match &cfg.store_dir {
+            Some(base) => {
+                write_fleet_manifest(vfs.as_ref(), base, cfg.n_shards)?;
+                Some(Syncer::start()?)
+            }
+            None => None,
+        };
+        Ok(Self {
+            shards,
+            vfs,
+            syncer,
+        })
     }
 
     /// Cold-starts a durable deployment from `base`: the fleet manifest
@@ -298,7 +365,11 @@ impl MetadataServer {
                 .map(ServiceError::Persist)
                 .unwrap_or_else(|| ServiceError::Config("fleet has no shards".into())));
         }
-        Ok(Self { shards, vfs })
+        Ok(Self {
+            shards,
+            vfs,
+            syncer: Some(Syncer::start()?),
+        })
     }
 
     /// Splits files into per-shard buckets along the grouping predicate
@@ -364,8 +435,9 @@ impl MetadataServer {
     /// Fences shard `i` off by hand — the operator's kill switch (the
     /// server itself quarantines a shard when its store fails beyond
     /// [`PersistentStore::compact`]'s ability to heal). The shard's
-    /// store is dropped (closing its WAL); a durable shard can come
-    /// back through [`Self::try_reopen_shard`].
+    /// store is dropped, which retires its batch `fsync` in flight and
+    /// closes its WAL; a durable shard can come back through
+    /// [`Self::try_reopen_shard`].
     pub fn quarantine_shard(&mut self, i: usize, reason: impl Into<String>) {
         if let ShardSlot::Up(s) = &self.shards[i] {
             // A fenced shard's files are held by no healthy shard, so a
@@ -592,7 +664,7 @@ impl MetadataServer {
         };
         let landed = match shard.store.as_mut() {
             Some(store) => {
-                match Self::apply_durable(&mut shard.sys, store, &change) {
+                match Self::apply_durable(&mut shard.sys, store, &change, self.syncer.as_ref()) {
                     Ok(g) => g,
                     Err(e) => {
                         // The shard's store is beyond in-place healing:
@@ -613,29 +685,34 @@ impl MetadataServer {
     }
 
     /// The durable write path with in-place healing. The change is
-    /// acknowledged iff it was journaled *and* applied; compaction runs
-    /// best-effort after the ack point. A failed append poisons the
-    /// store, which the full-rewrite compaction heals (it re-snapshots
-    /// the complete in-memory state and clears the poison). An error
-    /// means the change did not land and the store could not be healed.
+    /// acknowledged iff its frame was written *and* it was applied; the
+    /// batch `fsync` that falls due goes to the syncer, and compaction
+    /// runs best-effort, both after the ack point. A failed append — or
+    /// a failed batch `fsync`, which the next append reports — poisons
+    /// the store, which the full-rewrite compaction heals (it
+    /// re-snapshots the complete in-memory state and clears the
+    /// poison). An error means the change did not land and the store
+    /// could not be healed.
     fn apply_durable(
         sys: &mut SmartStoreSystem,
         store: &mut PersistentStore,
         change: &Change,
+        syncer: Option<&Syncer>,
     ) -> smartstore_persist::Result<Option<NodeId>> {
-        let journal = |sys: &mut SmartStoreSystem, store: &mut PersistentStore| {
+        let mut due = None;
+        let mut journal = |sys: &mut SmartStoreSystem, store: &mut PersistentStore| {
             sys.try_apply_change_journaled(change.clone(), |group, ch| {
-                store.append(group, ch).map(|_| ())
+                store.append_deferred(group, ch).map(|(_, job)| due = job)
             })
         };
         let landed = match journal(sys, store) {
             Ok(g) => g,
             Err(_) => {
                 // The append failed and poisoned the journal (the log
-                // may have a gap); nothing was applied. Heal with a
-                // full compaction — a fresh snapshot of the complete
-                // in-memory state needs no WAL at all — then retry the
-                // append exactly once.
+                // may have a gap, or an fsync of it failed); nothing
+                // was applied. Heal with a full compaction — a fresh
+                // snapshot of the complete in-memory state needs no
+                // WAL at all — then retry the append exactly once.
                 store.compact(sys)?;
                 journal(sys, store)?
             }
@@ -648,6 +725,11 @@ impl MetadataServer {
             // leaves the old generation in force, and the next mutation
             // (the WAL still over its threshold) tries again.
             let _ = store.compact(sys);
+        }
+        // A compaction above cancelled the job before sealing its log;
+        // the syncer then skips it.
+        if let (Some(job), Some(syncer)) = (due, syncer) {
+            syncer.submit(job);
         }
         Ok(landed)
     }
@@ -716,17 +798,24 @@ impl MetadataServer {
         }
     }
 
-    /// Forces every healthy shard's WAL to disk (group commit
-    /// boundary).
+    /// Forces every healthy shard's WAL to disk: each store retires its
+    /// batch `fsync` in flight (waiting for the syncer if it is running
+    /// it) and syncs whatever that did not cover. Between two calls, a
+    /// shard's acknowledged but unsynced tail is at most
+    /// `2 × wal_sync_every` frames. Every healthy shard is synced even
+    /// when one fails; the first error is returned, and the failed
+    /// shard's store stays poisoned until its next mutation heals it
+    /// with a compaction.
     pub fn sync(&mut self) -> Result<()> {
+        let mut first_err = None;
         for slot in &mut self.shards {
             if let ShardSlot::Up(s) = slot {
-                if let Some(store) = s.store.as_mut() {
-                    store.sync()?;
+                if let Some(Err(e)) = s.store.as_mut().map(PersistentStore::sync) {
+                    first_err.get_or_insert(e);
                 }
             }
         }
-        Ok(())
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
