@@ -32,6 +32,17 @@ pub enum PersistError {
     /// The store directory has no manifest — nothing was ever saved
     /// there (or the manifest was deleted).
     NotFound(PathBuf),
+    /// A WAL frame passed its checksum but cannot be replayed: its
+    /// group tag names no first-level group of the recovered tree, or
+    /// places an insert in a group with no units.
+    BadFrame {
+        /// The WAL segment holding the frame.
+        path: PathBuf,
+        /// The frame's sequence number within that segment.
+        seq: u64,
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -57,6 +68,13 @@ impl fmt::Display for PersistError {
             }
             PersistError::NotFound(p) => {
                 write!(f, "no persisted store at {}", p.display())
+            }
+            PersistError::BadFrame { path, seq, reason } => {
+                write!(
+                    f,
+                    "unreplayable frame {seq} of {}: {reason}",
+                    path.display()
+                )
             }
         }
     }

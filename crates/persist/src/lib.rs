@@ -25,9 +25,12 @@
 //! * [`store`] — [`PersistentStore`]: manifest + snapshot + active
 //!   WAL; **crash recovery** is `open` = load the base snapshot, fold
 //!   any legacy delta chain (written by builds before PR 25; read-only),
-//!   replay surviving WAL frames through the system's own deterministic
-//!   [`SmartStoreSystem::apply_change`] (returning a [`RecoveryReport`]
-//!   of generations folded, frames replayed, and bytes quarantined),
+//!   replay each segment's surviving WAL frames as one
+//!   [`SmartStoreSystem::replay_journal`] batch (inserts follow the
+//!   frame's group tag; a group's superseded lazy refreshes are elided,
+//!   except onto an image holding a duplicated file id), returning a
+//!   [`RecoveryReport`] of generations folded, frames replayed, refreshes
+//!   computed and elided, and bytes quarantined,
 //!   and **compaction** is one operation: a full-image rewrite once the
 //!   WAL outgrows `persist.wal_compact_bytes`.
 //!

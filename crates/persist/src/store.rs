@@ -15,14 +15,19 @@
 //!
 //! *Crash recovery* (`PersistentStore::open`) = read the manifest, load
 //! the base snapshot, fold any legacy delta chain it names, then replay
-//! the WAL segments from the chain end onward through
-//! [`SmartStoreSystem::apply_change`] — the same deterministic code path
-//! the live system took, so the recovered state matches the pre-crash
-//! state exactly up to the last durable frame. Recovery never destroys
-//! bytes it cannot verify: a torn or corrupt tail is *salvaged
-//! prefix-first* — the verified frames replay, the unverifiable
-//! remainder moves to a `.quarantine` side file (reported in
-//! [`RecoveryReport::quarantined_bytes`]) — and a successor segment
+//! the WAL segments from the chain end onward, one segment per
+//! [`SmartStoreSystem::replay_journal`] batch. An insert lands where
+//! its frame's group tag says live placement put it; each group's lazy
+//! refresh recomputes summaries only at its last trigger in the
+//! segment, the earlier ones doing only their bookkeeping — unless the
+//! image holds a duplicated file id, when nothing is elided. The
+//! recovered state matches the pre-crash state byte for byte up to the
+//! last durable frame, and a frame whose tag the recovered tree cannot
+//! honour fails the open with [`PersistError::BadFrame`]. Recovery
+//! never destroys bytes it cannot verify: a torn or corrupt tail is
+//! *salvaged prefix-first* — the verified frames replay, the
+//! unverifiable remainder moves to a `.quarantine` side file (reported
+//! in [`RecoveryReport::quarantined_bytes`]) — and a successor segment
 //! whose header's `prev_frames` disagrees with what its predecessor
 //! actually replayed (the signature of an `fsync` that lied) is
 //! quarantined whole rather than replayed into a non-prefix state,
@@ -51,7 +56,7 @@ use smartstore::config::PersistConfig;
 use smartstore::system::Journal;
 use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
-use smartstore::SmartStoreSystem;
+use smartstore::{ReplayStats, SmartStoreSystem};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -88,6 +93,12 @@ pub struct RecoveryReport {
     /// image's MD5 filters under the fast-family default). The next
     /// compaction persists them in the configured family.
     pub units_migrated: usize,
+    /// Lazy refreshes (§3.4) the replay ran in full: the last one of
+    /// each group in a segment.
+    pub refreshes_computed: usize,
+    /// Lazy refreshes the replay reduced to their bookkeeping, because
+    /// a later refresh of the same group overwrites their work.
+    pub refreshes_elided: usize,
 }
 
 /// What one [`PersistentStore::compact_incremental`] call did.
@@ -403,6 +414,7 @@ impl PersistentStore {
         let mut replayed_frames = 0usize;
         let mut wal_segments = 1usize;
         let mut dropped_tail_bytes = 0u64;
+        let mut refreshes = ReplayStats::default();
         loop {
             // Frames are applied by value; only their count outlives
             // the replay (the successor's header check, the writer's
@@ -410,10 +422,19 @@ impl PersistentStore {
             let frames = std::mem::take(&mut active_replay.frames);
             active_frames = frames.len() as u64;
             replayed_frames += frames.len();
-            for frame in frames {
-                system.apply_change(frame.change);
-            }
             let wpath = wal_path(dir, active);
+            // A segment's sequence numbers count from 0 without a gap
+            // (`wal::replay` checks), so a batch position is a `seq`.
+            let batch = frames.into_iter().map(|f| (f.group, f.change)).collect();
+            let stats = system
+                .replay_journal(batch)
+                .map_err(|bad| PersistError::BadFrame {
+                    path: wpath.clone(),
+                    seq: bad.index as u64,
+                    reason: format!("group tag {} {}", bad.group, bad.reason),
+                })?;
+            refreshes.refreshes_computed += stats.refreshes_computed;
+            refreshes.refreshes_elided += stats.refreshes_elided;
             if active_replay.torn.is_some() {
                 // Salvage prefix-first: the verified frames just
                 // replayed, the unverifiable tail moves aside. A torn
@@ -461,6 +482,8 @@ impl PersistentStore {
             dropped_tail_bytes,
             quarantined_bytes,
             units_migrated,
+            refreshes_computed: refreshes.refreshes_computed,
+            refreshes_elided: refreshes.refreshes_elided,
         };
         let wal = WalWriter::open_end(
             &vfs,

@@ -40,7 +40,9 @@ use smartstore::tree::NodeId;
 use smartstore::versioning::Change;
 use smartstore::{SmartStoreConfig, SmartStoreSystem};
 use smartstore_linalg::cosine_similarity;
-use smartstore_persist::{PersistentStore, RealVfs, SyncJob, SystemPersist as _, Vfs};
+use smartstore_persist::{
+    PersistError, PersistentStore, RealVfs, SyncJob, SystemPersist as _, Vfs,
+};
 use smartstore_trace::{FileMetadata, ATTR_DIMS};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -332,7 +334,8 @@ impl MetadataServer {
         let mut first_err = None;
         for i in 0..n_shards {
             let dir = shard_dir(base, i);
-            if !vfs.exists(&dir).unwrap_or(false) {
+            // A failed probe is an I/O error, not evidence of absence.
+            if !vfs.exists(&dir).map_err(PersistError::Io)? {
                 return Err(ServiceError::Config(format!(
                     "shard directory {} is missing; refusing a partial fleet",
                     dir.display()

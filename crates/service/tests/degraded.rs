@@ -10,9 +10,9 @@
 
 use smartstore::versioning::Change;
 use smartstore::QueryOptions;
-use smartstore_persist::{FaultKind, FaultPlan, FaultVfs};
+use smartstore_persist::{FaultKind, FaultPlan, FaultVfs, PersistError, PersistentStore};
 use smartstore_service::{
-    Client, MetadataServer, Request, Response, RetryPolicy, ServerConfig, ShardHealth,
+    Client, MetadataServer, Request, Response, RetryPolicy, ServerConfig, ServiceError, ShardHealth,
 };
 use smartstore_trace::query_gen::QueryGenConfig;
 use smartstore_trace::{
@@ -406,6 +406,80 @@ fn cold_start_quarantines_unrecoverable_shard() {
     // and the shard stays fenced.
     assert!(srv.try_reopen_shard(1).is_err());
     assert!(!srv.shard_health(1).is_healthy());
+}
+
+/// A WAL frame whose checksum verifies but whose group tag the
+/// recovered tree cannot honour fails that shard's recovery with a
+/// typed error naming the segment and the frame; the open quarantines
+/// only that shard. Two tags: one past the end of the node arena on a
+/// delete, and a leaf (not a first-level group) on an insert.
+#[test]
+fn cold_start_quarantines_shard_with_unreplayable_frame() {
+    let base = Path::new("/fleet");
+    let pop = population(2000, 95);
+    for insert in [false, true] {
+        let vfs = FaultVfs::new();
+        {
+            let mut srv = durable_server(&pop, 2, 95, &vfs, base);
+            srv.sync().expect("sync");
+        }
+        let dir1 = base.join("shard-0001");
+        let (sys, mut store, _) =
+            PersistentStore::open_with(vfs.handle(), &dir1).expect("shard 1 opens");
+        let file = sys.current_files()[0].clone();
+        let (tag, change) = if insert {
+            let leaf = sys.tree().leaf_of_unit(0).expect("unit 0 has a leaf");
+            (leaf, Change::Insert(file))
+        } else {
+            (10_000, Change::Delete(file.file_id))
+        };
+        let seq = store.append(tag, &change).expect("frame appended");
+        store.sync().expect("frame synced");
+        drop((sys, store));
+
+        match PersistentStore::open_with(vfs.handle(), &dir1) {
+            Err(PersistError::BadFrame { path, seq: at, .. }) => {
+                assert_eq!(at, seq, "the error names the frame");
+                assert!(path.starts_with(&dir1), "the error names the segment");
+            }
+            other => panic!("expected a bad-frame error, got {:?}", other.map(|_| ())),
+        }
+        let srv = MetadataServer::open_with(vfs.handle(), base).expect("degraded cold start");
+        assert!(srv.shard_health(0).is_healthy());
+        match srv.shard_health(1) {
+            ShardHealth::Quarantined(reason) => {
+                assert!(reason.contains(&format!("frame {seq}")), "reason: {reason}")
+            }
+            ShardHealth::Healthy => panic!("shard 1 must come up quarantined"),
+        }
+    }
+}
+
+/// An I/O error while probing a shard directory is reported as that
+/// error, not as a missing shard.
+#[test]
+fn cold_start_reports_io_error_probing_shard_dir() {
+    let base = Path::new("/fleet");
+    let vfs = FaultVfs::new();
+    let pop = population(1000, 96);
+    {
+        let mut srv = durable_server(&pop, 2, 96, &vfs, base);
+        srv.sync().expect("sync");
+    }
+    // Call 0 reads the fleet manifest; call 1 probes `shard-0000`.
+    vfs.reset_ops();
+    vfs.set_plan(Some(FaultPlan {
+        at: 1,
+        kind: FaultKind::IoError,
+        sticky: false,
+    }));
+    match MetadataServer::open_with(vfs.handle(), base) {
+        Err(ServiceError::Persist(PersistError::Io(_))) => {}
+        Err(e) => panic!("expected the probe's I/O error, got {e}"),
+        Ok(_) => panic!("the failed probe must fail the open"),
+    }
+    vfs.set_plan(None);
+    assert!(MetadataServer::open_with(vfs.handle(), base).is_ok());
 }
 
 /// With every shard quarantined the service answers `Unavailable`

@@ -65,7 +65,9 @@ pub mod versioning;
 pub use config::{PersistConfig, SmartStoreConfig};
 pub use query::{QueryEngine, QueryOptions};
 pub use smartstore_bloom::HashFamily;
-pub use system::{Journal, QueryOutcome, SmartStoreSystem, SystemParts, SystemStats};
+pub use system::{
+    BadTag, Journal, QueryOutcome, ReplayStats, SmartStoreSystem, SystemParts, SystemStats,
+};
 
 pub use tree::SemanticRTree;
 pub use unit::StorageUnit;

@@ -116,6 +116,53 @@ pub struct SmartStoreSystem {
     /// multicasts) — background traffic, reported separately.
     pub maintenance_messages: u64,
     rng: StdRng,
+    /// The image this system was reassembled from held one file id in
+    /// two units. `owner` gives such an id to the highest unit, where
+    /// the live system gave it to its newest insert, so a replay onto
+    /// this image is not known to retrace the live history and
+    /// [`Self::replay_journal`] elides no refresh.
+    image_duplicates: bool,
+}
+
+/// What [`SmartStoreSystem::replay_journal`] did with the lazy refreshes
+/// (§3.4) its changes triggered.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayStats {
+    /// Refreshes that recomputed their group's summaries: the last one
+    /// of each group in the batch.
+    pub refreshes_computed: usize,
+    /// Refreshes that did only their bookkeeping, because a later
+    /// refresh of the same group in the batch overwrites their work.
+    pub refreshes_elided: usize,
+}
+
+/// A journaled change whose group tag this system cannot honour: the
+/// tag names no first-level group of the tree, or it places an insert
+/// in a group with no units. The root, which tags a no-op, passes on a
+/// delete or modify.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BadTag {
+    /// Position of the change in the replayed batch.
+    pub index: usize,
+    /// The tag it carried.
+    pub group: NodeId,
+    /// What is wrong with the tag.
+    pub reason: &'static str,
+}
+
+/// Per group, the batch position of the last change of a replayed
+/// batch that triggers the group's lazy refresh.
+type LastRefreshes = HashMap<NodeId, usize>;
+
+/// What one applied change did about its group's lazy refresh.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Refresh {
+    /// The group's pending changes stayed under the threshold.
+    NotDue,
+    /// The refresh recomputed the group's summaries.
+    Computed,
+    /// The refresh did only its bookkeeping.
+    Elided,
 }
 
 impl SmartStoreSystem {
@@ -188,6 +235,7 @@ impl SmartStoreSystem {
             versioning_enabled: true,
             maintenance_messages: 0,
             rng,
+            image_duplicates: false,
         }
     }
 
@@ -242,10 +290,11 @@ impl SmartStoreSystem {
     /// filters and version chains come back byte-for-byte); only the
     /// RNG stream (future remappings) restarts.
     pub fn from_parts(parts: SystemParts) -> Self {
-        let mut owner = HashMap::new();
+        let mut owner = HashMap::with_capacity(parts.units.iter().map(StorageUnit::len).sum());
+        let mut image_duplicates = false;
         for u in &parts.units {
             for &id in u.file_ids() {
-                owner.insert(id, u.id);
+                image_duplicates |= owner.insert(id, u.id).is_some();
             }
         }
         let names = NameIndex::build(&parts.units);
@@ -262,6 +311,7 @@ impl SmartStoreSystem {
             versioning_enabled: parts.versioning_enabled,
             maintenance_messages: parts.maintenance_messages,
             rng: StdRng::seed_from_u64(parts.reseed),
+            image_duplicates,
         }
     }
 
@@ -488,13 +538,35 @@ impl SmartStoreSystem {
     fn unit_of_change(&self, change: &Change) -> Option<usize> {
         match change {
             Change::Insert(f) => {
-                let g = self.tree.most_correlated_group(&f.attr_vector());
-                let members = self.tree.descendant_units(g);
-                members.into_iter().min_by_key(|&u| self.units[u].len())
+                self.least_loaded_unit(self.tree.most_correlated_group(&f.attr_vector()))
             }
             Change::Delete(id) => self.owner.get(id).copied(),
             Change::Modify(f) => self.owner.get(&f.file_id).copied(),
         }
+    }
+
+    /// The unit of `group` an insert lands in: its least-loaded one
+    /// (the lowest id among equals). `None` for a group with no units.
+    fn least_loaded_unit(&self, group: NodeId) -> Option<usize> {
+        self.tree
+            .descendant_units(group)
+            .into_iter()
+            .min_by_key(|&u| self.units[u].len())
+    }
+
+    /// Files held by the units below `group`.
+    fn group_files(&self, group: NodeId) -> usize {
+        self.tree
+            .descendant_units(group)
+            .iter()
+            .map(|&u| self.units[u].len())
+            .sum()
+    }
+
+    /// The lazy-update rule (§3.4): a group whose `pending` changes
+    /// exceed `lazy_update_threshold` × its file count refreshes.
+    fn refresh_due(&self, pending: usize, group_files: usize) -> bool {
+        (pending as f64) > self.cfg.lazy_update_threshold * group_files.max(1) as f64
     }
 
     /// The first-level group above a storage unit.
@@ -543,7 +615,7 @@ impl SmartStoreSystem {
             Some(unit) => {
                 let group = self.group_of_unit(unit);
                 journal(group, &change)?;
-                Ok(self.apply_change_at(change, unit))
+                Ok(Some(self.apply_change_at(change, unit, false).0))
             }
             None => {
                 // No-op change: still journaled (replay applies it as
@@ -564,12 +636,149 @@ impl SmartStoreSystem {
     /// no-op deletes/modifies of unknown files).
     pub fn apply_change(&mut self, change: Change) -> Option<NodeId> {
         let unit = self.unit_of_change(&change)?;
-        self.apply_change_at(change, unit)
+        Some(self.apply_change_at(change, unit, false).0)
     }
 
-    /// Applies a change whose target `unit` has already been resolved by
-    /// [`Self::unit_of_change`].
-    fn apply_change_at(&mut self, change: Change, unit: usize) -> Option<NodeId> {
+    /// Replays a batch of journaled changes, each with the group tag
+    /// [`Self::try_apply_change_journaled`] gave it, onto the state they
+    /// were journaled against: the recovery path of a write-ahead log.
+    ///
+    /// The result is the state the live system reached, byte for byte,
+    /// at less cost than applying the changes one by one:
+    /// * an insert lands in the least-loaded unit of its *tagged* group,
+    ///   the unit live placement chose, so placement never reads the
+    ///   (possibly stale) centroids the live system read;
+    /// * a delete or modify goes to the file's owner, as live;
+    /// * each group's lazy refresh runs in full only at the last change
+    ///   of the batch that triggers it. An earlier trigger does only its
+    ///   bookkeeping (the pending counter, the maintenance messages, the
+    ///   chain clear), and a change whose record a later clear drops is
+    ///   never recorded.
+    ///
+    /// Eliding is exact because, past a refresh, a unit's zone order,
+    /// zone boxes, Bloom filter, centroid and MBR are functions of its
+    /// records alone, a tree node's summaries are functions of its
+    /// children's, and a chain clear empties the whole chain; with
+    /// placement fixed by the tag, nothing reads what an elided refresh
+    /// would have left different. When the image held a duplicated file
+    /// id, `owner` may not match the live one and no refresh is elided.
+    ///
+    /// Every tag is checked before anything mutates; a bad one fails
+    /// the whole batch with the state untouched.
+    pub fn replay_journal(&mut self, batch: Vec<(NodeId, Change)>) -> Result<ReplayStats, BadTag> {
+        let mut last = self.last_refreshes(&batch)?;
+        if self.image_duplicates {
+            last.clear();
+        }
+        let mut stats = ReplayStats::default();
+        for (i, (tag, change)) in batch.into_iter().enumerate() {
+            let Some(unit) = self.unit_of_tagged(tag, &change) else {
+                continue;
+            };
+            let group = self.group_of_unit(unit);
+            let later = last.get(&group).is_some_and(|&j| j > i);
+            match self.apply_change_at(change, unit, later).1 {
+                Refresh::NotDue => {}
+                Refresh::Computed => stats.refreshes_computed += 1,
+                Refresh::Elided => stats.refreshes_elided += 1,
+            }
+        }
+        debug_assert!(
+            self.image_duplicates || stats.refreshes_computed == last.len(),
+            "the lookahead mispredicted a group's last refresh"
+        );
+        Ok(stats)
+    }
+
+    /// The unit a replayed change lands in: for an insert, the
+    /// least-loaded unit of its tagged group; for a delete or modify,
+    /// the owner. `None` for a no-op.
+    fn unit_of_tagged(&self, tag: NodeId, change: &Change) -> Option<usize> {
+        match change {
+            Change::Insert(_) => self.least_loaded_unit(tag),
+            Change::Delete(_) | Change::Modify(_) => self.unit_of_change(change),
+        }
+    }
+
+    /// The lookahead of [`Self::replay_journal`]: checks every tag and
+    /// returns, per group, the batch position of the last change that
+    /// triggers its lazy refresh. It follows the file counts and
+    /// pending counters the batch will produce, and which ids it will
+    /// hold (an overlay over `owner`), without mutating anything.
+    fn last_refreshes(&self, batch: &[(NodeId, Change)]) -> Result<LastRefreshes, BadTag> {
+        let groups = self.tree.first_level_index_units();
+        let unitless: Vec<NodeId> = groups
+            .iter()
+            .copied()
+            .filter(|&g| self.tree.descendant_units(g).is_empty())
+            .collect();
+        let mut group_sizes: HashMap<NodeId, usize> =
+            groups.iter().map(|&g| (g, self.group_files(g))).collect();
+        let mut pending = self.pending.clone();
+        // File id → the group holding it, `None` once deleted; ids the
+        // batch has not touched fall through to `owner`.
+        let mut held: HashMap<u64, Option<NodeId>> = HashMap::new();
+        let mut last = HashMap::new();
+        for (i, (tag, change)) in batch.iter().enumerate() {
+            let bad = |reason| BadTag {
+                index: i,
+                group: *tag,
+                reason,
+            };
+            // The root tags a change the live system found to be a
+            // no-op, which an insert never is unless a group has no unit.
+            let first_level = groups.binary_search(tag).is_ok();
+            let noop_tag = *tag == self.tree.root() && !matches!(change, Change::Insert(_));
+            if !first_level && !noop_tag {
+                return Err(bad("names no first-level group"));
+            }
+            let holder = |id: u64| match held.get(&id) {
+                Some(&g) => g,
+                None => self.owner.get(&id).map(|&u| self.group_of_unit(u)),
+            };
+            let group = match change {
+                Change::Insert(_) if unitless.contains(tag) => {
+                    return Err(bad("places an insert in a group with no units"));
+                }
+                Change::Insert(f) => {
+                    *group_sizes.entry(*tag).or_insert(0) += 1;
+                    held.insert(f.file_id, Some(*tag));
+                    Some(*tag)
+                }
+                Change::Delete(id) => {
+                    let g = holder(*id);
+                    if let Some(g) = g {
+                        held.insert(*id, None);
+                        let count = group_sizes.entry(g).or_insert_with(|| self.group_files(g));
+                        *count = count.saturating_sub(1);
+                    }
+                    g
+                }
+                Change::Modify(f) => holder(f.file_id),
+            };
+            let Some(group) = group else {
+                continue;
+            };
+            let count = *group_sizes
+                .entry(group)
+                .or_insert_with(|| self.group_files(group));
+            let p = pending.entry(group).or_insert(0);
+            *p += 1;
+            if self.refresh_due(*p, count) {
+                *p = 0;
+                last.insert(group, i);
+            }
+        }
+        Ok(last)
+    }
+
+    /// Applies a change whose target `unit` has already been resolved,
+    /// and runs its group's lazy refresh when the change makes one due.
+    /// `later` says that a later change of a replayed batch refreshes
+    /// the same group (see [`Self::replay_journal`]): the change is then
+    /// not recorded in the chain that refresh clears, and a refresh due
+    /// here is elided. Live writes pass `false`.
+    fn apply_change_at(&mut self, change: Change, unit: usize, later: bool) -> (NodeId, Refresh) {
         match &change {
             Change::Insert(f) => {
                 self.owner.insert(f.file_id, unit);
@@ -592,36 +801,48 @@ impl SmartStoreSystem {
             },
         }
         let group = self.group_of_unit(unit);
-        if self.versioning_enabled {
-            self.versions
-                .entry(group)
-                .or_insert_with(|| VersionStore::new(self.cfg.version_ratio))
-                .record(change);
-        }
         // Lazy update accounting (§3.4): once a group accumulates more
         // than `lazy_update_threshold` × its file count of changes, its
         // units re-publish summaries and the index refreshes.
         let counter = self.pending.entry(group).or_insert(0);
         *counter += 1;
-        let group_files: usize = self
-            .tree
-            .descendant_units(group)
-            .iter()
-            .map(|&u| self.units[u].len())
-            .sum();
-        if (*counter as f64) > self.cfg.lazy_update_threshold * group_files.max(1) as f64 {
-            self.pending.insert(group, 0);
-            self.lazy_refresh_group(group);
+        let counted = *counter;
+        let due = self.refresh_due(counted, self.group_files(group));
+        if self.versioning_enabled {
+            let chain = self
+                .versions
+                .entry(group)
+                .or_insert_with(|| VersionStore::new(self.cfg.version_ratio));
+            // A refresh due here or later clears the chain, dropping
+            // the record unread.
+            if !(due || later) {
+                chain.record(change);
+            }
         }
-        Some(group)
+        if !due {
+            return (group, Refresh::NotDue);
+        }
+        self.pending.insert(group, 0);
+        self.lazy_refresh_group(group, !later);
+        let refresh = if later {
+            Refresh::Elided
+        } else {
+            Refresh::Computed
+        };
+        (group, refresh)
     }
 
-    /// Re-synchronizes all leaf summaries of a group and multicasts the
-    /// fresh replica (counted as maintenance traffic).
-    fn lazy_refresh_group(&mut self, group: NodeId) {
-        for u in self.tree.descendant_units(group) {
-            self.units[u].recompute_summaries();
-            self.tree.update_leaf_summary(&self.units[u]);
+    /// A group's lazy refresh: re-synchronizes all its leaf summaries
+    /// when `recompute` is set, multicasts the fresh replica and folds
+    /// its version chain (counted as maintenance traffic). Without
+    /// `recompute` only that bookkeeping runs: the replay of a batch in
+    /// which a later refresh of the group overwrites the summaries.
+    fn lazy_refresh_group(&mut self, group: NodeId, recompute: bool) {
+        if recompute {
+            for u in self.tree.descendant_units(group) {
+                self.units[u].recompute_summaries();
+                self.tree.update_leaf_summary(&self.units[u]);
+            }
         }
         // Replica multicast to every storage unit (§3.4).
         self.maintenance_messages += self.units.len() as u64;

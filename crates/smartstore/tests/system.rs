@@ -510,3 +510,48 @@ fn bulk_removal_matches_change_stream_answers() {
         );
     }
 }
+
+/// `replay_journal` checks every tag before it mutates anything: a tag
+/// that names no first-level group, or an insert tagged to a group with
+/// no units, fails the whole batch and leaves the state as it was.
+#[test]
+fn replay_journal_refuses_bad_tags_before_mutating() {
+    let (sys, _) = system(600, 20, 3);
+    let mut parts = sys.to_parts();
+    // A first-level node with no children: a group with no units.
+    let root = parts.tree.root;
+    let unitless = parts.tree.nodes.len();
+    let mut node = parts.tree.nodes[root].clone();
+    node.id = unitless;
+    node.level = 1;
+    node.children.clear();
+    node.parent = Some(root);
+    node.unit = None;
+    node.leaf_count = 0;
+    parts.tree.nodes.push(node);
+    let mut sys = SmartStoreSystem::from_parts(parts);
+    let files = sys.current_files();
+    let group = sys.tree().first_level_index_units()[0];
+    let leaf = sys.tree().leaf_of_unit(0).unwrap();
+    let delete = Change::Delete(files[0].file_id);
+    let insert = Change::Insert(files[1].clone());
+    for (bad, batch) in [
+        (
+            unitless,
+            vec![(group, delete.clone()), (unitless, insert.clone())],
+        ),
+        (leaf, vec![(group, delete.clone()), (leaf, insert.clone())]),
+        (
+            10_000,
+            vec![(group, delete.clone()), (10_000, delete.clone())],
+        ),
+    ] {
+        let err = sys.replay_journal(batch).unwrap_err();
+        assert_eq!((err.index, err.group), (1, bad), "{err:?}");
+        assert_eq!(sys.current_files(), files, "nothing mutated");
+    }
+    // The root is the tag of a no-op.
+    let noop = vec![(sys.tree().root(), Change::Delete(u64::MAX))];
+    assert_eq!(sys.replay_journal(noop).unwrap().refreshes_computed, 0);
+    assert_eq!(sys.current_files(), files);
+}
